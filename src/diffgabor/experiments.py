@@ -225,8 +225,8 @@ def run_fusion_experiment(cfg):
                 x = random_fusion_sparse_signal(
                     ff, k, x_seed, complex_coefficients=cfg.complex_signal_coefficients
                 )
-                y = op.effective @ x
-                result = block_basis_pursuit(op.effective, y, op.block_structure, cfg.solver)
+                y = op @ x
+                result = block_basis_pursuit(op, y, op.block_structure, cfg.solver)
                 return normalized_squared_error(result.solution, x) < cfg.success_threshold
 
             successes = _run_trials(trial, cfg.trials, cfg.workers)

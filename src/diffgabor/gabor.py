@@ -112,6 +112,8 @@ def alltop_generator(N):
 
 def random_torus_generator(N, seed):
     """Window with i.i.d. uniform phases, entries exp(2 pi i u_j)/sqrt(N); seeded."""
+    if N < 1:
+        raise InvalidInputError(f"random torus window needs N >= 1, got N={N}")
     rng = np.random.default_rng(seed)
     u = rng.random(N)
     return Generator(np.exp(2j * np.pi * u) / np.sqrt(N), kind="random_torus")

@@ -2,14 +2,16 @@
 
 Splitting: min ||z||_1 (or sum of block norms) subject to x in {Ax = y}, x = z.
 The x-update is an exact affine projection — a scalar correction for tight
-frames (A A* = cI) and an SVD pseudoinverse otherwise — and the z-update is
-the complex (block) soft threshold.  Basis pursuit is positively homogeneous,
+frames (A A* = cI) and an SVD pseudoinverse otherwise, factored coordinate by
+coordinate for a fusion measurement operator — and the z-update is the
+complex (block) soft threshold.  Basis pursuit is positively homogeneous,
 so the iteration runs on y/||y|| and the solution is rescaled afterwards;
 this keeps convergence behavior scale-free.
 """
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -32,12 +34,13 @@ class SolverConfig:
     tol_dual: float = 1e-9
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise InvalidInputError(f"rho={self.rho} must be positive")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise InvalidInputError(f"rho={self.rho} must be positive and finite")
         if self.max_iters < 1:
             raise InvalidInputError("max_iters must be at least 1")
-        if self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise InvalidInputError("tolerances must be positive")
+        tols = (self.tol_primal, self.tol_dual)
+        if not all(math.isfinite(t) and t > 0 for t in tols):
+            raise InvalidInputError(f"tolerances {tols} must be positive and finite")
 
 
 @dataclass
@@ -80,9 +83,19 @@ class AffineProjection:
     w + A*(y - Aw)/c with no factorization.  Otherwise an economy SVD gives
     the row-space projector and a particular solution; y must then lie in
     the range of A or FactorizationError is raised.
+
+    A FusionMeasurementOperator is block-diagonal up to a row and column
+    permutation, so it is factored as its N local n x K blocks instead: one
+    batched SVD, with the rank cutoff and the range check taken over all
+    blocks at once, which is what the dense SVD of the permuted matrix gives.
     """
 
+    _owners = None  # (N, K) coefficient table, set only on the coordinate-factored path
+
     def __init__(self, matrix, y):
+        if isinstance(matrix, FusionMeasurementOperator):
+            self._init_blockwise(matrix, y)
+            return
         A = np.asarray(matrix, dtype=complex)
         if A.ndim != 2:
             raise InvalidInputError("matrix must be 2-d")
@@ -115,8 +128,43 @@ class AffineProjection:
             raise FactorizationError("y is not in the range of the measurement matrix")
         self._particular = self._Vr.conj().T @ (coeffs / sr)
 
+    def _init_blockwise(self, op, y):
+        y = np.asarray(y, dtype=complex).reshape(-1)
+        n_rows, d = op.shape
+        if y.shape[0] != n_rows:
+            raise InvalidInputError(f"y has length {y.shape[0]}, expected {n_rows}")
+        self.matrix = op
+        self.y = y
+        self.scalar = None
+        self.uses_factorization = True
+        self._owners = op.owners
+        # U: (N, n, p), s: (N, p), Vh: (N, p, K) with p = min(n, K)
+        U, s, Vh = np.linalg.svd(op.blocks, full_matrices=False)
+        s_max = float(s.max())
+        if s_max == 0.0:
+            raise FactorizationError("measurement matrix has no energy")
+        keep = s > s_max * max(n_rows, d) * np.finfo(float).eps
+        self.rank = int(keep.sum())
+        Vr = Vh * keep[:, :, None]
+        y_local = op.local_measurements(y)  # (N, n)
+        coeffs = np.einsum("mip,mi->mp", U.conj(), y_local) * keep
+        residual = y_local - np.einsum("mip,mp->mi", U, coeffs)
+        if np.linalg.norm(residual) > _CONSISTENCY_TOL * max(1.0, np.linalg.norm(y)):
+            raise FactorizationError("y is not in the range of the measurement matrix")
+        inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        self._particular = np.einsum("mpk,mp->mk", Vr.conj(), coeffs * inv_s)
+        # per-block projector onto the null space, I - V_r^H V_r: one batched
+        # matmul per call is cheaper than applying V_r and V_r^H in turn
+        K = Vh.shape[2]
+        self._null_projector = np.eye(K) - np.einsum("mpk,mpl->mkl", Vr.conj(), Vr)
+
     def __call__(self, w):
         w = np.asarray(w, dtype=complex).reshape(-1)
+        if self._owners is not None:
+            local = w[self._owners][:, :, None]  # (N, K, 1)
+            out = np.empty_like(w)
+            out[self._owners] = (self._null_projector @ local)[:, :, 0] + self._particular
+            return out
         if not self.uses_factorization:
             return w + self.matrix.conj().T @ ((self.y - self.matrix @ w) / self.scalar)
         return w - self._Vr.conj().T @ (self._Vr @ w) + self._particular
@@ -149,8 +197,15 @@ def block_soft_threshold(z, tau, blocks):
     return (arr * scale[:, None]).reshape(-1)
 
 
+def _as_operator(matrix):
+    """A fusion measurement operator as is; anything else as a dense complex array."""
+    if isinstance(matrix, FusionMeasurementOperator):
+        return matrix
+    return np.asarray(matrix, dtype=complex)
+
+
 def _admm(matrix, y, cfg, shrink, objective):
-    A = np.asarray(matrix, dtype=complex)
+    A = _as_operator(matrix)
     y = np.asarray(y, dtype=complex).reshape(-1)
     d = A.shape[1]
     ynorm = float(np.linalg.norm(y))
@@ -206,7 +261,7 @@ def basis_pursuit(matrix, y, cfg=None):
 def block_basis_pursuit(matrix, y, blocks, cfg=None):
     """min sum_b ||x_b||_2 subject to Ax = y (mixed l2/l1, block sparsity)."""
     cfg = cfg or SolverConfig()
-    A = np.asarray(matrix, dtype=complex)
+    A = _as_operator(matrix)
     if blocks.dimension != A.shape[1]:
         raise InvalidInputError(
             f"block structure covers {blocks.dimension} coefficients, matrix has {A.shape[1]}"
@@ -237,19 +292,55 @@ def gaussian_measurement_coefficients(n, N, seed, complex_valued=False):
 
 @dataclass
 class FusionMeasurementOperator:
+    """The fusion measurement map {c_j} -> {sum_j a_ij B_j c_j}_i, by coordinate.
+
+    B_j is the canonical 1-sparse basis of W_j (columns e_m, m in the sorted
+    support), so stacked coefficient j*K + c lands on ambient coordinate
+    support_j[c].  Every coordinate m lies in exactly K translates, and
+    measurement i at m reads only those K coefficients: row i*N + m of the
+    map is row i of the local block a[:, owners[m] // K] applied to
+    c[owners[m]].  Shape: (n*N) x (N*K).
+    """
+
     coefficients: np.ndarray  # n x N
     fusion_frame: object
-    effective: np.ndarray  # (n*N_amb) x (N*K)
     block_structure: BlockStructure
     subspace_bases: list  # per subspace: sorted canonical support indices
+    owners: np.ndarray  # (N, K): stacked coefficient indices landing on coordinate m
+    blocks: np.ndarray  # (N, n, K): local block of coordinate m
+
+    @property
+    def shape(self):
+        N, n, K = self.blocks.shape
+        return (n * N, N * K)
+
+    def local_measurements(self, y):
+        """Measurements regrouped by coordinate: (N, n) array, row m = y[i*N + m]."""
+        N, n, _ = self.blocks.shape
+        return np.asarray(y, dtype=complex).reshape(n, N).T
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=complex).reshape(-1)
+        if x.shape[0] != self.shape[1]:
+            raise InvalidInputError(f"x has length {x.shape[0]}, expected {self.shape[1]}")
+        return np.einsum("mik,mk->im", self.blocks, x[self.owners]).reshape(-1)
+
+    @cached_property
+    def effective(self):
+        """Dense (n*N) x (N*K) matrix of the map: the test oracle and CSV form."""
+        N, n, K = self.blocks.shape
+        rows = np.arange(n)[None, :, None] * N + np.arange(N)[:, None, None]
+        dense = np.zeros((n * N, N * K), dtype=complex)
+        dense[rows, self.owners[:, None, :]] = self.blocks
+        return dense
 
 
 def assemble_fusion_operator(a, ff):
-    """Stacked matrix of the measurement map {c_j} -> {sum_j a_ij B_j c_j}_i.
+    """Measurement operator of coefficients ``a`` (n x N) on the fusion frame ``ff``.
 
-    B_j is the canonical 1-sparse basis of W_j (columns e_m, m in the sorted
-    support), so column block j of the effective matrix is a[:, j] placed on
-    the support rows of every measurement copy.  Shape: (n*N) x (N*K).
+    Records, for each ambient coordinate m, the K stacked coefficient indices
+    that land on m, and the n x K local block a[:, j] of the owning
+    subspaces j; see FusionMeasurementOperator.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -258,15 +349,13 @@ def assemble_fusion_operator(a, ff):
     N, K = ff.N, ff.K
     if cols != N:
         raise InvalidInputError(f"coefficients have {cols} columns, fusion frame has {N}")
-    effective = np.zeros((n * N, N * K), dtype=complex)
-    row_base = np.arange(n) * N
-    bases = []
-    for j, sub in enumerate(ff.subspaces):
-        support = sorted(sub.support)
-        bases.append(support)
-        for c_idx, m in enumerate(support):
-            effective[row_base + m, j * K + c_idx] = a[:, j]
-    return FusionMeasurementOperator(a, ff, effective, BlockStructure(N, K), bases)
+    bases = [sorted(sub.support) for sub in ff.subspaces]
+    landing = np.array(bases).reshape(-1)
+    if np.any(np.bincount(landing, minlength=N) != K):
+        raise InvalidInputError(f"fusion frame does not cover every coordinate exactly {K} times")
+    owners = np.argsort(landing, kind="stable").reshape(N, K)
+    blocks = np.ascontiguousarray(a[:, owners // K].transpose(1, 0, 2), dtype=complex)
+    return FusionMeasurementOperator(a, ff, BlockStructure(N, K), bases, owners, blocks)
 
 
 def coefficients_to_subspace_vectors(ff, coeffs):
@@ -310,4 +399,7 @@ def read_complex_matrix_csv(path):
         raise InvalidInputError(
             f"{path}: header says {rows}x{cols} but {len(entries)} entries present"
         )
-    return np.array(entries, dtype=complex).reshape(rows, cols)
+    M = np.array(entries, dtype=complex).reshape(rows, cols)
+    if not np.all(np.isfinite(M)):
+        raise InvalidInputError(f"{path}: matrix has non-finite entries (nan or inf)")
+    return M

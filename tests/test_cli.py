@@ -77,6 +77,14 @@ def test_gabor_coherence_missing_set(capsys):
     assert rc == 3 and out == ""
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_gabor_coherence_random_bad_dimension(capsys, n):
+    rc = cli.main(["gabor", "coherence", "--random", n])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert f"N={n}" in captured.err
+
+
 def test_gabor_table(capsys):
     rc, doc = _run_json(capsys, "gabor", "table", "--quadratic", "11",
                         "--quartic", "", "--singer", "2:2")
@@ -151,6 +159,21 @@ def test_solve_bp_missing_file(capsys, tmp_path):
     rc, out = _run(capsys, "solve", "bp", "--matrix", str(tmp_path / "nope.csv"),
                    "--y", str(tmp_path / "nope2.csv"))
     assert rc == 3 and out == ""
+
+
+def test_solve_bp_rejects_non_finite_input(capsys, tmp_path):
+    A_path, y_path, _ = _write_instance(tmp_path)
+    rc = cli.main(["solve", "bp", "--matrix", str(A_path), "--y", str(y_path),
+                   "--rho", "nan"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and "rho" in captured.err
+
+    lines = A_path.read_text().splitlines()
+    lines[5] = "nan,0"
+    A_path.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["solve", "bp", "--matrix", str(A_path), "--y", str(y_path)])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and str(A_path) in captured.err
 
 
 def test_solve_block_bp(capsys, tmp_path):

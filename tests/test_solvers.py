@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffgabor import diffsets, fusion, gabor, solvers
 from diffgabor.errors import FactorizationError, InvalidInputError
@@ -13,7 +15,9 @@ def _frame(N=7, K=3):
 def test_solver_config_validation():
     cfg = solvers.SolverConfig()
     assert cfg.rho > 0 and cfg.max_iters >= 1
-    for bad in [dict(rho=0.0), dict(max_iters=0), dict(tol_primal=-1e-9), dict(tol_dual=0.0)]:
+    for bad in [dict(rho=0.0), dict(max_iters=0), dict(tol_primal=-1e-9), dict(tol_dual=0.0),
+                dict(rho=float("nan")), dict(rho=float("inf")),
+                dict(tol_primal=float("nan")), dict(tol_dual=float("inf"))]:
         with pytest.raises(InvalidInputError):
             solvers.SolverConfig(**bad)
 
@@ -185,6 +189,7 @@ def test_assemble_fusion_operator_action():
     vectors = solvers.coefficients_to_subspace_vectors(ff, c)  # rows x_j
     direct = np.concatenate([vectors.T @ a[i] for i in range(3)])
     assert np.allclose(op.effective @ c, direct)
+    assert np.allclose(op @ c, direct)
 
 
 def test_assemble_fusion_operator_validates_shape():
@@ -215,3 +220,104 @@ def test_csv_read_validation(tmp_path):
     path.write_text("nonsense\n")
     with pytest.raises(InvalidInputError):
         solvers.read_complex_matrix_csv(path)
+    for bad in ["nan,0", "1,inf", "-inf,2"]:
+        path.write_text(f"2,1\n1,0\n{bad}\n")
+        with pytest.raises(InvalidInputError, match="bad.csv.*non-finite"):
+            solvers.read_complex_matrix_csv(path)
+
+
+# ------------------------------------------- structured fusion operator vs dense oracle
+
+def _fusion_instance(N, K, n, seed):
+    ff = fusion.build_fusion_frame(diffsets.catalog_lookup(N, K))
+    a = solvers.gaussian_measurement_coefficients(n, N, seed=seed)
+    return solvers.assemble_fusion_operator(a, ff)
+
+
+def _complex_normal(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=st.sampled_from([(7, 3), (13, 4), (40, 13)]),
+       n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_fusion_operator_matches_effective(params, n, seed):
+    op = _fusion_instance(*params, n, seed)
+    assert op.shape == op.effective.shape
+    x = _complex_normal(np.random.default_rng(seed), op.shape[1])
+    dense = op.effective @ x
+    assert np.max(np.abs(op @ x - dense)) <= 1e-12 * (1.0 + np.max(np.abs(dense)))
+
+
+@pytest.mark.parametrize("params, n", [((7, 3), 2), ((7, 3), 3), ((7, 3), 5),
+                                       ((40, 13), 5), ((40, 13), 13), ((40, 13), 16)])
+def test_structured_projection_matches_dense(params, n):
+    op = _fusion_instance(*params, n, seed=21)
+    rng = np.random.default_rng(22)
+    y = op @ _complex_normal(rng, op.shape[1])
+    structured = solvers.AffineProjection(op, y)
+    dense = solvers.AffineProjection(op.effective, y)
+    assert structured.uses_factorization and dense.uses_factorization
+    assert structured.matrix.shape == dense.matrix.shape
+    assert structured.rank == dense.rank == min(n, params[1]) * params[0]
+    for _ in range(3):
+        w = _complex_normal(rng, op.shape[1])
+        out, ref = structured(w), dense(w)
+        # the dense output carries roundoff of order cond(block) * eps
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(op @ out - y) <= 1e-10 * np.linalg.norm(y)
+
+
+def test_structured_projection_rank_deficient_block():
+    # two equal columns of a make every block that holds both rank deficient
+    ff = fusion.build_fusion_frame(diffsets.catalog_lookup(7, 3))
+    a = solvers.gaussian_measurement_coefficients(3, 7, seed=5)
+    a[:, 4] = a[:, 1]
+    op = solvers.assemble_fusion_operator(a, ff)
+    y = op @ _complex_normal(np.random.default_rng(6), 21)
+    structured = solvers.AffineProjection(op, y)
+    dense = solvers.AffineProjection(op.effective, y)
+    assert structured.rank == dense.rank < 21
+    w = _complex_normal(np.random.default_rng(7), 21)
+    assert np.linalg.norm(structured(w) - dense(w)) <= 1e-12 * np.linalg.norm(dense(w))
+
+
+@pytest.mark.parametrize("params, n", [((7, 3), 5), ((40, 13), 16)])
+def test_structured_projection_inconsistent_raises(params, n):
+    # n > K: each local block has more rows than columns, so y can leave the range
+    op = _fusion_instance(*params, n, seed=8)
+    y = op @ _complex_normal(np.random.default_rng(9), op.shape[1])
+    y[0] += 1.0
+    for matrix in (op, op.effective):
+        with pytest.raises(FactorizationError):
+            solvers.AffineProjection(matrix, y)
+
+
+def test_structured_projection_validates_input():
+    op = _fusion_instance(7, 3, 2, seed=10)
+    with pytest.raises(InvalidInputError):
+        solvers.AffineProjection(op, np.zeros(13))
+    with pytest.raises(InvalidInputError):
+        op @ np.zeros(20)
+    zero = solvers.assemble_fusion_operator(np.zeros((2, 7)), op.fusion_frame)
+    for matrix in (zero, zero.effective):
+        with pytest.raises(FactorizationError):
+            solvers.AffineProjection(matrix, np.ones(14))
+
+
+@pytest.mark.parametrize("params, n, k", [((7, 3), 2, 1), ((7, 3), 4, 2),
+                                          ((40, 13), 5, 1), ((40, 13), 13, 4),
+                                          ((40, 13), 16, 8)])
+def test_block_basis_pursuit_structured_matches_dense(params, n, k):
+    N, K = params
+    op = _fusion_instance(N, K, n, seed=31)
+    rng = np.random.default_rng(32)
+    c = np.zeros(N * K, dtype=complex)
+    for j in rng.choice(N, size=k, replace=False):
+        c[j * K:(j + 1) * K] = _complex_normal(rng, K)
+    y = op @ c
+    cfg = solvers.SolverConfig(max_iters=300)
+    structured = solvers.block_basis_pursuit(op, y, op.block_structure, cfg)
+    dense = solvers.block_basis_pursuit(op.effective, y, op.block_structure, cfg)
+    assert structured.status == dense.status
+    assert np.linalg.norm(structured.solution - dense.solution) <= 1e-8 * np.linalg.norm(c)
