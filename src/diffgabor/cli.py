@@ -225,6 +225,7 @@ def _run_solve(args, blocks=None):
     )
     report = {
         "status": result.status,
+        "certified": result.certified,
         "iterations": result.iterations,
         "primal_residual": result.primal_residual,
         "dual_residual": result.dual_residual,
@@ -398,7 +399,8 @@ def build_parser():
     p.add_argument("--ks", type=_parse_ints, default=None, help="explicit sparsity grid")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=experiments.DEFAULT_THRESHOLD)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility (>= 1); trials run serially")
     p.add_argument("--out", required=True, help="CSV output path")
     _add_solver_flags(p)
     p.set_defaults(handler=_cmd_experiment_classic)
@@ -411,7 +413,8 @@ def build_parser():
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=experiments.DEFAULT_THRESHOLD)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility (>= 1); trials run serially")
     p.add_argument("--complex-measurements", action="store_true", dest="complex_measurements",
                    help="complex circular Gaussian a_ij instead of real")
     p.add_argument("--real-signals", action="store_true", dest="real_signals",

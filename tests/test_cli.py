@@ -155,6 +155,17 @@ def test_solve_bp_iteration_cap_exit_code(capsys, tmp_path):
     assert doc["report"]["iterations"] == 2
 
 
+def test_solve_bp_reports_certified_stop(capsys, tmp_path):
+    A_path, y_path, _ = _write_instance(tmp_path)
+    rc, doc = _run_json(capsys, "solve", "bp", "--matrix", str(A_path), "--y", str(y_path))
+    assert rc == 0
+    assert doc["report"]["certified"] is True
+    assert doc["report"]["status"] == "converged"
+    rc, doc = _run_json(capsys, "solve", "bp", "--matrix", str(A_path),
+                        "--y", str(y_path), "--max-iters", "2")
+    assert rc == 4 and doc["report"]["certified"] is False
+
+
 def test_solve_bp_missing_file(capsys, tmp_path):
     rc, out = _run(capsys, "solve", "bp", "--matrix", str(tmp_path / "nope.csv"),
                    "--y", str(tmp_path / "nope2.csv"))
@@ -224,6 +235,18 @@ def test_experiment_fusion_csv(capsys, tmp_path):
     assert rc == 0
     lines = out_path.read_text().splitlines()
     assert lines[1].startswith("fusion,n=4,1,")
+
+
+@pytest.mark.parametrize("experiment", [
+    ["classic", "--n", "7", "--generators", "alltop", "--ks", "1"],
+    ["fusion", "--set", "7,3", "--measurements", "4", "--ks", "1"],
+])
+def test_experiment_workers_below_one_exit_code(capsys, tmp_path, experiment):
+    rc = cli.main(["experiment", *experiment, "--trials", "1", "--workers", "0",
+                   "--out", str(tmp_path / "out.csv")])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and "workers" in captured.err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_console_script_entry_point():

@@ -100,6 +100,15 @@ def test_classic_experiment_deterministic_and_parallel():
     assert a[0].points == b[0].points == c[0].points
 
 
+def test_workers_must_be_positive():
+    with pytest.raises(InvalidInputError, match="workers"):
+        experiments.ClassicExperimentConfig(N=7, sparsity_grid=[1], workers=0)
+    with pytest.raises(InvalidInputError, match="workers"):
+        experiments.FusionExperimentConfig(
+            set_params=(7, 3), measurement_grid=[2], sparsity_grid=[1], workers=-1
+        )
+
+
 def test_fusion_config_validation():
     with pytest.raises(InvalidInputError):
         experiments.FusionExperimentConfig(

@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +104,10 @@ def test_basis_pursuit_recovers_sparse_vector():
     assert res.status == solvers.STATUS_CONVERGED
     assert np.linalg.norm(res.solution - x) / np.linalg.norm(x) < 1e-6
     assert res.objective == pytest.approx(np.abs(x).sum(), rel=1e-6)
+    # stopped early by a certificate, with the exact 2-sparse minimiser
+    assert res.certified and res.iterations % solvers._CERTIFY_PERIOD == 0
+    assert np.count_nonzero(res.solution) == 2
+    assert np.linalg.norm(res.solution - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_basis_pursuit_scale_invariance():
@@ -145,6 +152,145 @@ def test_max_iters_status():
     res = solvers.basis_pursuit(A, y, cfg)
     assert res.status == solvers.STATUS_MAX_ITERS
     assert res.iterations == 3
+
+
+def _support_enumeration_optimum(A, y):
+    """Smallest l1 norm over exact least-squares fits on supports of size <= n."""
+    n, d = A.shape
+    best = None
+    for k in range(1, n + 1):
+        for S in itertools.combinations(range(d), k):
+            A_S = A[:, S]
+            if np.linalg.matrix_rank(A_S) < k:
+                continue
+            x_S = np.linalg.lstsq(A_S, y, rcond=None)[0]
+            if np.linalg.norm(A_S @ x_S - y) > 1e-10 * np.linalg.norm(y):
+                continue
+            if best is None or np.abs(x_S).sum() < np.abs(best).sum():
+                best = np.zeros(d, dtype=complex)
+                best[list(S)] = x_S
+    return best
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_certified_solution_matches_support_enumeration(complex_valued):
+    # A certified solution is the unique l1 minimiser.  It is itself an exact
+    # fit on at most n columns, so it must be the cheapest such fit; for real
+    # data that fit is also the LP optimum.
+    certified = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((4, 9))
+        x0 = np.zeros(9, dtype=complex)
+        x0[rng.choice(9, size=1 + seed % 2, replace=False)] = rng.standard_normal(1 + seed % 2)
+        if complex_valued:
+            A = A + 1j * rng.standard_normal((4, 9))
+            x0 *= np.exp(2j * np.pi * rng.random(9))
+        y = A @ x0
+        res = solvers.basis_pursuit(A, y)
+        if not res.certified:
+            continue
+        certified += 1
+        assert res.status == solvers.STATUS_CONVERGED
+        best = _support_enumeration_optimum(A, y)
+        assert np.linalg.norm(res.solution - best) <= 1e-9 * np.linalg.norm(best)
+        assert res.objective == pytest.approx(np.abs(best).sum(), rel=1e-12)
+    assert certified >= 6
+
+
+def _duplicated_column_instance():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+    A[:, 1] = A[:, 0]
+    x0 = np.zeros(8, dtype=complex)
+    x0[0] = 1.0 + 1.0j
+    return A, x0
+
+
+def test_l1_certificate_rejections():
+    # duplicated column: every split of x0 between columns 0 and 1 is optimal
+    A, x0 = _duplicated_column_instance()
+    y = A @ x0
+    assert solvers._l1_certificate(A, y, x0) is None
+    both = np.zeros(8, dtype=complex)
+    both[[0, 1]] = x0[0] / 2
+    assert solvers._l1_certificate(A, y, both) is None  # A_S rank deficient
+    # |S| > n
+    assert solvers._l1_certificate(A, y, np.ones(8)) is None
+    # the fit on supp(z) cannot meet y
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((4, 8))
+    z = np.zeros(8)
+    z[2] = 1.0
+    assert solvers._l1_certificate(B, rng.standard_normal(4), z) is None
+    # the fit on supp(z) has an exact zero, so S is not its support
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solvers._l1_certificate(np.eye(2, 3), np.array([1.0, 0.0]),
+                                       np.array([1.0, 1.0, 0.0])) is None
+    # the same B with a consistent 1-sparse y is certified on z's support
+    x = solvers._l1_certificate(B, 2.0 * B[:, 2], z)
+    assert x is not None and np.flatnonzero(x).tolist() == [2]
+    assert x[2] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_l1_certificate_uses_fallback_dual():
+    # x = e_0 is the unique minimiser (the other exact fits cost >= 2), but
+    # the min-norm dual w = (1, 0) gives |a_1^H w| = 1.5; w = (1, 0.5) certifies
+    A = np.array([[1.0, 1.5, 0.0], [0.0, -2.0, 1.0]])
+    y = A[:, 0]
+    z = np.array([1.0, 0.0, 0.0])
+    assert solvers._l1_certificate(A, y, z) is None
+    assert solvers._l1_certificate(A, y, z, lambda: np.zeros(2)) is None
+    for w0 in ([1.0, 0.5], [2.0, 0.5]):  # the second is corrected on S to the first
+        x = solvers._l1_certificate(A, y, z, lambda w0=w0: np.array(w0))
+        assert x is not None and np.allclose(x, z, rtol=0, atol=1e-15)
+
+
+def test_basis_pursuit_uncertified_cases():
+    A, x0 = _duplicated_column_instance()
+    res = solvers.basis_pursuit(A, A @ x0, solvers.SolverConfig(max_iters=300))
+    assert not res.certified
+    # one measurement of four identical columns: the symmetric minimiser
+    # spreads over all four, so |S| = 4 > n = 1
+    res = solvers.basis_pursuit(np.ones((1, 4)), np.array([1.0]))
+    assert not res.certified and res.status == solvers.STATUS_CONVERGED
+    assert np.allclose(res.solution, 0.25, atol=1e-6)
+    # a run shorter than one certification period never certifies
+    res = solvers.basis_pursuit(_frame().columns, _frame().columns[:, 3],
+                                solvers.SolverConfig(max_iters=solvers._CERTIFY_PERIOD - 1))
+    assert not res.certified and res.status == solvers.STATUS_MAX_ITERS
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), extra=st.integers(1, 8),
+       k=st.integers(1, 3), complex_valued=st.booleans())
+def test_certified_solve_is_feasible_and_no_worse_than_planted(seed, n, extra, k,
+                                                                complex_valued):
+    rng = np.random.default_rng(seed)
+    d = n + extra
+    A = rng.standard_normal((n, d))
+    x0 = np.zeros(d, dtype=complex)
+    x0[rng.choice(d, size=min(k, n), replace=False)] = rng.standard_normal(min(k, n))
+    if complex_valued:
+        A = A + 1j * rng.standard_normal((n, d))
+        x0 *= np.exp(2j * np.pi * rng.random(d))
+    y = A @ x0
+    res = solvers.basis_pursuit(A, y, solvers.SolverConfig(max_iters=500))
+    if res.certified:
+        assert np.linalg.norm(A @ res.solution - y) <= 1e-10 * np.linalg.norm(y)
+        assert np.abs(res.solution).sum() <= np.abs(x0).sum() * (1 + 1e-10)
+
+
+@pytest.mark.parametrize("tight", [True, False])
+def test_range_coefficients_is_least_squares_preimage(tight):
+    rng = np.random.default_rng(2)
+    A = _frame().columns if tight else rng.standard_normal((5, 11)) + 0j
+    proj = solvers.AffineProjection(A, A @ rng.standard_normal(A.shape[1]))
+    assert proj.uses_factorization is not tight
+    v = rng.standard_normal(A.shape[1]) + 1j * rng.standard_normal(A.shape[1])
+    expected = np.linalg.lstsq(A.conj().T, v, rcond=None)[0]
+    assert np.allclose(proj.range_coefficients(v), expected, atol=1e-12)
 
 
 def test_block_basis_pursuit_dimension_check():
