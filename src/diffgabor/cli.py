@@ -187,11 +187,10 @@ def _cmd_fusion_report(args):
 
 def _cmd_fusion_distances(args):
     ff = _fusion_frame(args.set)
+    a, b = np.triu_indices(ff.N, 1)
+    dc2 = ff.K - fusion.overlap_circulant(ff)[a, b]
     lines = ["a,b,dc_squared"]
-    for a in range(ff.N):
-        for b in range(a + 1, ff.N):
-            dc2 = ff.K - len(ff.subspaces[a].support & ff.subspaces[b].support)
-            lines.append(f"{a},{b},{dc2}")
+    lines += [f"{i},{j},{d}" for i, j, d in zip(a.tolist(), b.tolist(), dc2.tolist())]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="") as fh:
@@ -339,7 +338,7 @@ def build_parser():
     gb = top.add_parser("gabor", help="Gabor frame coherence analytics")
     gb_sub = gb.add_subparsers(dest="subcommand", required=True)
 
-    p = gb_sub.add_parser("coherence", help="brute-force coherence report")
+    p = gb_sub.add_parser("coherence", help="measured coherence report")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--set", type=_parse_pair, default=None, metavar="N,K")
     src.add_argument("--alltop", type=int, default=None, metavar="N")
@@ -351,8 +350,8 @@ def build_parser():
     p.add_argument("--quadratic", type=_parse_ints, default=[11, 19, 23, 43])
     p.add_argument("--quartic", type=_parse_ints, default=[37, 101])
     p.add_argument("--singer", type=_parse_singer, default=[(2, 2), (3, 2), (4, 2), (2, 3)])
-    p.add_argument("--measure-limit", type=int, default=gabor.DENSE_GRAM_LIMIT,
-                   dest="measure_limit", help="largest N to brute-force measure")
+    p.add_argument("--measure-limit", type=int, default=gabor.TABLE_MEASURE_LIMIT,
+                   dest="measure_limit", help="largest N to measure")
     p.set_defaults(handler=_cmd_gabor_table)
 
     fs = top.add_parser("fusion", help="Gabor fusion frame diagnostics")

@@ -10,6 +10,7 @@ from typing import Optional
 
 import numpy as np
 
+from .diffsets import difference_counts
 from .errors import InvalidInputError
 
 CLOSED_FORM_TOL = 1e-12
@@ -89,13 +90,23 @@ def chordal_distance(W_a, W_b):
     return float(np.sqrt(W_a.dimension - overlap))
 
 
+def overlap_circulant(ff):
+    """Integer matrix O[a, b] = |(S+a) intersect (S+b)| = Tr[P_a P_b].
+
+    s + a = t + b for s, t in S exactly when s - t = b - a, so an overlap is
+    the difference count of b - a (K when a = b): the N counts of S fix the
+    whole circulant.
+    """
+    N, K = ff.N, ff.K
+    counts = difference_counts(N, ff.diffset.elements)
+    row = np.array([K] + [counts[d] for d in range(1, N)])
+    idx = np.arange(N)
+    return row[(idx[None, :] - idx[:, None]) % N]
+
+
 def chordal_distance_matrix(ff):
-    N = ff.N
-    D = np.zeros((N, N))
-    for a in range(N):
-        for b in range(a + 1, N):
-            D[a, b] = D[b, a] = chordal_distance(ff.subspaces[a], ff.subspaces[b])
-    return D
+    """Pairwise d_c = sqrt(K - |(S+a) intersect (S+b)|), zero on the diagonal."""
+    return np.sqrt(ff.K - overlap_circulant(ff))
 
 
 def simplex_bound(m, M, N):
@@ -113,14 +124,11 @@ def equidistance_check(ff, tol=CLOSED_FORM_TOL):
     Returns (True/False, common d_c^2 or None).
     """
     N, K, lam = ff.N, ff.K, ff.diffset.params.lam
-    values = set()
-    for a in range(N):
-        for b in range(a + 1, N):
-            overlap = len(ff.subspaces[a].support & ff.subspaces[b].support)
-            values.add(K - overlap)  # exact integer d_c^2
-    if len(values) != 1:
+    # exact integer d_c^2 over every pair a != b
+    values = np.unique(K - overlap_circulant(ff)[~np.eye(N, dtype=bool)])
+    if values.size != 1:
         return False, None
-    dc2 = float(values.pop())
+    dc2 = float(values[0])
     ok = abs(dc2 - (K - lam)) == 0 and abs(dc2 - K * (N - K) / (N - 1)) <= tol
     return ok, dc2
 

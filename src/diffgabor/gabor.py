@@ -14,10 +14,14 @@ import numpy as np
 from .diffsets import DifferenceSetParams, normalized_generator
 from .errors import InvalidInputError, UnsupportedParametersError
 
-# Brute-force Gram scans are the oracle against the closed forms; they are
-# kept dense only at desk scale.
+# The dense ETF check of a plain column matrix is capped at desk scale; Gabor
+# frames are measured block by block (_tf_gram) at any N.
 DENSE_GRAM_LIMIT = 64
 _SCAN_CHUNK = 256
+# largest N the family table measures by default: every catalog set but (101,25)
+TABLE_MEASURE_LIMIT = 64
+# Gram magnitudes this close to the maximum are ties (FFT roundoff is ~1e-15)
+_TIE_TOL = 64 * np.finfo(float).eps
 
 
 @dataclass
@@ -202,26 +206,65 @@ def welch_bound(M, N):
     return float(np.sqrt((M - N) / (N * (M - 1))))
 
 
-def mutual_coherence(frame):
-    """Brute-force coherence report for a GaborFrame (or a plain column matrix).
+def _tf_gram(g):
+    """Every Gram magnitude of the Gabor system of g, one block at a time.
 
-    For difference-set windows the report also splits the Gram maximum into
-    the within-block value (all equal by the diagonal-block proposition) and
-    the off-diagonal-block maximum, and carries the closed-form prediction.
+    Returns the (N, N, N) array whose [r, q, delta] entry is
+    |<M_j T_r g, M_j' T_q g>| / ||g||^2 for every j with j' - j = delta mod N.
+    The inner product is sum_n conj(T_r g)(n) (T_q g)(n) exp(2 pi i delta n / N),
+    so block B_r* B_q is circulant and its magnitudes are one length-N FFT of
+    T_r g(n) conj(T_q g)(n): N^2 FFTs instead of an N^2 x N^2 Gram.
     """
-    if isinstance(frame, GaborFrame):
-        columns = frame.columns
-        params = frame.generator.params
-        is_ds = frame.generator.kind == "difference_set" and params is not None
-    else:
+    g = np.asarray(g, dtype=complex)
+    N = g.shape[0]
+    n = np.arange(N)
+    shifts = g[(n[None, :] - n[:, None]) % N]  # shifts[r] = T_r g
+    products = shifts[:, None, :] * shifts[None, :, :].conj()
+    return np.abs(np.fft.fft(products, axis=-1)) / np.vdot(g, g).real
+
+
+def _off_diagonal_mask(N):
+    """True everywhere in a _tf_gram array except at the column norms [r, r, 0]."""
+    keep = np.ones((N, N, N), dtype=bool)
+    keep[np.arange(N), np.arange(N), 0] = False
+    return keep
+
+
+def _tf_coherence(gram):
+    """Largest off-diagonal Gram magnitude and the first column pair attaining it.
+
+    Entries within _TIE_TOL of the maximum count as ties, and the first one in
+    (r, q, delta) order wins, so roundoff does not pick the pair.  The pair is
+    reported with j = 0: columns (r N, q N + delta).
+    """
+    N = gram.shape[0]
+    masked = np.where(_off_diagonal_mask(N), gram, -1.0)
+    mu = float(masked.max())
+    r, q, delta = np.unravel_index(int(np.argmax(masked >= mu - _TIE_TOL)), masked.shape)
+    return mu, (int(r) * N, int(q) * N + int(delta))
+
+
+def mutual_coherence(frame):
+    """Coherence report for a GaborFrame (or a plain column matrix).
+
+    A GaborFrame is measured from its block-circulant Gram (_tf_gram), a plain
+    matrix by the dense scan.  For difference-set windows the report also
+    splits the Gram maximum into the within-block value (all equal by the
+    diagonal-block proposition) and the off-diagonal-block maximum, and
+    carries the closed-form prediction.
+    """
+    if not isinstance(frame, GaborFrame):
         columns = np.asarray(frame, dtype=complex)
-        params = None
-        is_ds = False
-    mu, pair = _coherence_scan(columns)
-    wb = welch_bound(columns.shape[1], columns.shape[0])
+        mu, pair = _coherence_scan(columns)
+        return CoherenceReport(mu, pair, None, None,
+                               welch_bound(columns.shape[1], columns.shape[0]), None)
+    gram = _tf_gram(frame.generator.values)
+    mu, pair = _tf_coherence(gram)
+    wb = welch_bound(frame.N * frame.N, frame.N)
+    params = frame.generator.params
     diag_val = off_max = predicted = None
-    if is_ds:
-        profile = block_coherence_profile(frame, params)
+    if frame.generator.kind == "difference_set" and params is not None:
+        profile = _block_profile(frame, params, gram)
         diag_val = float(np.max(profile.within_block_offdiag_max))
         off_max = profile.offdiag_block_max
         predicted = predicted_coherence(params)
@@ -240,44 +283,35 @@ def block_coherence_profile(frame, params=None):
         params = frame.generator.params
     if frame.generator.kind != "difference_set" or params is None:
         raise UnsupportedParametersError("block profile needs a difference-set generator")
-    if frame.N > DENSE_GRAM_LIMIT:
-        raise UnsupportedParametersError(f"dense block scan capped at N={DENSE_GRAM_LIMIT}")
+    return _block_profile(frame, params, _tf_gram(frame.generator.values))
+
+
+def _block_profile(frame, params, gram):
+    # every value of block k is read from gram[k, k] (T_k g with itself), not
+    # copied from block 0 by covariance, so each block is checked on its own
     N, K, lam = params.N, params.K, params.lam
-    cols = frame.columns
-    G = np.abs(cols.conj().T @ cols)
-    d = N * N
-    diag = G[np.arange(d), np.arange(d)]
-    diag_unit_error = float(np.max(np.abs(diag - 1.0)))
+    k = np.arange(N)
+    within = gram[k, k, 1:]  # (N, N-1): the off-diagonal entries of B_k* B_k
+    cross = gram[~np.eye(N, dtype=bool)]  # every entry of the blocks B_r* B_q, r != q
+    norms2 = np.sum(np.abs(frame.columns) ** 2, axis=0)
+    diag_unit_error = float(np.max(np.abs(norms2 - 1.0)))
 
-    within_max = np.empty(N)
-    within_min = np.empty(N)
-    off_mask = np.ones((d, d), dtype=bool)
-    for k in range(N):
-        sl = slice(k * N, (k + 1) * N)
-        W = G[sl, sl].copy()
-        off = ~np.eye(N, dtype=bool)
-        within_max[k] = W[off].max()
-        within_min[k] = W[off].min()
-        off_mask[sl, sl] = False
-    off_entries = G[off_mask]
-
-    expected_within = float(np.sqrt((N - K) / (K * (N - 1))))
-    block_errs = np.empty(N)
-    support0 = np.asarray(sorted({int(e) for e in frame.generator.values.nonzero()[0]}))
-    for k in range(N):
-        Bk = frame.block(k)
-        S = Bk @ Bk.conj().T
-        supp = np.zeros(N)
-        supp[(support0 + k) % N] = 1.0
-        block_errs[k] = np.max(np.abs(S - (N / K) * np.diag(supp)))
+    blocks = frame.columns.reshape(N, N, N).transpose(1, 0, 2)  # blocks[k] = B_k
+    frame_ops = blocks @ blocks.conj().transpose(0, 2, 1)  # B_k B_k*
+    support0 = np.flatnonzero(frame.generator.values)
+    supp = np.zeros((N, N))
+    supp[k[:, None], (support0[None, :] + k[:, None]) % N] = 1.0
+    targets = np.zeros((N, N, N))
+    targets[:, k, k] = (N / K) * supp
+    block_errs = np.max(np.abs(frame_ops - targets), axis=(1, 2))
 
     return BlockCoherenceProfile(
         params=params,
-        within_block_offdiag_max=within_max,
-        within_block_offdiag_min=within_min,
-        within_block_expected=expected_within,
-        offdiag_block_max=float(off_entries.max()),
-        offdiag_block_min=float(off_entries.min()),
+        within_block_offdiag_max=within.max(axis=1),
+        within_block_offdiag_min=within.min(axis=1),
+        within_block_expected=float(np.sqrt((N - K) / (K * (N - 1)))),
+        offdiag_block_max=float(cross.max()),
+        offdiag_block_min=float(cross.min()),
         offdiag_block_expected=lam / K,
         diag_unit_error=diag_unit_error,
         block_tightness_errors=block_errs,
@@ -287,12 +321,14 @@ def block_coherence_profile(frame, params=None):
 def is_etf(frame, tol=1e-10):
     """Check the three ETF axioms: equal norms, tightness, equiangularity.
 
-    Works on a GaborFrame or any column matrix.  Diagnostics report the three
+    Works on a GaborFrame (equiangularity read from _tf_gram) or any column
+    matrix (dense Gram, capped at desk scale).  Diagnostics report the three
     defects plus the measured coherence and the Welch bound it should meet.
     """
-    columns = frame.columns if isinstance(frame, GaborFrame) else np.asarray(frame, dtype=complex)
+    gabor_frame = isinstance(frame, GaborFrame)
+    columns = frame.columns if gabor_frame else np.asarray(frame, dtype=complex)
     rows, M = columns.shape
-    if M > DENSE_GRAM_LIMIT ** 2:
+    if not gabor_frame and M > DENSE_GRAM_LIMIT ** 2:
         raise UnsupportedParametersError("dense ETF check capped at desk scale")
     norms = np.linalg.norm(columns, axis=0)
     if np.any(norms == 0):
@@ -301,9 +337,11 @@ def is_etf(frame, tol=1e-10):
     unit = columns / norms
     H = unit @ unit.conj().T
     tight_err = float(np.max(np.abs(H - (M / rows) * np.eye(rows))))
-    G = np.abs(unit.conj().T @ unit)
-    off = ~np.eye(M, dtype=bool)
-    vals = G[off]
+    if gabor_frame:
+        vals = _tf_gram(frame.generator.values)[_off_diagonal_mask(frame.N)]
+    else:
+        G = np.abs(unit.conj().T @ unit)
+        vals = G[~np.eye(M, dtype=bool)]
     eq_spread = float(vals.max() - vals.min())
     mu = float(vals.max())
     wb = welch_bound(M, rows)
@@ -317,9 +355,11 @@ def _singer_family_mu2(q, d):
     return (q ** d - q) ** 2 / (q ** 2 * (q ** d - 1) ** 2)
 
 
-def family_table_rows(quadratic=(), quartic=(), singer=(), catalog=None, measure_limit=DENSE_GRAM_LIMIT):
+def family_table_rows(quadratic=(), quartic=(), singer=(), catalog=None,
+                      measure_limit=TABLE_MEASURE_LIMIT):
     """Rows of the difference-set family table: predicted mu^2 vs Welch, plus
-    a brute-force measurement whenever the catalog has the set at desk scale.
+    a measurement from the block-circulant Gram whenever the catalog has the
+    set and N <= measure_limit.
 
     quadratic: primes q = 3 mod 4 -> (q, (q-1)/2, (q-3)/4), mu^2 = (q-3)^2/(4(q-1)^2).
     quartic:   primes p in {37, 101} (catalog-backed) -> (p, (p-1)/4, (p-5)/16),
@@ -346,8 +386,8 @@ def family_table_rows(quadratic=(), quartic=(), singer=(), catalog=None, measure
         }
         ds = catalog(N, K)
         if ds is not None and N <= measure_limit:
-            fr = build_gabor_frame(difference_set_generator(ds))
-            row["measured_mu_squared"] = _coherence_scan(fr.columns)[0] ** 2
+            gram = _tf_gram(difference_set_generator(ds).values)
+            row["measured_mu_squared"] = _tf_coherence(gram)[0] ** 2
         rows.append(row)
 
     for q, d in singer:

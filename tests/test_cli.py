@@ -72,6 +72,17 @@ def test_gabor_coherence(capsys):
     assert rep["tightness_error"] < 1e-9
 
 
+def test_gabor_coherence_largest_catalog_set(capsys):
+    # (101,25,6) has 10201 columns: measured block by block, no dense Gram
+    rc, doc = _run_json(capsys, "gabor", "coherence", "--set", "101,25")
+    assert rc == 0
+    rep = doc["report"]
+    assert rep["mutual_coherence"] == pytest.approx(0.24, abs=1e-10)
+    assert rep["predicted"] == pytest.approx(0.24, abs=1e-10)
+    assert rep["offdiag_block_max"] == pytest.approx(6 / 25, abs=1e-10)
+    assert rep["argmax_pair"] == [0, 101]
+
+
 def test_gabor_coherence_missing_set(capsys):
     rc, out = _run(capsys, "gabor", "coherence", "--set", "6,3")
     assert rc == 3 and out == ""
@@ -93,6 +104,17 @@ def test_gabor_table(capsys):
     assert len(rows) == 2
     families = {r["family"] for r in rows}
     assert families == {"singer d=2", "quadratic"}
+
+
+def test_gabor_table_default_measures_up_to_64(capsys):
+    rc, doc = _run_json(capsys, "gabor", "table")
+    assert rc == 0
+    for row in doc["report"]["rows"]:
+        if row["N"] <= 64:
+            assert row["measured_mu_squared"] == pytest.approx(row["predicted_mu_squared"],
+                                                               abs=1e-10)
+        else:
+            assert row["measured_mu_squared"] is None
 
 
 def test_fusion_report(capsys):

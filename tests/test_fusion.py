@@ -55,6 +55,28 @@ def test_chordal_distance_exact():
         )
 
 
+@pytest.mark.parametrize("ds", diffsets.catalog_entries(), ids=lambda ds: f"{ds.N},{ds.params.K}")
+def test_overlap_circulant_matches_set_intersections(ds):
+    ff = fusion.build_fusion_frame(ds)
+    O = fusion.overlap_circulant(ff)
+    assert O.shape == (ds.N, ds.N) and O.dtype.kind == "i"
+    brute = [[len(Wa.support & Wb.support) for Wb in ff.subspaces] for Wa in ff.subspaces]
+    assert O.tolist() == brute
+    # distances read from the same overlaps as the frozenset chordal distance
+    D = fusion.chordal_distance_matrix(ff)
+    for a, b in [(0, 1), (1, 0), (ds.N - 1, 0), (2 % ds.N, ds.N - 1)]:
+        if a != b:
+            assert D[a, b] == fusion.chordal_distance(ff.subspaces[a], ff.subspaces[b])
+
+
+def test_equidistance_check_detects_unequal_overlaps():
+    # {0, 1, 3} is a (7,3,1) set, {0, 1, 2} is not: overlaps 2, 1 and 0 occur
+    params = diffsets.DifferenceSetParams(7, 3, 1)
+    fake = diffsets.DifferenceSet(7, (0, 1, 2), params)
+    equi, dc2 = fusion.equidistance_check(fusion.build_fusion_frame(fake))
+    assert not equi and dc2 is None
+
+
 def test_chordal_distance_matrix():
     ff = _ff(13, 4)
     D = fusion.chordal_distance_matrix(ff)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffgabor import diffsets, gabor
 from diffgabor.errors import InvalidInputError, UnsupportedParametersError
@@ -8,6 +10,47 @@ from diffgabor.errors import InvalidInputError, UnsupportedParametersError
 def _ds_frame(N, K):
     ds = diffsets.catalog_lookup(N, K)
     return gabor.build_gabor_frame(gabor.difference_set_generator(ds))
+
+
+def _dense_normalized_gram(frame):
+    cols = frame.columns
+    return np.abs(cols.conj().T @ cols) / frame.generator.norm ** 2
+
+
+def _assert_tf_gram_is_dense_gram(frame):
+    """Every entry of the block-circulant array against the dense Gram, returned."""
+    N = frame.N
+    gram = gabor._tf_gram(frame.generator.values)
+    assert gram.shape == (N, N, N)
+    dense = _dense_normalized_gram(frame)
+    offset = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N  # [j, j'] -> j' - j
+    blocks = dense.reshape(N, N, N, N)  # [r, j, q, j']
+    assert np.max(np.abs(blocks - gram[:, :, offset].transpose(0, 2, 1, 3))) < 1e-12
+    return dense
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 16), sparse=st.booleans())
+def test_tf_gram_matches_dense_gram_random_windows(seed, N, sparse):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    if sparse:  # windows with zeros, like the difference-set ones
+        g[rng.random(N) < 0.5] = 0.0
+        g[rng.integers(N)] = 1.0
+    _assert_tf_gram_is_dense_gram(gabor.build_gabor_frame(g))
+
+
+@pytest.mark.parametrize("ds", [ds for ds in diffsets.catalog_entries() if ds.N <= 64],
+                         ids=lambda ds: f"{ds.N},{ds.params.K}")
+def test_tf_gram_matches_dense_gram_catalog(ds):
+    frame = gabor.build_gabor_frame(gabor.difference_set_generator(ds))
+    dense = _assert_tf_gram_is_dense_gram(frame)
+    rep = gabor.mutual_coherence(frame)
+    # the reported pair is the first maximum, and the dense Gram agrees there
+    i, j = rep.argmax_pair
+    assert abs(dense[i, j] - rep.mutual_coherence) < 1e-12
+    mu_scan, _ = gabor._coherence_scan(frame.columns)
+    assert abs(mu_scan - rep.mutual_coherence) < 1e-12
 
 
 def test_translate_modulate_basics():
@@ -110,6 +153,9 @@ def test_coherence_block_split():
     assert rep.offdiag_block_max == pytest.approx(1 / 3, abs=1e-10)
     i, j = rep.argmax_pair
     assert 0 <= i < j < 49
+    # the first maximum in (r, q, delta) order: an off-block 1/3 loses to the
+    # within-block sqrt(4/18) = 0.471 at r = q = 0, delta = 1
+    assert (i, j) == (0, 1)
 
 
 def test_coherence_plain_matrix_input():
@@ -140,6 +186,15 @@ def test_block_profile_lambda_bound():
     assert prof.offdiag_block_max == pytest.approx(2 / 5, abs=1e-10)
 
 
+def test_block_profile_beyond_dense_scale():
+    # (101,25,6): N^2 = 10201 columns, no dense Gram is built
+    prof = gabor.block_coherence_profile(_ds_frame(101, 25))
+    assert np.allclose(prof.within_block_offdiag_max, prof.within_block_expected, atol=1e-10)
+    assert np.allclose(prof.within_block_offdiag_min, prof.within_block_expected, atol=1e-10)
+    assert prof.offdiag_block_max == pytest.approx(6 / 25, abs=1e-10)
+    assert np.max(prof.block_tightness_errors) < 1e-9
+
+
 def test_block_profile_needs_difference_set():
     frame = gabor.build_gabor_frame(gabor.alltop_generator(7))
     with pytest.raises(UnsupportedParametersError):
@@ -157,6 +212,18 @@ def test_is_etf_three_dim_exception():
 def test_is_etf_rejects_larger_sets():
     for N, K in [(7, 3), (13, 4)]:
         assert not gabor.is_etf(_ds_frame(N, K)).is_etf
+
+
+@pytest.mark.parametrize("frame", [_ds_frame(3, 2), _ds_frame(7, 3),
+                                   gabor.build_gabor_frame(gabor.alltop_generator(7)),
+                                   gabor.build_gabor_frame(gabor.random_torus_generator(5, 2))],
+                         ids=["ds3", "ds7", "alltop7", "torus5"])
+def test_is_etf_gabor_path_matches_dense_path(frame):
+    fast, dense = gabor.is_etf(frame), gabor.is_etf(frame.columns)
+    assert fast.is_etf == dense.is_etf
+    assert fast.coherence == pytest.approx(dense.coherence, abs=1e-12)
+    assert fast.equiangularity_spread == pytest.approx(dense.equiangularity_spread, abs=1e-12)
+    assert fast.tightness_error == dense.tightness_error
 
 
 def test_family_table_rows():

@@ -234,6 +234,26 @@ def test_l1_certificate_rejections():
     assert x[2] == pytest.approx(2.0, rel=1e-12)
 
 
+def test_l1_certificate_completes_a_missed_support():
+    # z has found some of the 4 entries of the planted x0; the certificate
+    # adds the missing columns by |A_j^H r| and certifies x0 itself
+    A = _frame(13, 4).columns
+    x0 = np.zeros(A.shape[1], dtype=complex)
+    x0[[5, 40, 101, 120]] = [1.0, 0.05 - 0.02j, -0.03j, 0.02]
+    y = A @ x0
+    for found in ([5, 40, 101, 120], [5, 40, 101], [5, 40]):
+        z = np.zeros_like(x0)
+        z[found] = x0[found]
+        x = solvers._l1_certificate(A, y, z)
+        assert x is not None
+        assert np.flatnonzero(x).tolist() == [5, 40, 101, 120]
+        assert np.allclose(x, x0, rtol=0, atol=1e-12)
+    # three missing columns are one more than the completion adds
+    z = np.zeros_like(x0)
+    z[5] = x0[5]
+    assert solvers._l1_certificate(A, y, z) is None
+
+
 def test_l1_certificate_uses_fallback_dual():
     # x = e_0 is the unique minimiser (the other exact fits cost >= 2), but
     # the min-norm dual w = (1, 0) gives |a_1^H w| = 1.5; w = (1, 0.5) certifies
