@@ -146,9 +146,9 @@ def build_gabor_frame(generator):
         raise InvalidInputError("zero generator does not span anything")
     n = np.arange(N)
     phases = np.exp(2j * np.pi * np.outer(n, n) / N)  # phases[n, j]
-    columns = np.empty((N, N * N), dtype=complex)
-    for k in range(N):
-        columns[:, k * N:(k + 1) * N] = phases * np.roll(g, k)[:, None]
+    shifts = g[(n[:, None] - n[None, :]) % N]  # shifts[n, k] = (T_k g)(n)
+    # phases stay the left operand: the swapped product differs in the last bit
+    columns = (phases[:, None, :] * shifts[:, :, None]).reshape(N, N * N)
     H = columns @ columns.conj().T
     target = N * generator.norm ** 2
     err = float(np.max(np.abs(H - target * np.eye(N))))

@@ -7,6 +7,7 @@ grids: 50 trials per point instead of the full 500, which keeps the whole
 module in the minutes range while still pinning the qualitative claims.
 """
 
+import hashlib
 import itertools
 import time
 
@@ -15,6 +16,10 @@ import numpy as np
 from diffgabor import diffsets, experiments, fusion, gabor, solvers
 
 MASTER_SEED = 814
+# SHA-256 of the criterion 9 and 10 CSVs at MASTER_SEED: a speed-up of the
+# solvers must leave every success count, and so every byte, as it was
+CRITERION_09_CSV_SHA256 = "bbb2621ee62f75de473f45a7b90d475e34d6d43e49b12c62bf2b49ff224720ab"
+CRITERION_10_CSV_SHA256 = "c85a475580fc74b9006cbe8ce02f484dfae0e5adef8666876def5c762cc5ddca"
 
 
 def _verdict(num, desc, ok, detail=""):
@@ -24,6 +29,10 @@ def _verdict(num, desc, ok, detail=""):
         line += f"  [{detail}]"
     print(line, flush=True)
     assert ok, line
+
+
+def _csv_sha256(curves):
+    return hashlib.sha256(experiments.curves_to_csv(curves).encode("ascii")).hexdigest()
 
 
 def _ds_frame(N, K):
@@ -197,10 +206,13 @@ def test_criterion_09_recovery_curves_n43():
     rates = np.array([c.rates() for c in curves])  # 3 x 5
     min_rate = float(rates.min())
     spread = float(np.max(rates.max(axis=0) - rates.min(axis=0)))
+    digest = _csv_sha256(curves)
     elapsed = time.time() - t0
-    ok = min_rate >= 0.95 and spread <= 0.2 and elapsed < 1800
-    _verdict(9, "N=43, T=50: all three generators >= 0.95 at k <= 5, spread <= 0.2",
-             ok, f"min rate {min_rate:.2f}, spread {spread:.2f}, {elapsed:.0f}s")
+    ok = (min_rate >= 0.95 and spread <= 0.2 and elapsed < 1800
+          and digest == CRITERION_09_CSV_SHA256)
+    _verdict(9, "N=43, T=50: all three generators >= 0.95 at k <= 5, spread <= 0.2, CSV pinned",
+             ok, f"min rate {min_rate:.2f}, spread {spread:.2f}, sha256 {digest[:8]}, "
+                 f"{elapsed:.0f}s")
 
 
 def test_criterion_10_fusion_phase_diagram():
@@ -217,10 +229,12 @@ def test_criterion_10_fusion_phase_diagram():
     rates = np.array([c.rates() for c in curves])  # 4 measurement rows x 4 ks
     monotone = bool(np.all(rates[1:] >= rates[:-1] - 0.15))
     saturated_min = float(rates[2:].min())  # rows n=13 (=K) and n=16
+    digest = _csv_sha256(curves)
     elapsed = time.time() - t0
-    ok = monotone and saturated_min >= 0.95
-    _verdict(10, "(40,13,4), T=50: rates rise with n; n >= K recovers any sparsity",
-             ok, f"min rate at n>=K {saturated_min:.2f}, mono {monotone}, {elapsed:.0f}s")
+    ok = monotone and saturated_min >= 0.95 and digest == CRITERION_10_CSV_SHA256
+    _verdict(10, "(40,13,4), T=50: rates rise with n; n >= K recovers any sparsity, CSV pinned",
+             ok, f"min rate at n>=K {saturated_min:.2f}, mono {monotone}, "
+                 f"sha256 {digest[:8]}, {elapsed:.0f}s")
 
 
 def test_criterion_11_determinism_byte_identical():

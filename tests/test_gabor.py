@@ -53,6 +53,25 @@ def test_tf_gram_matches_dense_gram_catalog(ds):
     assert abs(mu_scan - rep.mutual_coherence) < 1e-12
 
 
+def _roll_oracle_columns(g):
+    """Columns M_j T_k g built one translate at a time with np.roll."""
+    N = g.shape[0]
+    n = np.arange(N)
+    phases = np.exp(2j * np.pi * np.outer(n, n) / N)
+    return np.hstack([phases * np.roll(g, k)[:, None] for k in range(N)])
+
+
+@pytest.mark.parametrize("generator", [
+    gabor.alltop_generator(7), gabor.alltop_generator(43), gabor.random_torus_generator(2, 5),
+    gabor.difference_set_generator(diffsets.catalog_lookup(43, 21)),
+    gabor.Generator(np.array([0.5, -1.0 + 2.0j, 0.0, 3.0j, 0.25, -0.75, 1e-3]))],
+    ids=["alltop-7", "alltop-43", "torus-2", "ds-43", "custom-7"])
+def test_build_gabor_frame_columns_match_roll_oracle(generator):
+    frame = gabor.build_gabor_frame(generator)
+    assert frame.columns.flags.c_contiguous
+    assert np.array_equal(frame.columns, _roll_oracle_columns(generator.values))
+
+
 def test_translate_modulate_basics():
     g = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
     assert np.allclose(gabor.translate(g, 1), [4, 1, 2, 3])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffgabor import diffsets, fusion, gabor, solvers
+from diffgabor import diffsets, experiments, fusion, gabor, solvers
 from diffgabor.errors import FactorizationError, InvalidInputError
 
 
@@ -254,17 +254,106 @@ def test_l1_certificate_completes_a_missed_support():
     assert solvers._l1_certificate(A, y, z) is None
 
 
-def test_l1_certificate_uses_fallback_dual():
+def test_l1_certificate_searches_past_the_min_norm_dual():
     # x = e_0 is the unique minimiser (the other exact fits cost >= 2), but
-    # the min-norm dual w = (1, 0) gives |a_1^H w| = 1.5; w = (1, 0.5) certifies
+    # the min-norm dual w = (1, 0) gives |a_1^H w| = 1.5; the search must
+    # find a w = (1, t) with max(|1.5 - 2t|, |t|) < 1
     A = np.array([[1.0, 1.5, 0.0], [0.0, -2.0, 1.0]])
     y = A[:, 0]
     z = np.array([1.0, 0.0, 0.0])
-    assert solvers._l1_certificate(A, y, z) is None
-    assert solvers._l1_certificate(A, y, z, lambda: np.zeros(2)) is None
-    for w0 in ([1.0, 0.5], [2.0, 0.5]):  # the second is corrected on S to the first
-        x = solvers._l1_certificate(A, y, z, lambda w0=w0: np.array(w0))
-        assert x is not None and np.allclose(x, z, rtol=0, atol=1e-15)
+    assert solvers._l1_certificate(A, y, z, search=False) is None
+    x = solvers._l1_certificate(A, y, z)
+    assert x is not None and np.allclose(x, z, rtol=0, atol=1e-15)
+    # the dual it finds stays on the affine set A_S^H w = sgn(x_S)
+    S = np.array([0])
+    Q = np.linalg.qr(A[:, S])[0]
+    w0 = np.array([1.0, 0.0], dtype=complex)
+    weights = np.array([0.0, 1.0, 0.0])
+    w = solvers._lawson_dual(A, S, Q, w0, weights)
+    assert w is not None and abs(A[:, 0] @ w - 1.0) <= 1e-12
+    assert np.max(np.abs(A[:, 1:].T @ w)) < 1.0 - solvers._CERTIFY_MARGIN
+
+
+def test_l1_certificate_search_rejects_without_a_strict_certificate():
+    # a column twice a support column forces |A_1^H w| = 2 on the whole
+    # affine set, and an exact copy forces it to 1: no strict certificate
+    A, x0 = _duplicated_column_instance()
+    for scale in (2.0, 1.0):
+        B = A.copy()
+        B[:, 1] = scale * A[:, 0]
+        assert solvers._l1_certificate(B, B @ x0, x0) is None
+    # the same with the other column orthogonal to the support: the only
+    # weighted column lies in range(A_S), so a search step has no unique solution
+    B = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert solvers._l1_certificate(B, B[:, 0], np.array([1.0, 0.0, 0.0])) is None
+
+
+# master seed, generator kind, k: the reference trials of the classic-n43
+# benchmark whose planted support the min-norm dual cannot certify
+_SEARCH_TRIALS = [(4, "random_torus", 5), (9, "random_torus", 5), (16, "difference_set", 5),
+                  (21, "difference_set", 5), (22, "difference_set", 5),
+                  (22, "random_torus", 5), (30, "difference_set", 5)]
+
+
+def _classic_trial(master, kind, k, t=0):
+    """Frame, planted signal and measurements of one run_classic_experiment trial at N=43."""
+    if kind == "random_torus":
+        seed = experiments.derive_seed(master, "classic", kind, k, t, "generator")
+        frame = gabor.build_gabor_frame(gabor.random_torus_generator(43, seed))
+    else:
+        frame = _frame(43, 21)
+    seed = experiments.derive_seed(master, "classic", kind, k, t, "signal")
+    x = experiments.random_k_sparse_signal(43 ** 2, k, seed)
+    return frame.columns, x, frame.columns @ x
+
+
+def _record_certificate_calls(monkeypatch):
+    """(supp(z), search) of every _l1_certificate call that _admm makes."""
+    calls = []
+    certificate = solvers._l1_certificate
+
+    def recording(A, y, z, search=True):
+        calls.append((np.flatnonzero(z), search))
+        return certificate(A, y, z, search)
+
+    monkeypatch.setattr(solvers, "_l1_certificate", recording)
+    return calls
+
+
+def _assert_search_schedule(calls):
+    # the first sight of a support gets the min-norm dual only; the search
+    # runs when the support held still for a period and had not been searched
+    assert not calls[0][1]
+    for (before, searched), (support, search) in zip(calls, calls[1:]):
+        assert search == np.array_equal(before, support)
+        assert not (searched and search)
+
+
+@pytest.mark.parametrize("master, kind, k", _SEARCH_TRIALS)
+def test_search_certifies_the_planted_support(master, kind, k, monkeypatch):
+    A, x, y = _classic_trial(master, kind, k)
+    assert solvers._l1_certificate(A, y, x, search=False) is None
+    assert np.linalg.norm(solvers._l1_certificate(A, y, x) - x) <= 1e-10 * np.linalg.norm(x)
+    calls = _record_certificate_calls(monkeypatch)
+    res = solvers.basis_pursuit(A, y)
+    assert res.certified and res.status == solvers.STATUS_CONVERGED
+    assert np.linalg.norm(res.solution - x) <= 1e-10 * np.linalg.norm(x)
+    _assert_search_schedule(calls)
+    assert calls[-1][1]  # the min-norm dual alone cannot certify this support
+
+
+def test_a_stalled_support_is_searched_once(monkeypatch):
+    # 4-sparse at (13, 4) is beyond what this frame recovers: ADMM sits on
+    # supports that no certificate proves, for many periods in a row
+    A = _frame(13, 4).columns
+    x = experiments.random_k_sparse_signal(A.shape[1], 4, 4000)
+    calls = _record_certificate_calls(monkeypatch)
+    res = solvers.basis_pursuit(A, A @ x, solvers.SolverConfig(max_iters=700))
+    assert not res.certified
+    _assert_search_schedule(calls)
+    assert any(search for _, search in calls)
+    # checks on a support already searched are skipped, not repeated
+    assert len(calls) < res.iterations // solvers._CERTIFY_PERIOD
 
 
 def test_basis_pursuit_uncertified_cases():
@@ -300,17 +389,6 @@ def test_certified_solve_is_feasible_and_no_worse_than_planted(seed, n, extra, k
     if res.certified:
         assert np.linalg.norm(A @ res.solution - y) <= 1e-10 * np.linalg.norm(y)
         assert np.abs(res.solution).sum() <= np.abs(x0).sum() * (1 + 1e-10)
-
-
-@pytest.mark.parametrize("tight", [True, False])
-def test_range_coefficients_is_least_squares_preimage(tight):
-    rng = np.random.default_rng(2)
-    A = _frame().columns if tight else rng.standard_normal((5, 11)) + 0j
-    proj = solvers.AffineProjection(A, A @ rng.standard_normal(A.shape[1]))
-    assert proj.uses_factorization is not tight
-    v = rng.standard_normal(A.shape[1]) + 1j * rng.standard_normal(A.shape[1])
-    expected = np.linalg.lstsq(A.conj().T, v, rcond=None)[0]
-    assert np.allclose(proj.range_coefficients(v), expected, atol=1e-12)
 
 
 def test_block_basis_pursuit_dimension_check():
