@@ -65,7 +65,7 @@ def _emit(args, report):
         if k != "handler" and not callable(v)
     }
     doc = {"version": __version__, "config": config, "report": _json_safe(report)}
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _ds_json(ds):
@@ -252,8 +252,13 @@ def _cmd_solve_block_bp(args):
 # ---------------------------------------------------------------- experiment
 
 def _curves_json(curves):
+    """Each curve's points [x, successes, trials], and per point its diagnostics."""
     return [
-        {"label": c.label, "points": [[x, s, t] for (x, s, t) in c.points]}
+        {
+            "label": c.label,
+            "points": [[x, s, t] for (x, s, t) in c.points],
+            "diagnostics": [{"x": x, **diag} for (x, _, _), diag in zip(c.points, c.diagnostics)],
+        }
         for c in curves
     ]
 

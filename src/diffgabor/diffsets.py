@@ -202,6 +202,8 @@ def exhaustive_search(N, K, lam=None, budget=DEFAULT_SEARCH_BUDGET):
     """
     if N < 2 or not 1 <= K <= N:
         raise InvalidInputError(f"need 2 <= N and 1 <= K <= N, got N={N}, K={K}")
+    if budget < 0:
+        raise InvalidInputError(f"search budget {budget} must be nonnegative")
     if lam is None:
         derived = derive_params(N, K)
         if derived is None:

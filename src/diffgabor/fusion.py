@@ -5,6 +5,7 @@ exact set intersections; floats only enter when comparing against the real-
 valued closed forms (simplex bound, chordal distance).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,7 +55,7 @@ class GaborFusionFrame:
 
 @dataclass
 class FusionReport:
-    tight_bound: float
+    tight_bound: Optional[float]
     chordal_distances: np.ndarray  # pairwise d_c matrix (square roots)
     dc_squared: Optional[float]
     simplex_bound: float
@@ -156,7 +157,13 @@ def projection_product_norm(ff, a, b):
 
 
 def fusion_report(ff, tol=CLOSED_FORM_TOL):
-    """Aggregate tightness / equidistance / packing / sparsity diagnostics."""
+    """Aggregate tightness / equidistance / packing / sparsity diagnostics.
+
+    ``tol`` must be positive and finite; tight_bound is None for a frame
+    that is not tight.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInputError(f"tolerance tol={tol} must be positive and finite")
     A, B = fusion_frame_bounds(ff)
     equidistant, dc2 = equidistance_check(ff, tol)
     sb = simplex_bound(ff.K, ff.N, ff.N)
@@ -164,7 +171,7 @@ def fusion_report(ff, tol=CLOSED_FORM_TOL):
     tight = A == B
     optimal = bool(tight and equidistant and dc2 is not None and abs(dc2 - sb) <= tol)
     return FusionReport(
-        tight_bound=A if tight else float("nan"),
+        tight_bound=A if tight else None,
         chordal_distances=chordal_distance_matrix(ff),
         dc_squared=dc2,
         simplex_bound=sb,

@@ -364,10 +364,16 @@ def family_table_rows(quadratic=(), quartic=(), singer=(), catalog=None,
     quadratic: primes q = 3 mod 4 -> (q, (q-1)/2, (q-3)/4), mu^2 = (q-3)^2/(4(q-1)^2).
     quartic:   primes p in {37, 101} (catalog-backed) -> (p, (p-1)/4, (p-5)/16),
                mu^2 = (3p+1)/(p-1)^2 below p=57 and (p-5)^2/(16(p-1)^2) above.
-    singer:    pairs (q, d) -> ((q^{d+1}-1)/(q-1), (q^d-1)/(q-1), (q^{d-1}-1)/(q-1)).
+    singer:    pairs (q, d) -> ((q^{d+1}-1)/(q-1), (q^d-1)/(q-1), (q^{d-1}-1)/(q-1)),
+               q >= 2 and d >= 2 (d = 1 gives lambda = 0).
     """
     from . import diffsets
 
+    if measure_limit < 0:
+        raise InvalidInputError(f"measure limit {measure_limit} must be nonnegative")
+    for q, d in singer:
+        if q < 2 or d < 2:
+            raise InvalidInputError(f"Singer pair q:d = {q}:{d} needs q >= 2 and d >= 2")
     if catalog is None:
         catalog = diffsets.catalog_lookup
     rows = []

@@ -18,6 +18,18 @@ search for the dual with the smallest off-support correlation follows,
 once per such support (a unique minimiser always has a strict certificate:
 Zhang, Yin & Cheng 2015).  Otherwise the iteration runs on unchanged until
 the residual tolerances or the iteration cap stop it.
+
+A recovery trial may also stop a solve once it is proved a failure.  The
+trial knows the planted signal x, with k nonzero entries (or blocks), and
+passes the bound f(x) - sqrt(k tau) ||x|| for its NSE threshold tau.  The
+vector g with g_b = x_b/||x_b|| on the support and 0 elsewhere is a
+subgradient of f at x with ||g|| = sqrt(k), so f(v) >= f(x) - sqrt(k)||v - x||
+for every v.  A projection output x_k is feasible, so a minimiser has
+f <= f(x_k); once f(x_k) falls below the bound, every point at NSE <= tau
+from x has a larger objective, so no minimiser lies there, and x_k itself
+has NSE > tau.  The solve then returns x_k with status "refuted" (checked
+every _CERTIFY_PERIOD iterations; see _admm).  The public solve commands
+never pass a bound.
 """
 
 import math
@@ -30,6 +42,8 @@ from .errors import FactorizationError, InvalidInputError
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters_reached"
+# a feasible iterate beat the caller's objective bound: see the module docstring
+STATUS_REFUTED = "refuted"
 
 # relative tolerance for accepting A A* as a multiple of the identity
 _SCALAR_PATH_TOL = 1e-10
@@ -332,7 +346,14 @@ def _l1_certificate(A, y, z, search=True):
     return x
 
 
-def _admm(matrix, y, cfg, shrink, objective, certify_l1=False):
+def _admm(matrix, y, cfg, shrink, objective, certify_l1=False, refute_below=None):
+    """ADMM for min objective(x) s.t. Ax = y, with ``shrink`` its proximal map.
+
+    Every _CERTIFY_PERIOD iterations it tries the l1 certificate (when
+    ``certify_l1``), and then, when ``refute_below`` is given, stops with
+    STATUS_REFUTED as soon as the projection output x_k has
+    objective(x_k) < refute_below (in the scale of y).
+    """
     A = _as_operator(matrix)
     y = np.asarray(y, dtype=complex).reshape(-1)
     d = A.shape[1]
@@ -341,6 +362,8 @@ def _admm(matrix, y, cfg, shrink, objective, certify_l1=False):
         sol = np.zeros(d, dtype=complex)
         return SolveResult(sol, 0, 0.0, 0.0, STATUS_CONVERGED, np.zeros((0, 2)), 0.0)
     project = AffineProjection(A, y / ynorm)
+    # f is positively homogeneous, so the bound is compared in the scale of y / ||y||
+    bound = None if refute_below is None else refute_below / ynorm
     x = np.zeros(d, dtype=complex)
     z = np.zeros(d, dtype=complex)
     u = np.zeros(d, dtype=complex)
@@ -366,7 +389,9 @@ def _admm(matrix, y, cfg, shrink, objective, certify_l1=False):
         if r_norm <= eps_pri and s_norm <= eps_dual:
             status = STATUS_CONVERGED
             break
-        if certify_l1 and it % _CERTIFY_PERIOD == 0:
+        if it % _CERTIFY_PERIOD:
+            continue
+        if certify_l1:
             # each new supp(z) gets the min-norm dual; one that holds still
             # for a whole period gets the search, once, since the outcome
             # depends on nothing but the support
@@ -379,6 +404,9 @@ def _admm(matrix, y, cfg, shrink, objective, certify_l1=False):
             if exact is not None:
                 x, status, certified = exact, STATUS_CONVERGED, True
                 break
+        if bound is not None and objective(x) < bound:
+            status = STATUS_REFUTED
+            break
     solution = x * ynorm
     return SolveResult(
         solution=solution,
@@ -392,7 +420,7 @@ def _admm(matrix, y, cfg, shrink, objective, certify_l1=False):
     )
 
 
-def basis_pursuit(matrix, y, cfg=None):
+def basis_pursuit(matrix, y, cfg=None, *, _refute_below=None):
     """min ||x||_1 subject to Ax = y, complex-native ADMM.
 
     On a dense matrix, every _CERTIFY_PERIOD iterations the support of the
@@ -402,15 +430,22 @@ def basis_pursuit(matrix, y, cfg=None):
     the solution is the last projection output, so it satisfies the
     measurements to machine precision whenever y is consistent; on
     convergence it also matches the shrunk iterate to the stated tolerances.
+
+    ``_refute_below`` is for recovery trials only: see _admm and the module
+    docstring for the STATUS_REFUTED stop it enables.
     """
     cfg = cfg or SolverConfig()
     A = _as_operator(matrix)
     return _admm(A, y, cfg, complex_soft_threshold, lambda v: np.sum(np.abs(v)),
-                 certify_l1=not isinstance(A, FusionMeasurementOperator))
+                 certify_l1=not isinstance(A, FusionMeasurementOperator),
+                 refute_below=_refute_below)
 
 
-def block_basis_pursuit(matrix, y, blocks, cfg=None):
-    """min sum_b ||x_b||_2 subject to Ax = y (mixed l2/l1, block sparsity)."""
+def block_basis_pursuit(matrix, y, blocks, cfg=None, *, _refute_below=None):
+    """min sum_b ||x_b||_2 subject to Ax = y (mixed l2/l1, block sparsity).
+
+    ``_refute_below`` is for recovery trials only, as in basis_pursuit.
+    """
     cfg = cfg or SolverConfig()
     A = _as_operator(matrix)
     if blocks.dimension != A.shape[1]:
@@ -424,7 +459,7 @@ def block_basis_pursuit(matrix, y, blocks, cfg=None):
     def objective(v):
         return np.sum(np.linalg.norm(v.reshape(blocks.block_count, blocks.block_size), axis=1))
 
-    return _admm(A, y, cfg, shrink, objective)
+    return _admm(A, y, cfg, shrink, objective, refute_below=_refute_below)
 
 
 def gaussian_measurement_coefficients(n, N, seed, complex_valued=False):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from diffgabor import cli, diffsets, gabor, solvers
+from diffgabor import cli, diffsets, experiments, gabor, solvers
 
 
 def _run(capsys, *argv):
@@ -227,6 +227,30 @@ def test_solve_block_bp(capsys, tmp_path):
     assert np.linalg.norm(sol - c) / np.linalg.norm(c) < 1e-6
 
 
+@pytest.mark.parametrize("command, extra", [("bp", []), ("block-bp", ["--blocks", "4,2"])])
+def test_solve_never_reports_refuted(capsys, tmp_path, command, extra):
+    # 3 active blocks from 2 measurements: a recovery trial refutes this solve
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+    x = np.zeros(8, dtype=complex)
+    x[[0, 1, 4, 5, 6, 7]] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    y = A @ x
+    if command == "bp":
+        bound = experiments._refutation_bound(x, experiments.DEFAULT_THRESHOLD)
+        trial = solvers.basis_pursuit(A, y, _refute_below=bound)
+    else:
+        blocks = solvers.BlockStructure(4, 2)
+        bound = experiments._refutation_bound(x, experiments.DEFAULT_THRESHOLD, blocks)
+        trial = solvers.block_basis_pursuit(A, y, blocks, _refute_below=bound)
+    assert trial.status == solvers.STATUS_REFUTED
+    A_path, y_path = tmp_path / "A.csv", tmp_path / "y.csv"
+    solvers.write_complex_matrix_csv(A_path, A)
+    solvers.write_complex_matrix_csv(y_path, y)
+    rc, doc = _run_json(capsys, "solve", command, "--matrix", str(A_path), "--y", str(y_path),
+                        *extra)
+    assert rc == 0 and doc["report"]["status"] == solvers.STATUS_CONVERGED
+
+
 def test_experiment_classic_csv(capsys, tmp_path):
     out_path = tmp_path / "classic.csv"
     rc, doc = _run_json(capsys, "experiment", "classic", "--n", "7",
@@ -269,6 +293,64 @@ def test_experiment_workers_below_one_exit_code(capsys, tmp_path, experiment):
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == "" and "workers" in captured.err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_experiment_reports_diagnostics(capsys, tmp_path):
+    rc, doc = _run_json(capsys, "experiment", "fusion", "--set", "7,3",
+                        "--measurements", "2", "--ks", "1,3", "--trials", "3",
+                        "--seed", "5", "--out", str(tmp_path / "fusion.csv"))
+    assert rc == 0
+    curve = doc["report"]["curves"][0]
+    assert [d["x"] for d in curve["diagnostics"]] == [1, 3]
+    for diag in curve["diagnostics"]:
+        assert sum(diag[o] for o in experiments.TRIAL_OUTCOMES) == 3
+        assert diag["max_iterations"] >= 0
+    assert curve["diagnostics"][1]["refuted"] == 3
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("experiment", [
+    ["classic", "--n", "7", "--generators", "alltop", "--ks", "1"],
+    ["fusion", "--set", "7,3", "--measurements", "4", "--ks", "1"],
+])
+def test_experiment_bad_threshold_exit_code(capsys, tmp_path, experiment, threshold):
+    rc = cli.main(["experiment", *experiment, "--trials", "1", "--threshold", threshold,
+                   "--out", str(tmp_path / "out.csv")])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert f"success_threshold={float(threshold)}" in captured.err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_fusion_report_bad_tol_exit_code(capsys, tol):
+    rc = cli.main(["fusion", "report", "--set", "7,3", "--tol", tol])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and f"tol={float(tol)}" in captured.err
+
+
+@pytest.mark.parametrize("pair", ["1:1", "2:0", "0:2", "2:1"])
+def test_gabor_table_bad_singer_pair_exit_code(capsys, pair):
+    rc = cli.main(["gabor", "table", "--singer", pair])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and f"q:d = {pair}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["diffset", "search", "7", "3", "--budget", "-1"],
+    ["gabor", "table", "--measure-limit", "-1"],
+])
+def test_negative_limits_exit_code(capsys, argv):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and "-1" in captured.err
+
+
+def test_emit_rejects_non_finite_values(capsys):
+    args = cli.build_parser().parse_args(["diffset", "catalog"])
+    with pytest.raises(ValueError):
+        cli._emit(args, {"value": float("nan")})
+    assert capsys.readouterr().out == ""
 
 
 def test_console_script_entry_point():

@@ -109,6 +109,15 @@ def test_workers_must_be_positive():
         )
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
+def test_threshold_must_be_positive_and_finite(threshold):
+    with pytest.raises(InvalidInputError, match="success_threshold"):
+        experiments.ClassicExperimentConfig(N=7, sparsity_grid=[1], success_threshold=threshold)
+    with pytest.raises(InvalidInputError, match="success_threshold"):
+        experiments.FusionExperimentConfig(set_params=(7, 3), measurement_grid=[2],
+                                           sparsity_grid=[1], success_threshold=threshold)
+
+
 def test_fusion_config_validation():
     with pytest.raises(InvalidInputError):
         experiments.FusionExperimentConfig(
@@ -159,3 +168,26 @@ def test_curves_csv_format(tmp_path):
     path = tmp_path / "curves.csv"
     experiments.emit_curves(curves, path)
     assert path.read_bytes() == text.encode("ascii")
+
+
+def _assert_diagnostics(curve, trials):
+    assert len(curve.diagnostics) == len(curve.points)
+    for (_, successes, _), diag in zip(curve.points, curve.diagnostics):
+        assert sum(diag[outcome] for outcome in experiments.TRIAL_OUTCOMES) == trials
+        # a refuted trial is a proved failure
+        assert successes <= trials - diag["refuted"]
+        assert diag["max_iterations"] >= 0
+
+
+def test_diagnostics_count_every_trial():
+    classic = experiments.run_classic_experiment(experiments.ClassicExperimentConfig(
+        N=7, sparsity_grid=[1, 6], generators=("alltop",), trials=5, master_seed=3))
+    fusion_curves = experiments.run_fusion_experiment(experiments.FusionExperimentConfig(
+        set_params=(7, 3), measurement_grid=[2, 4], sparsity_grid=[1, 3], trials=5,
+        master_seed=5))
+    for curve in classic + fusion_curves:
+        _assert_diagnostics(curve, 5)
+    assert classic[0].diagnostics[0]["certified"] == 5
+    # 3 active blocks of 3 from 2 measurements per coordinate: every trial is refuted
+    assert fusion_curves[0].diagnostics[1]["refuted"] == 5
+    assert fusion_curves[0].points[1][1] == 0

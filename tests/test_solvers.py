@@ -391,6 +391,71 @@ def test_certified_solve_is_feasible_and_no_worse_than_planted(seed, n, extra, k
         assert np.abs(res.solution).sum() <= np.abs(x0).sum() * (1 + 1e-10)
 
 
+def test_refutation_spares_a_minimiser_inside_the_nse_ball():
+    # A = [1, -(1-eps)], x = (1, delta): the unique minimiser (y, 0) has a
+    # lower objective than x, yet lies within NSE tau of it, so the trial is
+    # a success.  The objective gap is 98% of the margin sqrt(k tau)||x||, so
+    # the sound margin must not refute it and a margin 2% short would.
+    eps, delta, tau = 0.02, 7e-4, experiments.DEFAULT_THRESHOLD
+    A = np.array([[1.0, -(1.0 - eps)]])
+    x = np.array([1.0, delta], dtype=complex)
+    y = A @ x
+    minimiser = np.array([y[0], 0.0])
+    assert np.abs(minimiser).sum() < np.abs(x).sum()
+    assert experiments.normalized_squared_error(minimiser, x) < tau
+    blocks = solvers.BlockStructure(2, 1)  # l1 without the certified stop
+    bound = experiments._refutation_bound(x, tau, blocks)
+    assert bound == pytest.approx(experiments._refutation_bound(x, tau))
+    res = solvers.block_basis_pursuit(A, y, blocks, _refute_below=bound)
+    assert res.status == solvers.STATUS_CONVERGED
+    assert experiments.normalized_squared_error(res.solution, x) < tau
+    # with no margin the rule fires on an iterate, and the trial would fail
+    res = solvers.block_basis_pursuit(A, y, blocks, _refute_below=np.abs(x).sum())
+    assert res.status == solvers.STATUS_REFUTED
+    assert experiments.normalized_squared_error(res.solution, x) >= tau
+
+
+def _planted_instance(rng, n, d, blocks, k, complex_valued):
+    """A random n x d matrix, x with k nonzero blocks, and y = A x."""
+    A = rng.standard_normal((n, d))
+    x = np.zeros(d, dtype=complex)
+    for b in rng.choice(blocks.block_count, size=k, replace=False):
+        x[b * blocks.block_size:(b + 1) * blocks.block_size] = rng.standard_normal(
+            blocks.block_size)
+    if complex_valued:
+        A = A + 1j * rng.standard_normal((n, d))
+        x *= np.exp(2j * np.pi * rng.random(d))
+    return A, x, A @ x
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block_size=st.integers(1, 3),
+       block_count=st.integers(2, 6), n=st.integers(1, 6), k=st.integers(1, 4),
+       complex_valued=st.booleans())
+def test_refuted_solve_is_feasible_and_outside_the_nse_ball(seed, block_size, block_count,
+                                                            n, k, complex_valued):
+    rng = np.random.default_rng(seed)
+    blocks = solvers.BlockStructure(block_count, block_size)
+    d = blocks.dimension
+    A, x, y = _planted_instance(rng, min(n, d), d, blocks, min(k, block_count),
+                                complex_valued)
+    tau = experiments.DEFAULT_THRESHOLD
+    cfg = solvers.SolverConfig(max_iters=500)
+    if block_size == 1:
+        res = solvers.basis_pursuit(A, y, cfg, _refute_below=experiments._refutation_bound(x, tau))
+    else:
+        res = solvers.block_basis_pursuit(
+            A, y, blocks, cfg, _refute_below=experiments._refutation_bound(x, tau, blocks))
+    if res.status != solvers.STATUS_REFUTED:
+        return
+    assert res.iterations % solvers._CERTIFY_PERIOD == 0 and not res.certified
+    assert np.linalg.norm(A @ res.solution - y) <= 1e-10 * np.linalg.norm(y)
+    assert experiments.normalized_squared_error(res.solution, x) >= tau
+    if block_size == 1:
+        # a refuted planted signal is no minimiser, so it has no certificate
+        assert solvers._l1_certificate(A, y, x) is None
+
+
 def test_block_basis_pursuit_dimension_check():
     frame = _frame()
     with pytest.raises(InvalidInputError):
