@@ -42,30 +42,21 @@ def _parse_singer(text):
     return pairs
 
 
-def _json_safe(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    return value
+def _json_default(value):
+    """NumPy scalars and arrays as Python values; np.float64 is already a float."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _emit(args, report):
     config = {
-        k: _json_safe(v)
+        k: v
         for k, v in sorted(vars(args).items())
         if k != "handler" and not callable(v)
     }
-    doc = {"version": __version__, "config": config, "report": _json_safe(report)}
-    print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+    doc = {"version": __version__, "config": config, "report": report}
+    print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default))
 
 
 def _ds_json(ds):

@@ -240,7 +240,7 @@ def run_classic_experiment(cfg):
                 x = random_k_sparse_signal(cfg.N ** 2, k, signal_seed)
                 y = frame.columns @ x
                 bound = _refutation_bound(x, cfg.success_threshold)
-                result = basis_pursuit(frame.columns, y, cfg.solver, _refute_below=bound)
+                result = basis_pursuit(frame, y, cfg.solver, _refute_below=bound)
                 nse = normalized_squared_error(result.solution, x)
                 return nse < cfg.success_threshold, result
 

@@ -7,6 +7,7 @@ blocks [B_0 B_1 ... B_{N-1}]; everything downstream relies on that layout.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -41,7 +42,21 @@ class GaborFrame:
     generator: Generator
     N: int
     columns: np.ndarray  # N x N^2, column c(k,j) = k*N + j
-    tightness_error: float  # max-entry deviation of Phi Phi* from N ||g||^2 I
+
+    @property
+    def shape(self):
+        return self.columns.shape
+
+    @property
+    def frame_bound(self):
+        """N ||g||^2: Phi Phi* = frame_bound * I for every nonzero g (N-tightness)."""
+        return self.N * self.generator.norm ** 2
+
+    @cached_property
+    def tightness_error(self):
+        """Max-entry deviation of Phi Phi* from frame_bound * I (roundoff); formed when read."""
+        H = self.columns @ self.columns.conj().T
+        return float(np.max(np.abs(H - self.frame_bound * np.eye(self.N))))
 
     def column_index(self, k, j):
         return k * self.N + j
@@ -118,13 +133,15 @@ def random_torus_generator(N, seed):
     """Window with i.i.d. uniform phases, entries exp(2 pi i u_j)/sqrt(N); seeded."""
     if N < 1:
         raise InvalidInputError(f"random torus window needs N >= 1, got N={N}")
+    if seed < 0:
+        raise InvalidInputError(f"random torus window needs seed >= 0, got seed={seed}")
     rng = np.random.default_rng(seed)
     u = rng.random(N)
     return Generator(np.exp(2j * np.pi * u) / np.sqrt(N), kind="random_torus")
 
 
 def build_gabor_frame(generator):
-    """All N^2 time-frequency shifts of a window, plus its tightness defect.
+    """All N^2 time-frequency shifts of a window.
 
     Parameters
     ----------
@@ -134,9 +151,8 @@ def build_gabor_frame(generator):
     Returns
     -------
     GaborFrame
-        columns[:, k*N + j] = M_j T_k g; tightness_error is the max-entry
-        deviation of Phi Phi* from N ||g||^2 I (the system is always an
-        N ||g||^2 - tight frame, so this is pure roundoff).
+        columns[:, k*N + j] = M_j T_k g; the system is always a
+        frame_bound-tight frame, frame_bound = N ||g||^2 (N-tightness).
     """
     if not isinstance(generator, Generator):
         generator = Generator(generator)
@@ -149,10 +165,7 @@ def build_gabor_frame(generator):
     shifts = g[(n[:, None] - n[None, :]) % N]  # shifts[n, k] = (T_k g)(n)
     # phases stay the left operand: the swapped product differs in the last bit
     columns = (phases[:, None, :] * shifts[:, :, None]).reshape(N, N * N)
-    H = columns @ columns.conj().T
-    target = N * generator.norm ** 2
-    err = float(np.max(np.abs(H - target * np.eye(N))))
-    return GaborFrame(generator, N, columns, err)
+    return GaborFrame(generator, N, columns)
 
 
 def _coherence_scan(columns):

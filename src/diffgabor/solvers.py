@@ -1,9 +1,10 @@
 """In-house ADMM solvers for complex basis pursuit and its block variant.
 
 Splitting: min ||z||_1 (or sum of block norms) subject to x in {Ax = y}, x = z.
-The x-update is an exact affine projection — a scalar correction for tight
-frames (A A* = cI) and an SVD pseudoinverse otherwise, factored coordinate by
-coordinate for a fusion measurement operator — and the z-update is the
+The x-update is an exact affine projection chosen by the type of A — a
+scalar correction for a Gabor frame (N-tight: A A* = N ||g||^2 I), and an
+SVD pseudoinverse otherwise, factored coordinate by coordinate for a fusion
+measurement operator — and the z-update is the
 complex (block) soft threshold.  Basis pursuit is positively homogeneous,
 so the iteration runs on y/||y|| and the solution is rescaled afterwards;
 this keeps convergence behavior scale-free.
@@ -39,14 +40,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FactorizationError, InvalidInputError
+from .gabor import GaborFrame
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters_reached"
 # a feasible iterate beat the caller's objective bound: see the module docstring
 STATUS_REFUTED = "refuted"
 
-# relative tolerance for accepting A A* as a multiple of the identity
-_SCALAR_PATH_TOL = 1e-10
 # relative residual above which y is declared outside the range of A
 _CONSISTENCY_TOL = 1e-8
 # basis pursuit tries to certify its iterate every this many iterations
@@ -121,8 +121,9 @@ class BlockStructure:
 class AffineProjection:
     """Orthogonal projection onto the affine set {x : Ax = y}.
 
-    When A A* = cI (tight frame rows) the projection is the closed form
-    w + A*(y - Aw)/c with no factorization.  Otherwise an economy SVD gives
+    A GaborFrame has A A* = cI, c = frame.frame_bound, by N-tightness, so the
+    projection is the closed form w + A*(y - Aw)/c with no factorization.  Any
+    other matrix, tight or not, goes to an economy SVD, which gives
     the row-space projector and a particular solution; y must then lie in
     the range of A or FactorizationError is raised.
 
@@ -133,13 +134,12 @@ class AffineProjection:
     """
 
     _owners = None  # (N, K) coefficient table, set only on the coordinate-factored path
+    scalar = None  # c, set only on the closed-form path
 
     def __init__(self, matrix, y):
-        if isinstance(matrix, FusionMeasurementOperator):
-            self._init_blockwise(matrix, y)
-            return
-        A = np.asarray(matrix, dtype=complex)
-        if A.ndim != 2:
+        tight = isinstance(matrix, GaborFrame)
+        A = matrix.columns if tight else _as_operator(matrix)
+        if len(A.shape) != 2:
             raise InvalidInputError("matrix must be 2-d")
         y = np.asarray(y, dtype=complex).reshape(-1)
         n, d = A.shape
@@ -147,39 +147,30 @@ class AffineProjection:
             raise InvalidInputError(f"y has length {y.shape[0]}, expected {n}")
         self.matrix = A
         self.y = y
-        H = A @ A.conj().T
-        c = float(np.real(np.trace(H))) / n if n else 0.0
-        if c <= 0.0:
-            raise FactorizationError("measurement matrix has no energy")
-        if np.max(np.abs(H - c * np.eye(n))) <= _SCALAR_PATH_TOL * c:
+        self.uses_factorization = not tight
+        if tight:
             self._AH = A.conj().T
-            self.scalar = c
-            self.uses_factorization = False
+            self.scalar = matrix.frame_bound
             self.rank = n
             return
-        self.scalar = None
-        self.uses_factorization = True
+        if isinstance(A, FusionMeasurementOperator):
+            self._init_blockwise(A, y)
+            return
         U, s, Vh = np.linalg.svd(A, full_matrices=False)
-        cutoff = s[0] * max(n, d) * np.finfo(float).eps
+        cutoff = s.max(initial=0.0) * max(n, d) * np.finfo(float).eps
         r = int(np.sum(s > cutoff))
         if r == 0:
             raise FactorizationError("measurement matrix has rank zero")
         self.rank = r
         Ur, sr, self._Vr = U[:, :r], s[:r], Vh[:r, :]
+        self._VrH = self._Vr.conj().T
         coeffs = Ur.conj().T @ y
         if np.linalg.norm(y - Ur @ coeffs) > _CONSISTENCY_TOL * max(1.0, np.linalg.norm(y)):
             raise FactorizationError("y is not in the range of the measurement matrix")
-        self._particular = self._Vr.conj().T @ (coeffs / sr)
+        self._particular = self._VrH @ (coeffs / sr)
 
     def _init_blockwise(self, op, y):
-        y = np.asarray(y, dtype=complex).reshape(-1)
         n_rows, d = op.shape
-        if y.shape[0] != n_rows:
-            raise InvalidInputError(f"y has length {y.shape[0]}, expected {n_rows}")
-        self.matrix = op
-        self.y = y
-        self.scalar = None
-        self.uses_factorization = True
         self._owners = op.owners
         # U: (N, n, p), s: (N, p), Vh: (N, p, K) with p = min(n, K)
         U, s, Vh = np.linalg.svd(op.blocks, full_matrices=False)
@@ -210,12 +201,7 @@ class AffineProjection:
             return out
         if not self.uses_factorization:
             return w + self._AH @ ((self.y - self.matrix @ w) / self.scalar)
-        return w - self._Vr.conj().T @ (self._Vr @ w) + self._particular
-
-
-def affine_projection(matrix, y):
-    """Operator x -> x + A*(AA*)^+ (y - Ax); see AffineProjection."""
-    return AffineProjection(matrix, y)
+        return w - self._VrH @ (self._Vr @ w) + self._particular
 
 
 def complex_soft_threshold(z, tau):
@@ -241,8 +227,8 @@ def block_soft_threshold(z, tau, blocks):
 
 
 def _as_operator(matrix):
-    """A fusion measurement operator as is; anything else as a dense complex array."""
-    if isinstance(matrix, FusionMeasurementOperator):
+    """A Gabor frame or fusion measurement operator as is; else a dense complex array."""
+    if isinstance(matrix, (GaborFrame, FusionMeasurementOperator)):
         return matrix
     return np.asarray(matrix, dtype=complex)
 
@@ -470,6 +456,8 @@ def gaussian_measurement_coefficients(n, N, seed, complex_valued=False):
     """
     if n < 1 or N < 1:
         raise InvalidInputError("coefficient matrix needs positive dimensions")
+    if seed < 0:
+        raise InvalidInputError(f"coefficient matrix needs a nonnegative seed, got seed={seed}")
     rng = np.random.default_rng(seed)
     if complex_valued:
         return (rng.standard_normal((n, N)) + 1j * rng.standard_normal((n, N))) / np.sqrt(2)

@@ -346,6 +346,19 @@ def test_negative_limits_exit_code(capsys, argv):
     assert rc == 3 and captured.out == "" and "-1" in captured.err
 
 
+@pytest.mark.parametrize("experiment", ["classic", "fusion"])
+def test_negative_seed_exit_code(capsys, tmp_path, experiment):
+    rc = cli.main(["gabor", "coherence", "--random", "7", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and "seed=-1" in captured.err
+    # experiment seeds reach the generators only through derive_seed
+    grid = ["--n", "7", "--set", "7,3"] if experiment == "classic" else [
+        "--set", "7,3", "--measurements", "3"]
+    rc, doc = _run_json(capsys, "experiment", experiment, *grid, "--ks", "1", "--trials", "2",
+                        "--seed", "-1", "--out", str(tmp_path / "out.csv"))
+    assert rc == 0 and doc["config"]["seed"] == -1
+
+
 def test_emit_rejects_non_finite_values(capsys):
     args = cli.build_parser().parse_args(["diffset", "catalog"])
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffgabor import diffsets, gabor
+from diffgabor import diffsets, gabor, solvers
 from diffgabor.errors import InvalidInputError, UnsupportedParametersError
 
 
@@ -29,15 +29,23 @@ def _assert_tf_gram_is_dense_gram(frame):
     return dense
 
 
+def _random_window(seed, N, sparse):
+    """A nonzero window of random norm.
+
+    With ``sparse``, about half its entries are 0, like the difference-set windows.
+    """
+    rng = np.random.default_rng(seed)
+    g = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * 10.0 ** rng.uniform(-3, 3)
+    if sparse:
+        g[rng.random(N) < 0.5] = 0.0
+        g[rng.integers(N)] = 1.0
+    return g
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 16), sparse=st.booleans())
 def test_tf_gram_matches_dense_gram_random_windows(seed, N, sparse):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    if sparse:  # windows with zeros, like the difference-set ones
-        g[rng.random(N) < 0.5] = 0.0
-        g[rng.integers(N)] = 1.0
-    _assert_tf_gram_is_dense_gram(gabor.build_gabor_frame(g))
+    _assert_tf_gram_is_dense_gram(gabor.build_gabor_frame(_random_window(seed, N, sparse)))
 
 
 @pytest.mark.parametrize("ds", [ds for ds in diffsets.catalog_entries() if ds.N <= 64],
@@ -80,14 +88,40 @@ def test_translate_modulate_basics():
     assert np.allclose(m, g * w ** np.arange(4))
 
 
-def test_commutation_relation():
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 16), sparse=st.booleans(),
+       j=st.integers(-20, 20), k=st.integers(-20, 20))
+def test_commutation_relation(seed, N, sparse, j, k):
     # M_j T_k = w^{jk} T_k M_j with w = exp(2 pi i / N)
-    rng = np.random.default_rng(1)
-    g = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    for j, k in [(1, 1), (2, 5), (6, 3)]:
-        lhs = gabor.modulate(gabor.translate(g, k), j)
-        rhs = np.exp(2j * np.pi * j * k / 7) * gabor.translate(gabor.modulate(g, j), k)
-        assert np.allclose(lhs, rhs)
+    g = _random_window(seed, N, sparse)
+    lhs = gabor.modulate(gabor.translate(g, k), j)
+    rhs = np.exp(2j * np.pi * j * k / N) * gabor.translate(gabor.modulate(g, j), k)
+    assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 16), sparse=st.booleans())
+def test_tightness_random_windows(seed, N, sparse):
+    # N-tightness: Phi Phi* = N ||g||^2 I for every nonzero window
+    frame = gabor.build_gabor_frame(_random_window(seed, N, sparse))
+    assert frame.frame_bound == pytest.approx(N * np.vdot(frame.generator.values,
+                                                          frame.generator.values).real)
+    assert frame.tightness_error <= 1e-12 * frame.frame_bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 16), sparse=st.booleans())
+def test_affine_projection_gabor_frame_matches_svd_path(seed, N, sparse):
+    # the solvers take the closed form on frame_bound for a GaborFrame, by
+    # N-tightness; the SVD of the same columns is the reference
+    frame = gabor.build_gabor_frame(_random_window(seed, N, sparse))
+    rng = np.random.default_rng(seed + 1)
+    y = frame.columns @ (rng.standard_normal(N * N) + 1j * rng.standard_normal(N * N))
+    w = rng.standard_normal(N * N) + 1j * rng.standard_normal(N * N)
+    closed = solvers.AffineProjection(frame, y)
+    factored = solvers.AffineProjection(frame.columns, y)
+    assert not closed.uses_factorization and factored.uses_factorization
+    assert np.linalg.norm(closed(w) - factored(w)) <= 1e-12 * np.linalg.norm(factored(w))
 
 
 def test_frame_layout_and_indexing():
@@ -111,6 +145,7 @@ def test_frame_columns_unit_norm():
 @pytest.mark.parametrize("N,K", [(7, 3), (13, 4), (11, 5)])
 def test_tightness(N, K):
     frame = _ds_frame(N, K)
+    assert "tightness_error" not in vars(frame)  # Phi Phi* is formed only when read
     assert frame.tightness_error < 1e-10
 
 
@@ -137,6 +172,8 @@ def test_random_torus_generator_seeded():
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
     assert np.allclose(np.abs(a.values), 1 / np.sqrt(11))
+    with pytest.raises(InvalidInputError, match="seed=-1"):
+        gabor.random_torus_generator(11, seed=-1)
 
 
 def test_welch_bound():

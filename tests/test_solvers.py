@@ -57,18 +57,24 @@ def test_affine_projection_tight_frame_scalar_path():
     frame = _frame()
     A = frame.columns
     y = A @ np.eye(49, dtype=complex)[0]
-    proj = solvers.affine_projection(A, y)
-    assert proj.scalar and not proj.uses_factorization
+    proj = solvers.AffineProjection(frame, y)
+    assert proj.scalar == frame.frame_bound and not proj.uses_factorization
+    assert proj.rank == 7 and np.array_equal(proj.matrix, A)
     w = np.random.default_rng(0).standard_normal(49)
     x = proj(w)
     assert np.linalg.norm(A @ x - y) < 1e-10
+    # the path follows the type: the same columns as a plain matrix are
+    # factored, and project to the same point
+    dense = solvers.AffineProjection(A, y)
+    assert dense.uses_factorization and dense.scalar is None and dense.rank == 7
+    assert np.linalg.norm(dense(w) - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_affine_projection_general_path():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((3, 8))
     y = A @ rng.standard_normal(8)
-    proj = solvers.affine_projection(A, y)
+    proj = solvers.AffineProjection(A, y)
     assert proj.uses_factorization and proj.rank == 3
     x = proj(rng.standard_normal(8))
     assert np.linalg.norm(A @ x - y) < 1e-10
@@ -81,7 +87,7 @@ def test_affine_projection_rank_deficient_consistent():
     B = rng.standard_normal((2, 5))
     A = np.vstack([B, B[0] + B[1]])  # rank 2, 3 rows
     y = A @ rng.standard_normal(5)
-    proj = solvers.affine_projection(A, y)
+    proj = solvers.AffineProjection(A, y)
     assert proj.rank == 2
     assert np.linalg.norm(A @ proj(np.zeros(5)) - y) < 1e-9
 
@@ -92,7 +98,7 @@ def test_affine_projection_inconsistent_raises():
     A = np.vstack([B, B[0]])
     y = np.array([0.0, 0.0, 1.0])  # contradicts the duplicated row
     with pytest.raises(FactorizationError):
-        solvers.affine_projection(A, y)
+        solvers.AffineProjection(A, y)
 
 
 def test_basis_pursuit_recovers_sparse_vector():
@@ -100,7 +106,7 @@ def test_basis_pursuit_recovers_sparse_vector():
     A = frame.columns
     x = np.zeros(49, dtype=complex)
     x[[7, 30]] = [1.5 - 0.5j, -2.0 + 1.0j]
-    res = solvers.basis_pursuit(A, A @ x)
+    res = solvers.basis_pursuit(frame, A @ x)
     assert res.status == solvers.STATUS_CONVERGED
     assert np.linalg.norm(res.solution - x) / np.linalg.norm(x) < 1e-6
     assert res.objective == pytest.approx(np.abs(x).sum(), rel=1e-6)
@@ -460,7 +466,7 @@ def test_block_basis_pursuit_dimension_check():
     frame = _frame()
     with pytest.raises(InvalidInputError):
         solvers.block_basis_pursuit(
-            frame.columns, np.zeros(7), solvers.BlockStructure(7, 3)
+            frame, np.zeros(7), solvers.BlockStructure(7, 3)
         )
 
 
@@ -485,6 +491,8 @@ def test_gaussian_measurement_coefficients():
     assert not np.iscomplexobj(a)
     c = solvers.gaussian_measurement_coefficients(5, 11, seed=1, complex_valued=True)
     assert np.iscomplexobj(c)
+    with pytest.raises(InvalidInputError, match="seed=-1"):
+        solvers.gaussian_measurement_coefficients(5, 11, seed=-1)
 
 
 def test_assemble_fusion_operator_action():
