@@ -1,11 +1,12 @@
 """Command-line interface: every operation as a subcommand with JSON/CSV output.
 
 Exit codes: 0 success, 2 unknown subcommand / unparsable arguments, 3 invalid
-parameters or missing inputs, 4 solver hit the iteration cap (partial result
-still emitted).
+parameters, missing inputs or inputs too large for memory, 4 solver hit the
+iteration cap (partial result still emitted).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -303,7 +304,12 @@ def _add_solver_flags(sub):
     sub.add_argument("--tol-dual", type=float, default=1e-9, dest="tol_dual")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every main() call.
+
+    Defaults are immutable (tuples), since every parse reads the same objects.
+    """
     parser = argparse.ArgumentParser(
         prog="diffgabor",
         description="Difference sets, the Gabor/fusion frames they generate, "
@@ -343,9 +349,9 @@ def build_parser():
     p.set_defaults(handler=_cmd_gabor_coherence)
 
     p = gb_sub.add_parser("table", help="difference-set family coherence table")
-    p.add_argument("--quadratic", type=_parse_ints, default=[11, 19, 23, 43])
-    p.add_argument("--quartic", type=_parse_ints, default=[37, 101])
-    p.add_argument("--singer", type=_parse_singer, default=[(2, 2), (3, 2), (4, 2), (2, 3)])
+    p.add_argument("--quadratic", type=_parse_ints, default=(11, 19, 23, 43))
+    p.add_argument("--quartic", type=_parse_ints, default=(37, 101))
+    p.add_argument("--singer", type=_parse_singer, default=((2, 2), (3, 2), (4, 2), (2, 3)))
     p.add_argument("--measure-limit", type=int, default=gabor.TABLE_MEASURE_LIMIT,
                    dest="measure_limit", help="largest N to measure")
     p.set_defaults(handler=_cmd_gabor_table)
@@ -422,9 +428,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -434,6 +439,11 @@ def main(argv=None):
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        command = " ".join(sys.argv[1:] if argv is None else argv)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: not enough memory for diffgabor {command}{detail}", file=sys.stderr)
         return 3
 
 

@@ -138,6 +138,8 @@ def random_k_sparse_signal(dim, k, seed):
     with r standard normal and theta uniform on [0, 1).  Seeded."""
     if not 1 <= k <= dim:
         raise InvalidInputError(f"sparsity k={k} out of range for dimension {dim}")
+    if seed < 0:
+        raise InvalidInputError(f"sparse signal needs seed >= 0, got seed={seed}")
     rng = np.random.default_rng(seed)
     support = rng.choice(dim, size=k, replace=False)
     r = rng.standard_normal(k)
@@ -156,6 +158,8 @@ def random_fusion_sparse_signal(ff, k, seed, complex_coefficients=True):
     N, K = ff.N, ff.K
     if not 1 <= k <= N:
         raise InvalidInputError(f"fusion sparsity k={k} out of range for N={N}")
+    if seed < 0:
+        raise InvalidInputError(f"fusion sparse signal needs seed >= 0, got seed={seed}")
     rng = np.random.default_rng(seed)
     active = rng.choice(N, size=k, replace=False)
     if complex_coefficients:

@@ -257,14 +257,23 @@ def _tf_coherence(gram):
     return mu, (int(r) * N, int(q) * N + int(delta))
 
 
+def _block_entries(gram):
+    """The off-diagonal entries of each B_k* B_k, shape (N, N-1), and every
+    entry of the blocks B_r* B_q with r != q, read from a _tf_gram array."""
+    N = gram.shape[0]
+    k = np.arange(N)
+    return gram[k, k, 1:], gram[~np.eye(N, dtype=bool)]
+
+
 def mutual_coherence(frame):
     """Coherence report for a GaborFrame (or a plain column matrix).
 
     A GaborFrame is measured from its block-circulant Gram (_tf_gram), a plain
     matrix by the dense scan.  For difference-set windows the report also
     splits the Gram maximum into the within-block value (all equal by the
-    diagonal-block proposition) and the off-diagonal-block maximum, and
-    carries the closed-form prediction.
+    diagonal-block proposition) and the off-diagonal-block maximum, both read
+    from the same _tf_gram array, and carries the closed-form prediction.
+    The per-block tightness check is left to block_coherence_profile.
     """
     if not isinstance(frame, GaborFrame):
         columns = np.asarray(frame, dtype=complex)
@@ -277,9 +286,9 @@ def mutual_coherence(frame):
     params = frame.generator.params
     diag_val = off_max = predicted = None
     if frame.generator.kind == "difference_set" and params is not None:
-        profile = _block_profile(frame, params, gram)
-        diag_val = float(np.max(profile.within_block_offdiag_max))
-        off_max = profile.offdiag_block_max
+        within, cross = _block_entries(gram)
+        diag_val = float(within.max())
+        off_max = float(cross.max())
         predicted = predicted_coherence(params)
     return CoherenceReport(mu, pair, diag_val, off_max, wb, predicted)
 
@@ -296,16 +305,11 @@ def block_coherence_profile(frame, params=None):
         params = frame.generator.params
     if frame.generator.kind != "difference_set" or params is None:
         raise UnsupportedParametersError("block profile needs a difference-set generator")
-    return _block_profile(frame, params, _tf_gram(frame.generator.values))
-
-
-def _block_profile(frame, params, gram):
     # every value of block k is read from gram[k, k] (T_k g with itself), not
     # copied from block 0 by covariance, so each block is checked on its own
     N, K, lam = params.N, params.K, params.lam
     k = np.arange(N)
-    within = gram[k, k, 1:]  # (N, N-1): the off-diagonal entries of B_k* B_k
-    cross = gram[~np.eye(N, dtype=bool)]  # every entry of the blocks B_r* B_q, r != q
+    within, cross = _block_entries(_tf_gram(frame.generator.values))
     norms2 = np.sum(np.abs(frame.columns) ** 2, axis=0)
     diag_unit_error = float(np.max(np.abs(norms2 - 1.0)))
 

@@ -366,6 +366,41 @@ def test_emit_rejects_non_finite_values(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_repeated_commands_in_one_process(capsys, tmp_path):
+    # the parser is built once and shared, so no call may leave state for the next
+    A_path, y_path, _ = _write_instance(tmp_path)
+    commands = [
+        ["gabor", "coherence", "--set", "13,4"],
+        ["gabor", "table"],
+        ["fusion", "report", "--set", "7,3"],
+        ["solve", "bp", "--matrix", str(A_path), "--y", str(y_path)],
+        ["diffset", "verify", "7", "1,2,4"],
+        ["gabor", "table", "--singer", "1:1"],
+    ]
+    rounds = []
+    for _ in range(2):
+        results = []
+        for argv in commands:
+            rc = cli.main(argv)
+            captured = capsys.readouterr()
+            results.append((rc, captured.out, captured.err))
+        rounds.append(results)
+    assert rounds[0] == rounds[1]
+    assert [rc for rc, _, _ in rounds[0]] == [0, 0, 0, 0, 0, 3]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_out_of_memory_exit_code(capsys, monkeypatch):
+    def no_memory(generator):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(gabor, "build_gabor_frame", no_memory)
+    rc = cli.main(["gabor", "coherence", "--random", "200000"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert "--random 200000" in captured.err and "298. GiB" in captured.err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "diffgabor", "diffset", "verify", "7", "1,2,4"],

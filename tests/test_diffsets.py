@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffgabor import diffsets
 from diffgabor.errors import CatalogError, InvalidInputError, UnsupportedParametersError
@@ -51,6 +53,29 @@ def test_verify_difference_set_negative():
     # an interval has unbalanced difference counts
     assert rep.difference_counts[1] == 2
     assert rep.difference_counts[3] == 0
+
+
+@st.composite
+def _subsets(draw):
+    N = draw(st.integers(2, 24))
+    return N, draw(st.sets(st.integers(0, N - 1), max_size=N))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_subsets())
+def test_verify_difference_set_matches_brute_force(case):
+    # the oracle counts, for each d, the elements a whose a - d is also in S
+    N, subset = case
+    brute = {d: sum((a - d) % N in subset for a in subset) for d in range(1, N)}
+    rep = diffsets.verify_difference_set(N, subset)
+    assert rep.difference_counts == brute
+    counts = set(brute.values())
+    assert rep.is_difference_set == (len(counts) == 1 and counts != {0})
+    if rep.is_difference_set:
+        assert rep.inferred_lambda == brute[1]
+        assert rep.params_ok is True
+    else:
+        assert rep.inferred_lambda is None and rep.params_ok is None
 
 
 def test_verify_degenerate_full_multiplicity():

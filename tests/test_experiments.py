@@ -38,6 +38,17 @@ def test_random_fusion_sparse_signal():
     assert np.allclose(r.imag, 0.0)
 
 
+def test_random_k_sparse_signal_rejects_negative_seed():
+    with pytest.raises(InvalidInputError, match="seed=-1"):
+        experiments.random_k_sparse_signal(49, 5, seed=-1)
+
+
+def test_random_fusion_sparse_signal_rejects_negative_seed():
+    ff = fusion.build_fusion_frame(diffsets.catalog_lookup(7, 3))
+    with pytest.raises(InvalidInputError, match="seed=-1"):
+        experiments.random_fusion_sparse_signal(ff, 2, seed=-1)
+
+
 def test_normalized_squared_error():
     x = np.array([1.0, 0.0, 0.0])
     assert experiments.normalized_squared_error(x, x) == 0.0

@@ -214,6 +214,17 @@ def test_coherence_block_split():
     assert (i, j) == (0, 1)
 
 
+@pytest.mark.parametrize("ds", [ds for ds in diffsets.catalog_entries() if ds.N <= 64],
+                         ids=lambda ds: f"{ds.N},{ds.params.K}")
+def test_coherence_split_is_the_block_profile(ds):
+    # the report reads both maxima from _tf_gram; the profile checks every block
+    frame = gabor.build_gabor_frame(gabor.difference_set_generator(ds))
+    rep = gabor.mutual_coherence(frame)
+    prof = gabor.block_coherence_profile(frame)
+    assert rep.diagonal_block_offdiag_value == np.max(prof.within_block_offdiag_max)
+    assert rep.offdiag_block_max == prof.offdiag_block_max
+
+
 def test_coherence_plain_matrix_input():
     frame = _ds_frame(7, 3)
     rep = gabor.mutual_coherence(frame.columns)

@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diffgabor import diffsets, experiments, fusion, gabor, solvers
 from diffgabor.errors import FactorizationError, InvalidInputError
@@ -527,6 +528,19 @@ def test_csv_roundtrip(tmp_path):
     v = rng.standard_normal(5)
     solvers.write_complex_matrix_csv(path, v)
     assert solvers.read_complex_matrix_csv(path).shape == (5, 1)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(M=arrays(complex, st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                elements=st.complex_numbers(allow_nan=False, allow_infinity=False)))
+def test_csv_roundtrip_is_exact(tmp_path, M):
+    # every example overwrites the same file
+    path = tmp_path / "m.csv"
+    solvers.write_complex_matrix_csv(path, M)
+    back = solvers.read_complex_matrix_csv(path)
+    assert back.shape == M.shape
+    assert back.tobytes() == M.tobytes()  # bit for bit, signed zeros included
 
 
 def test_csv_read_validation(tmp_path):
