@@ -15,8 +15,8 @@ the NSE ball of x (see the solvers module), so ADMM stops there with status
 NSE > tau, so the success rule, and with it the CSV, is unchanged.
 
 Each point also keeps diagnostics beside its success count: how many trials
-ended certified, converged, refuted or at the iteration cap, and the largest
-ADMM iteration count.  They never enter the CSV.
+ended certified, converged, refuted or at the iteration cap, and the median
+and largest ADMM iteration counts.  They never enter the CSV.
 """
 
 import hashlib
@@ -126,7 +126,8 @@ class RecoveryCurve:
     experiment: str
     label: str
     points: list  # (x, successes, trials)
-    # per point: trials per TRIAL_OUTCOMES entry, and "max_iterations"
+    # per point: trials per TRIAL_OUTCOMES entry, "median_iterations" and
+    # "max_iterations"
     diagnostics: list = field(default_factory=list)
 
     def rates(self):
@@ -197,13 +198,16 @@ def _refutation_bound(x, tau, blocks=None):
 def _run_trials(trial_fn, trials):
     """(successes, diagnostics) of one point; trial_fn(t) gives (success, SolveResult)."""
     diagnostics = dict.fromkeys(TRIAL_OUTCOMES, 0)
-    diagnostics["max_iterations"] = 0
+    iterations = []
     successes = 0
     for t in range(trials):
         success, result = trial_fn(t)
         successes += bool(success)
         diagnostics["certified" if result.certified else result.status] += 1
-        diagnostics["max_iterations"] = max(diagnostics["max_iterations"], result.iterations)
+        iterations.append(result.iterations)
+    # the median of an even number of trials may fall halfway between two counts
+    diagnostics["median_iterations"] = float(np.median(iterations))
+    diagnostics["max_iterations"] = max(iterations)
     return successes, diagnostics
 
 

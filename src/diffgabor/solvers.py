@@ -9,6 +9,14 @@ complex (block) soft threshold.  Basis pursuit is positively homogeneous,
 so the iteration runs on y/||y|| and the solution is rescaled afterwards;
 this keeps convergence behavior scale-free.
 
+When A has full column rank (projection rank d), {x : Ax = y} is one point,
+the projection of 0, and it is returned with 0 iterations: a fusion
+operator with n >= K measurements per coordinate is such a case.
+Real measurement coefficients give real local blocks, which are factored in
+real arithmetic; their real null projector acts on the complex iterate
+through its (re, im) view.  The iteration itself updates preallocated
+buffers and takes its five stopping norms from one reduction.
+
 Basis pursuit on a dense matrix also stops as soon as its answer is proved:
 every few iterations the support S of the shrunk iterate is fitted by least
 squares, and the fit is returned when a strict dual certificate shows it is
@@ -122,15 +130,22 @@ class AffineProjection:
     """Orthogonal projection onto the affine set {x : Ax = y}.
 
     A GaborFrame has A A* = cI, c = frame.frame_bound, by N-tightness, so the
-    projection is the closed form w + A*(y - Aw)/c with no factorization.  Any
-    other matrix, tight or not, goes to an economy SVD, which gives
-    the row-space projector and a particular solution; y must then lie in
-    the range of A or FactorizationError is raised.
+    projection is the closed form w + A*(y - Aw)/c with no factorization; A*
+    is applied as (r^H A)^H, so A is never copied.  Any other matrix, tight
+    or not, goes to an economy SVD, which gives the row-space projector and
+    a particular solution; y must then lie in the range of A or
+    FactorizationError is raised.
 
     A FusionMeasurementOperator is block-diagonal up to a row and column
     permutation, so it is factored as its N local n x K blocks instead: one
     batched SVD, with the rank cutoff and the range check taken over all
     blocks at once, which is what the dense SVD of the permuted matrix gives.
+    Real blocks stay real: the SVD and the null projectors are real, and a
+    complex iterate is projected as its (N, K, 2) view of real and
+    imaginary parts.
+
+    ``rank`` is the rank of A: rank == d means the feasible set is a single
+    point, which every w projects to.
     """
 
     _owners = None  # (N, K) coefficient table, set only on the coordinate-factored path
@@ -149,7 +164,6 @@ class AffineProjection:
         self.y = y
         self.uses_factorization = not tight
         if tight:
-            self._AH = A.conj().T
             self.scalar = matrix.frame_bound
             self.rank = n
             return
@@ -172,7 +186,8 @@ class AffineProjection:
     def _init_blockwise(self, op, y):
         n_rows, d = op.shape
         self._owners = op.owners
-        # U: (N, n, p), s: (N, p), Vh: (N, p, K) with p = min(n, K)
+        # U: (N, n, p), s: (N, p), Vh: (N, p, K) with p = min(n, K); real
+        # when the blocks are
         U, s, Vh = np.linalg.svd(op.blocks, full_matrices=False)
         s_max = float(s.max())
         if s_max == 0.0:
@@ -180,28 +195,75 @@ class AffineProjection:
         keep = s > s_max * max(n_rows, d) * np.finfo(float).eps
         self.rank = int(keep.sum())
         Vr = Vh * keep[:, :, None]
-        y_local = op.local_measurements(y)  # (N, n)
-        coeffs = np.einsum("mip,mi->mp", U.conj(), y_local) * keep
-        residual = y_local - np.einsum("mip,mp->mi", U, coeffs)
+        y_local = op.local_measurements(y)[:, None, :]  # (N, 1, n): row vectors
+        coeffs = (y_local @ U.conj()) * keep[:, None, :]  # U_r^H y per block
+        residual = y_local - coeffs @ U.transpose(0, 2, 1)
         if np.linalg.norm(residual) > _CONSISTENCY_TOL * max(1.0, np.linalg.norm(y)):
             raise FactorizationError("y is not in the range of the measurement matrix")
         inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-        self._particular = np.einsum("mpk,mp->mk", Vr.conj(), coeffs * inv_s)
+        self._particular = np.empty(d, dtype=complex)
+        self._particular[op.owners] = ((coeffs * inv_s[:, None, :]) @ Vr.conj())[:, 0]
         # per-block projector onto the null space, I - V_r^H V_r: one batched
         # matmul per call is cheaper than applying V_r and V_r^H in turn
-        K = Vh.shape[2]
-        self._null_projector = np.eye(K) - np.einsum("mpk,mpl->mkl", Vr.conj(), Vr)
+        N, _, K = Vh.shape
+        self._null_projector = np.eye(K) - Vr.conj().transpose(0, 2, 1) @ Vr
+        # a complex (N, K) array viewed in the projector's dtype: (N, K, 2)
+        # real and imaginary columns for a real projector, (N, K, 1) otherwise
+        self._local_shape = (N, K, -1)
+        # stacked coefficient i sits at flat position _placement[i] of (N, K)
+        self._placement = np.argsort(op.owners.reshape(-1))
 
-    def __call__(self, w):
+    def __call__(self, w, out=None):
+        """The projection of w, written to ``out`` (a new array if None)."""
         w = np.asarray(w, dtype=complex).reshape(-1)
-        if self._owners is not None:
-            local = w[self._owners][:, :, None]  # (N, K, 1)
+        if out is None:
             out = np.empty_like(w)
-            out[self._owners] = (self._null_projector @ local)[:, :, 0] + self._particular
-            return out
-        if not self.uses_factorization:
-            return w + self._AH @ ((self.y - self.matrix @ w) / self.scalar)
-        return w - self._VrH @ (self._Vr @ w) + self._particular
+        if self._owners is not None:
+            local = w[self._owners].view(self._null_projector.dtype)
+            image = self._null_projector @ local.reshape(self._local_shape)
+            np.add(image.view(complex).reshape(-1)[self._placement], self._particular, out=out)
+        elif self.uses_factorization:
+            np.subtract(w, self._VrH @ (self._Vr @ w), out=out)
+            out += self._particular
+        else:
+            r = (self.y - self.matrix @ w) / self.scalar
+            np.add(w, (r.conj() @ self.matrix).conj(), out=out)
+        return out
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _row_squares(parts, out=None):
+    """Squared norm of each row of the real 2-d ``parts``: one batched dot
+    product, written to ``out`` (one slot per row) if given."""
+    rows = len(parts)
+    if out is None:
+        out = np.empty(rows)
+    np.matmul(parts[:, None, :], parts[:, :, None], out=out.reshape(rows, 1, 1))
+    return out
+
+
+def _shrinkage(norms, tau):
+    """Shrink factors max(1 - tau/max(norms, tiny), 0), computed in place:
+    flooring norms at max(tau, tiny) keeps 1 - tau/norms nonnegative, so it
+    needs no clamp at 0."""
+    np.maximum(norms, max(tau, _TINY), out=norms)
+    np.divide(tau, norms, out=norms)
+    return np.subtract(1.0, norms, out=norms)
+
+
+def _shrink_entries(v, tau, out):
+    """Complex soft threshold of the 1-d v into ``out``, unchecked (the ADMM z-update)."""
+    return np.multiply(v, _shrinkage(np.abs(v), tau), out=out)
+
+
+def _shrink_blocks(v, tau, count, out):
+    """Block soft threshold of v, split into ``count`` equal blocks, into ``out``, unchecked."""
+    parts = v.view(float).reshape(count, -1)  # per block: real and imaginary parts
+    scale = _shrinkage(np.sqrt(_row_squares(parts)), tau)
+    np.multiply(parts, scale[:, None], out=out.view(float).reshape(count, -1))
+    return out
 
 
 def complex_soft_threshold(z, tau):
@@ -209,21 +271,18 @@ def complex_soft_threshold(z, tau):
     if tau < 0:
         raise InvalidInputError(f"threshold tau={tau} must be nonnegative")
     arr = np.asarray(z, dtype=complex)
-    mag = np.abs(arr)
-    out = arr * np.maximum(1.0 - tau / np.maximum(mag, np.finfo(float).tiny), 0.0)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    out = _shrink_entries(arr.reshape(-1), tau, np.empty(arr.size, dtype=complex))
+    if arr.ndim == 0:
+        return complex(out[0])
+    return out.reshape(arr.shape)
 
 
 def block_soft_threshold(z, tau, blocks):
     """Per-block shrinkage: each block scales by max(1 - tau/||z_b||, 0)."""
     if tau < 0:
         raise InvalidInputError(f"threshold tau={tau} must be nonnegative")
-    arr = np.asarray(z, dtype=complex).reshape(blocks.block_count, blocks.block_size)
-    norms = np.linalg.norm(arr, axis=1)
-    scale = np.maximum(1.0 - tau / np.maximum(norms, np.finfo(float).tiny), 0.0)
-    return (arr * scale[:, None]).reshape(-1)
+    arr = np.ascontiguousarray(z, dtype=complex).reshape(blocks.dimension)
+    return _shrink_blocks(arr, tau, blocks.block_count, np.empty_like(arr))
 
 
 def _as_operator(matrix):
@@ -333,11 +392,13 @@ def _l1_certificate(A, y, z, search=True):
 
 
 def _admm(matrix, y, cfg, shrink, objective, certify_l1=False, refute_below=None):
-    """ADMM for min objective(x) s.t. Ax = y, with ``shrink`` its proximal map.
+    """ADMM for min objective(x) s.t. Ax = y, with ``shrink(v, tau, out)`` its
+    proximal map written into ``out``.
 
-    Every _CERTIFY_PERIOD iterations it tries the l1 certificate (when
-    ``certify_l1``), and then, when ``refute_below`` is given, stops with
-    STATUS_REFUTED as soon as the projection output x_k has
+    A full-column-rank A has one feasible point, returned with 0 iterations.
+    Otherwise, every _CERTIFY_PERIOD iterations it tries the l1 certificate
+    (when ``certify_l1``), and then, when ``refute_below`` is given, stops
+    with STATUS_REFUTED as soon as the projection output x_k has
     objective(x_k) < refute_below (in the scale of y).
     """
     A = _as_operator(matrix)
@@ -345,34 +406,42 @@ def _admm(matrix, y, cfg, shrink, objective, certify_l1=False, refute_below=None
     d = A.shape[1]
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
-        sol = np.zeros(d, dtype=complex)
-        return SolveResult(sol, 0, 0.0, 0.0, STATUS_CONVERGED, np.zeros((0, 2)), 0.0)
+        return SolveResult(np.zeros(d, dtype=complex), 0, 0.0, 0.0, STATUS_CONVERGED)
     project = AffineProjection(A, y / ynorm)
+    if project.rank == d:
+        solution = project(np.zeros(d, dtype=complex)) * ynorm
+        return SolveResult(solution, 0, 0.0, 0.0, STATUS_CONVERGED,
+                           objective=float(objective(solution)))
     # f is positively homogeneous, so the bound is compared in the scale of y / ||y||
     bound = None if refute_below is None else refute_below / ynorm
-    x = np.zeros(d, dtype=complex)
-    z = np.zeros(d, dtype=complex)
-    u = np.zeros(d, dtype=complex)
-    sqrt_d = np.sqrt(d)
-    tau = 1.0 / cfg.rho
+    # rows x - z, z - z_old, x, z, u: their squared norms are one reduction
+    # over the real view; the first two are kept as the residual history
+    rows = np.zeros((5, d), dtype=complex)
+    primal, step, x, z, u = rows
+    parts = rows.view(float)
+    squares = np.empty(5)
     history = np.empty((cfg.max_iters, 2))
+    w = np.empty(d, dtype=complex)
+    rho = cfg.rho
+    tau = 1.0 / rho
+    tol_primal = cfg.tol_primal * math.sqrt(d)
+    tol_dual = cfg.tol_dual * math.sqrt(d)
     status = STATUS_MAX_ITERS
     certified = False
     last_support = None
     searched = False
-    r_norm = s_norm = np.inf
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        x = project(z - u)
-        z_old = z
-        z = shrink(x + u, tau)
-        u = u + x - z
-        r_norm = float(np.linalg.norm(x - z))
-        s_norm = float(cfg.rho * np.linalg.norm(z - z_old))
-        history[it - 1] = (r_norm, s_norm)
-        eps_pri = cfg.tol_primal * sqrt_d * max(1.0, np.linalg.norm(x), np.linalg.norm(z))
-        eps_dual = cfg.tol_dual * sqrt_d * max(1.0, cfg.rho * np.linalg.norm(u))
-        if r_norm <= eps_pri and s_norm <= eps_dual:
+        project(np.subtract(z, u, out=w), out=x)
+        np.negative(z, out=step)
+        shrink(np.add(x, u, out=w), tau, z)
+        step += z
+        np.subtract(x, z, out=primal)
+        u += primal
+        r2, s2, x2, z2, u2 = _row_squares(parts, squares).tolist()
+        history[it - 1] = r2, s2
+        if (math.sqrt(r2) <= tol_primal * max(1.0, math.sqrt(max(x2, z2)))
+                and rho * math.sqrt(s2) <= tol_dual * max(1.0, rho * math.sqrt(u2))):
             status = STATUS_CONVERGED
             break
         if it % _CERTIFY_PERIOD:
@@ -393,14 +462,16 @@ def _admm(matrix, y, cfg, shrink, objective, certify_l1=False, refute_below=None
         if bound is not None and objective(x) < bound:
             status = STATUS_REFUTED
             break
+    history = np.sqrt(history[:it])
+    history[:, 1] *= rho
     solution = x * ynorm
     return SolveResult(
         solution=solution,
         iterations=it,
-        primal_residual=r_norm,
-        dual_residual=s_norm,
+        primal_residual=float(history[-1, 0]),
+        dual_residual=float(history[-1, 1]),
         status=status,
-        residual_history=history[:it].copy(),
+        residual_history=history,
         objective=float(objective(solution)),
         certified=certified,
     )
@@ -422,7 +493,7 @@ def basis_pursuit(matrix, y, cfg=None, *, _refute_below=None):
     """
     cfg = cfg or SolverConfig()
     A = _as_operator(matrix)
-    return _admm(A, y, cfg, complex_soft_threshold, lambda v: np.sum(np.abs(v)),
+    return _admm(A, y, cfg, _shrink_entries, lambda v: np.sum(np.abs(v)),
                  certify_l1=not isinstance(A, FusionMeasurementOperator),
                  refute_below=_refute_below)
 
@@ -439,8 +510,8 @@ def block_basis_pursuit(matrix, y, blocks, cfg=None, *, _refute_below=None):
             f"block structure covers {blocks.dimension} coefficients, matrix has {A.shape[1]}"
         )
 
-    def shrink(w, tau):
-        return block_soft_threshold(w, tau, blocks)
+    def shrink(v, tau, out):
+        return _shrink_blocks(v, tau, blocks.block_count, out)
 
     def objective(v):
         return np.sum(np.linalg.norm(v.reshape(blocks.block_count, blocks.block_size), axis=1))
@@ -481,7 +552,7 @@ class FusionMeasurementOperator:
     block_structure: BlockStructure
     subspace_bases: list  # per subspace: sorted canonical support indices
     owners: np.ndarray  # (N, K): stacked coefficient indices landing on coordinate m
-    blocks: np.ndarray  # (N, n, K): local block of coordinate m
+    blocks: np.ndarray  # (N, n, K): local block of coordinate m; real for real coefficients
 
     @property
     def shape(self):
@@ -528,7 +599,8 @@ def assemble_fusion_operator(a, ff):
     if np.any(np.bincount(landing, minlength=N) != K):
         raise InvalidInputError(f"fusion frame does not cover every coordinate exactly {K} times")
     owners = np.argsort(landing, kind="stable").reshape(N, K)
-    blocks = np.ascontiguousarray(a[:, owners // K].transpose(1, 0, 2), dtype=complex)
+    dtype = complex if np.iscomplexobj(a) else float
+    blocks = np.ascontiguousarray(a[:, owners // K].transpose(1, 0, 2), dtype=dtype)
     return FusionMeasurementOperator(a, ff, BlockStructure(N, K), bases, owners, blocks)
 
 

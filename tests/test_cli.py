@@ -304,7 +304,7 @@ def test_experiment_reports_diagnostics(capsys, tmp_path):
     assert [d["x"] for d in curve["diagnostics"]] == [1, 3]
     for diag in curve["diagnostics"]:
         assert sum(diag[o] for o in experiments.TRIAL_OUTCOMES) == 3
-        assert diag["max_iterations"] >= 0
+        assert 0 <= diag["median_iterations"] <= diag["max_iterations"]
     assert curve["diagnostics"][1]["refuted"] == 3
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diffgabor import diffsets, experiments, fusion
+from diffgabor import diffsets, experiments, fusion, solvers
 from diffgabor.errors import ConfigurationError, InvalidInputError
 
 
@@ -187,7 +187,7 @@ def _assert_diagnostics(curve, trials):
         assert sum(diag[outcome] for outcome in experiments.TRIAL_OUTCOMES) == trials
         # a refuted trial is a proved failure
         assert successes <= trials - diag["refuted"]
-        assert diag["max_iterations"] >= 0
+        assert 0 <= diag["median_iterations"] <= diag["max_iterations"]
 
 
 def test_diagnostics_count_every_trial():
@@ -202,3 +202,17 @@ def test_diagnostics_count_every_trial():
     # 3 active blocks of 3 from 2 measurements per coordinate: every trial is refuted
     assert fusion_curves[0].diagnostics[1]["refuted"] == 5
     assert fusion_curves[0].points[1][1] == 0
+    # n = 4 >= K = 3: every trial's feasible set is one point, found without iterating
+    assert [d["max_iterations"] for d in fusion_curves[1].diagnostics] == [0, 0]
+
+
+def test_diagnostics_median_iterations():
+    counts = iter([3, 10, 7, 100])
+
+    def trial(t):
+        return True, solvers.SolveResult(np.zeros(1), next(counts), 0.0, 0.0,
+                                         solvers.STATUS_CONVERGED)
+
+    successes, diag = experiments._run_trials(trial, 4)
+    assert successes == 4 and diag[solvers.STATUS_CONVERGED] == 4
+    assert diag["median_iterations"] == 8.5 and diag["max_iterations"] == 100

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,30 @@ def test_measured_coherence_matches_prediction(N, K):
     rep = gabor.mutual_coherence(frame)
     assert abs(rep.mutual_coherence - rep.predicted) < 1e-10
     assert rep.mutual_coherence > rep.welch_bound  # never an ETF for N > 3
+
+
+@st.composite
+def _catalog_images(draw):
+    """A catalog set S, a shift t and a unit u of Z_N, for S + t and uS."""
+    ds = draw(st.sampled_from(diffsets.catalog_entries()))
+    t = draw(st.integers(0, ds.N - 1))
+    u = draw(st.integers(1, ds.N - 1).filter(lambda u: math.gcd(u, ds.N) == 1))
+    return ds, t, u
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_catalog_images())
+def test_catalog_invariance_under_translation_and_multipliers(case):
+    # the difference counts of uS + t are those of S, permuted by d -> ud
+    ds, t, u = case
+    N, lam = ds.N, ds.params.lam
+    for image in ({(e + t) % N for e in ds.elements}, {u * e % N for e in ds.elements}):
+        rep = diffsets.verify_difference_set(N, image)
+        assert rep.is_difference_set and rep.inferred_lambda == lam and rep.params_ok
+        frame = gabor.build_gabor_frame(
+            gabor.difference_set_generator(diffsets.make_difference_set(N, image)))
+        measured = gabor.mutual_coherence(frame).mutual_coherence
+        assert abs(measured - gabor.predicted_coherence(ds.params)) <= 1e-10
 
 
 def test_coherence_block_split():

@@ -45,6 +45,22 @@ def test_block_soft_threshold():
     assert np.allclose(out[3:], 0.0)
 
 
+@pytest.mark.parametrize("tau", [0.0, 1e-310, 0.5, 1.0])
+def test_shrink_kernels_match_the_formula(tau):
+    # the kernels floor the magnitude at max(tau, tiny) instead of clamping
+    # the factor at 0; the factors are the same
+    tiny = np.finfo(float).tiny
+    z = np.array([3 + 4j, 0.5j, -0.25, 0.0, 1.0, -1e-320, 2.0 - 1e-3j, 0.5 + 0.0j])
+    factor = np.maximum(1.0 - tau / np.maximum(np.abs(z), tiny), 0.0)
+    assert np.array_equal(solvers.complex_soft_threshold(z, tau), z * factor)
+    blocks = solvers.BlockStructure(4, 2)
+    norms = np.linalg.norm(z.reshape(4, 2), axis=1)
+    factor = np.maximum(1.0 - tau / np.maximum(norms, tiny), 0.0)
+    expected = (z.reshape(4, 2) * factor[:, None]).reshape(-1)
+    np.testing.assert_allclose(solvers.block_soft_threshold(z, tau, blocks), expected,
+                               rtol=1e-15, atol=0)
+
+
 def test_block_structure():
     blocks = solvers.BlockStructure(4, 3)
     assert blocks.dimension == 12
@@ -141,6 +157,28 @@ def test_basis_pursuit_zero_rhs():
     assert np.all(res.solution == 0)
 
 
+def _reference_history(A, y, cfg, shrink):
+    """(primal, dual) residual norms of a plain ADMM loop, by np.linalg.norm,
+    up to the iteration where both meet their tolerances."""
+    project = solvers.AffineProjection(A, y / np.linalg.norm(y))
+    d = A.shape[1]
+    z = np.zeros(d, dtype=complex)
+    u = np.zeros(d, dtype=complex)
+    history = []
+    for _ in range(cfg.max_iters):
+        x = project(z - u)
+        z_old = z
+        z = shrink(x + u, 1.0 / cfg.rho)
+        u = u + x - z
+        r_norm, s_norm = np.linalg.norm(x - z), cfg.rho * np.linalg.norm(z - z_old)
+        history.append((r_norm, s_norm))
+        eps_pri = cfg.tol_primal * np.sqrt(d) * max(1.0, np.linalg.norm(x), np.linalg.norm(z))
+        eps_dual = cfg.tol_dual * np.sqrt(d) * max(1.0, cfg.rho * np.linalg.norm(u))
+        if r_norm <= eps_pri and s_norm <= eps_dual:
+            break
+    return np.array(history)
+
+
 def test_solve_result_history():
     frame = _frame()
     x = np.zeros(49, dtype=complex)
@@ -149,6 +187,36 @@ def test_solve_result_history():
     assert res.residual_history.shape == (res.iterations, 2)
     assert res.residual_history[-1, 0] == pytest.approx(res.primal_residual)
     assert res.residual_history[-1, 1] == pytest.approx(res.dual_residual)
+    # the stopping norms come from one fused reduction; they are the norms
+    cfg = solvers.SolverConfig(max_iters=8)
+    A = _complex_normal(np.random.default_rng(12), (6, 20))
+    y = A[:, :2] @ np.array([1.0, -2.0j])
+    res = solvers.basis_pursuit(A, y, cfg)
+    ref = _reference_history(A, y, cfg, solvers.complex_soft_threshold)
+    assert res.iterations == 8
+    np.testing.assert_allclose(res.residual_history, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_block_solve_result_history(complex_valued):
+    # a solve that meets its tolerances in about 50 iterations: the fused norms
+    # match np.linalg.norm, and the stopping rule stops at the same iteration
+    ff = fusion.build_fusion_frame(diffsets.catalog_lookup(13, 4))
+    a = solvers.gaussian_measurement_coefficients(3, 13, seed=14, complex_valued=complex_valued)
+    op = solvers.assemble_fusion_operator(a, ff)
+    c = np.zeros(52, dtype=complex)
+    c[8:16] = _complex_normal(np.random.default_rng(15), 8)
+    y = op @ c
+    cfg = solvers.SolverConfig()
+    res = solvers.block_basis_pursuit(op, y, op.block_structure, cfg)
+    ref = _reference_history(op, y, cfg, lambda v, tau: solvers.block_soft_threshold(
+        v, tau, op.block_structure))
+    assert res.status == solvers.STATUS_CONVERGED and 10 < res.iterations == len(ref)
+    assert (res.primal_residual, res.dual_residual) == tuple(res.residual_history[-1])
+    # the two loops round differently, by about 1e-16 per entry of the
+    # unit-norm problem, so later, small residuals are compared absolutely
+    np.testing.assert_allclose(res.residual_history[:8], ref[:8], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.residual_history, ref, rtol=0, atol=1e-12)
 
 
 def test_max_iters_status():
@@ -634,6 +702,84 @@ def test_structured_projection_validates_input():
     for matrix in (zero, zero.effective):
         with pytest.raises(FactorizationError):
             solvers.AffineProjection(matrix, np.ones(14))
+
+
+@pytest.mark.parametrize("params, n", [((7, 3), 3), ((7, 3), 5), ((40, 13), 13),
+                                       ((40, 13), 16)])
+def test_fusion_with_n_at_least_k_is_one_point(params, n):
+    # every n x K block has full column rank, so Ax = y has one solution
+    N, K = params
+    op = _fusion_instance(N, K, n, seed=41)
+    c = np.zeros(N * K, dtype=complex)
+    c[:K] = _complex_normal(np.random.default_rng(42), K)
+    y = op @ c
+    proj = solvers.AffineProjection(op, y)
+    assert proj.rank == N * K
+    res = solvers.block_basis_pursuit(op, y, op.block_structure)
+    oracle = np.linalg.lstsq(op.effective, y, rcond=None)[0]
+    assert res.iterations == 0 and res.status == solvers.STATUS_CONVERGED
+    assert np.linalg.norm(res.solution - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    assert np.linalg.norm(res.solution - c) <= 1e-10 * np.linalg.norm(c)
+
+
+def test_basis_pursuit_full_column_rank_is_one_point():
+    rng = np.random.default_rng(43)
+    A = _complex_normal(rng, (9, 6))
+    y = A @ _complex_normal(rng, 6)
+    res = solvers.basis_pursuit(A, y)
+    oracle = np.linalg.lstsq(A, y, rcond=None)[0]
+    assert res.iterations == 0 and res.status == solvers.STATUS_CONVERGED
+    assert not res.certified and res.residual_history.shape == (0, 2)
+    assert np.linalg.norm(res.solution - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    assert res.objective == pytest.approx(np.abs(res.solution).sum())
+
+
+def test_fusion_with_a_duplicated_column_still_iterates():
+    # n >= K, but two equal columns of a make every block holding both rank
+    # deficient, so the feasible set is a line, not a point
+    ff = fusion.build_fusion_frame(diffsets.catalog_lookup(7, 3))
+    a = solvers.gaussian_measurement_coefficients(4, 7, seed=44)
+    a[:, 4] = a[:, 1]
+    op = solvers.assemble_fusion_operator(a, ff)
+    c = np.zeros(21, dtype=complex)
+    c[:3] = _complex_normal(np.random.default_rng(45), 3)
+    y = op @ c
+    assert solvers.AffineProjection(op, y).rank < 21
+    res = solvers.block_basis_pursuit(op, y, op.block_structure)
+    assert res.iterations > 0
+    assert np.linalg.norm(op @ res.solution - y) <= 1e-9 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("params, n, k", [((7, 3), 2, 2), ((13, 4), 3, 2), ((40, 13), 9, 4),
+                                          ((40, 13), 16, 4)])
+def test_real_coefficients_match_their_complex_form(params, n, k):
+    # real coefficients are factored in real arithmetic; the same numbers as
+    # complex ones take the complex path, and both give the same answers
+    N, K = params
+    ff = fusion.build_fusion_frame(diffsets.catalog_lookup(N, K))
+    a = solvers.gaussian_measurement_coefficients(n, N, seed=46)
+    real_op = solvers.assemble_fusion_operator(a, ff)
+    complex_op = solvers.assemble_fusion_operator(a.astype(complex), ff)
+    assert real_op.blocks.dtype == float and complex_op.blocks.dtype == complex
+    rng = np.random.default_rng(47)
+    c = np.zeros(N * K, dtype=complex)
+    for j in rng.choice(N, size=k, replace=False):
+        c[j * K:(j + 1) * K] = _complex_normal(rng, K)
+    y = real_op @ c
+    assert np.array_equal(y, complex_op @ c)
+    real_proj = solvers.AffineProjection(real_op, y)
+    complex_proj = solvers.AffineProjection(complex_op, y)
+    assert real_proj.rank == complex_proj.rank
+    for _ in range(3):
+        w = _complex_normal(rng, N * K)
+        ref = complex_proj(w)
+        assert np.linalg.norm(real_proj(w) - ref) <= 1e-10 * np.linalg.norm(ref)
+    cfg = solvers.SolverConfig(max_iters=300)
+    real_res = solvers.block_basis_pursuit(real_op, y, real_op.block_structure, cfg)
+    complex_res = solvers.block_basis_pursuit(complex_op, y, complex_op.block_structure, cfg)
+    assert real_res.status == complex_res.status
+    assert (np.linalg.norm(real_res.solution - complex_res.solution)
+            <= 1e-10 * np.linalg.norm(complex_res.solution))
 
 
 @pytest.mark.parametrize("params, n, k", [((7, 3), 2, 1), ((7, 3), 4, 2),
