@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__, diffsets, experiments, fusion, gabor, solvers
-from .errors import DiffGaborError
+from .errors import DiffGaborError, InvalidInputError
 
 
 def _parse_ints(text):
@@ -108,12 +108,8 @@ def _cmd_diffset_catalog(args):
 # ---------------------------------------------------------------- gabor
 
 def _coherence_frame(args):
-    from .errors import ConfigurationError
-
     if args.set is not None:
-        ds = diffsets.catalog_lookup(*args.set)
-        if ds is None:
-            raise ConfigurationError(f"no catalog difference set for {args.set}")
+        ds = diffsets.require_catalog_set(*args.set)
         return gabor.build_gabor_frame(gabor.difference_set_generator(ds))
     if args.alltop is not None:
         return gabor.build_gabor_frame(gabor.alltop_generator(args.alltop))
@@ -151,12 +147,7 @@ def _cmd_gabor_table(args):
 # ---------------------------------------------------------------- fusion
 
 def _fusion_frame(pair):
-    from .errors import ConfigurationError
-
-    ds = diffsets.catalog_lookup(*pair)
-    if ds is None:
-        raise ConfigurationError(f"no catalog difference set for {pair}")
-    return fusion.build_fusion_frame(ds)
+    return fusion.build_fusion_frame(diffsets.require_catalog_set(*pair))
 
 
 def _cmd_fusion_report(args):
@@ -256,7 +247,9 @@ def _curves_json(curves):
 
 
 def _cmd_experiment_classic(args):
-    grid = args.ks if args.ks else list(range(1, (args.kmax or args.n) + 1))
+    if args.kmax is not None and args.kmax < 1:
+        raise InvalidInputError(f"kmax={args.kmax} must be at least 1")
+    grid = args.ks if args.ks is not None else range(1, (args.kmax or args.n) + 1)
     cfg = experiments.ClassicExperimentConfig(
         N=args.n,
         sparsity_grid=grid,
@@ -276,7 +269,7 @@ def _cmd_experiment_classic(args):
 
 def _cmd_experiment_fusion(args):
     N = args.set[0]
-    grid = args.ks if args.ks else [k for k in (1, 2, 4, 8) if k <= N]
+    grid = args.ks if args.ks is not None else [k for k in (1, 2, 4, 8) if k <= N]
     cfg = experiments.FusionExperimentConfig(
         set_params=tuple(args.set),
         measurement_grid=args.measurements,

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CatalogError, InvalidInputError, UnsupportedParametersError
+from .errors import CatalogError, ConfigurationError, InvalidInputError, UnsupportedParametersError
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
 
@@ -285,12 +285,12 @@ def _parse_catalog(text, origin="catalog"):
             elements = [int(t) for t in tail.split(",")]
         except ValueError as exc:
             raise CatalogError(f"{origin}:{lineno}: cannot parse {line!r}") from exc
+        if len(elements) != K:
+            raise CatalogError(f"{origin}:{lineno}: element count != K")
         report = verify_difference_set(N, elements)
         if not report.is_difference_set or report.inferred_lambda != lam or not report.params_ok:
             raise CatalogError(f"{origin}:{lineno}: entry ({N},{K},{lam}) fails verification")
-        if len(elements) != K:
-            raise CatalogError(f"{origin}:{lineno}: element count != K")
-        entries[(N, K)] = make_difference_set(N, elements)
+        entries[(N, K)] = DifferenceSet(N, tuple(sorted(elements)), DifferenceSetParams(N, K, lam))
     return entries
 
 
@@ -311,6 +311,14 @@ def catalog_lookup(N, K):
     if derive_params(N, K) is None:
         return None
     return load_catalog().get((N, K))
+
+
+def require_catalog_set(N, K):
+    """Catalog entry for (N, K); ConfigurationError when the catalog has none."""
+    ds = catalog_lookup(N, K)
+    if ds is None:
+        raise ConfigurationError(f"no catalog difference set for {(N, K)}")
+    return ds
 
 
 def catalog_entries():

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diffsets import catalog_lookup
+from .diffsets import require_catalog_set
 from .errors import ConfigurationError, InvalidInputError
 from .fusion import build_fusion_frame
 from .gabor import (alltop_generator, build_gabor_frame, difference_set_generator,
@@ -85,7 +85,8 @@ class ClassicExperimentConfig:
         if self.N < 2:
             raise InvalidInputError("dimension N must be >= 2")
         if not self.sparsity_grid or not all(1 <= k <= self.N ** 2 for k in self.sparsity_grid):
-            raise InvalidInputError("sparsity grid must be nonempty with 1 <= k <= N^2")
+            raise InvalidInputError(
+                f"sparsity grid {list(self.sparsity_grid)} must be nonempty with 1 <= k <= N^2")
         if self.trials < 1:
             raise InvalidInputError("need at least one trial")
         unknown = set(self.generators) - set(GENERATOR_KINDS)
@@ -116,7 +117,8 @@ class FusionExperimentConfig:
         if not self.measurement_grid or min(self.measurement_grid) < 1:
             raise InvalidInputError("measurement grid must be nonempty and positive")
         if not self.sparsity_grid or not all(1 <= k <= N for k in self.sparsity_grid):
-            raise InvalidInputError("sparsity grid must be nonempty with 1 <= k <= N")
+            raise InvalidInputError(
+                f"sparsity grid {list(self.sparsity_grid)} must be nonempty with 1 <= k <= N")
         if self.trials < 1:
             raise InvalidInputError("need at least one trial")
 
@@ -166,11 +168,10 @@ def random_fusion_sparse_signal(ff, k, seed, complex_coefficients=True):
     if complex_coefficients:
         vals = (rng.standard_normal((k, K)) + 1j * rng.standard_normal((k, K))) / np.sqrt(2)
     else:
-        vals = rng.standard_normal((k, K)).astype(complex)
-    coeffs = np.zeros(N * K, dtype=complex)
-    for row, j in enumerate(active):
-        coeffs[j * K:(j + 1) * K] = vals[row]
-    return coeffs
+        vals = rng.standard_normal((k, K))
+    coeffs = np.zeros((N, K), dtype=complex)
+    coeffs[active] = vals
+    return coeffs.reshape(-1)
 
 
 def normalized_squared_error(x_hat, x):
@@ -224,9 +225,7 @@ def run_classic_experiment(cfg):
         elif kind == "difference_set":
             if cfg.set_params is None:
                 raise ConfigurationError("difference_set generator needs set_params=(N, K)")
-            ds = catalog_lookup(*cfg.set_params)
-            if ds is None:
-                raise ConfigurationError(f"no catalog difference set for {cfg.set_params}")
+            ds = require_catalog_set(*cfg.set_params)
             if ds.N != cfg.N:
                 raise ConfigurationError(
                     f"difference set modulus {ds.N} != experiment dimension {cfg.N}"
@@ -267,10 +266,7 @@ def run_fusion_experiment(cfg):
     Measurement coefficients and the fusion-sparse signal are redrawn each
     trial from the derived seeds.
     """
-    ds = catalog_lookup(*cfg.set_params)
-    if ds is None:
-        raise ConfigurationError(f"no catalog difference set for {cfg.set_params}")
-    ff = build_fusion_frame(ds)
+    ff = build_fusion_frame(require_catalog_set(*cfg.set_params))
 
     curves = []
     for n in cfg.measurement_grid:

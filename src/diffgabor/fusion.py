@@ -7,6 +7,7 @@ valued closed forms (simplex bound, chordal distance).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -18,16 +19,16 @@ CLOSED_FORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class FusionSubspace:
-    index: int
-    support: frozenset
-    dimension: int
-
-
-@dataclass
 class GaborFusionFrame:
+    """The N translates S + i of a difference set S, held as S alone.
+
+    ``supports`` and ``owners`` are the one record of the layout: stacked
+    coefficient i*K + c lies on coordinate supports[i, c], and owners[m]
+    lists the stacked coefficients on coordinate m.  Both are read-only,
+    and the frame is frozen, so they cannot go stale.
+    """
+
     diffset: object
-    subspaces: list
 
     @property
     def N(self):
@@ -37,20 +38,34 @@ class GaborFusionFrame:
     def K(self):
         return self.diffset.params.K
 
+    @cached_property
+    def supports(self):
+        """(N, K) integer array: row i is S + i mod N, sorted."""
+        table = np.sort((np.arange(self.N)[:, None] + self.diffset.elements) % self.N, axis=1)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def owners(self):
+        """(N, K) integer array: row m holds, increasing, the stacked coefficients on m.
+
+        Translates of a K-set cover each coordinate K times, so the stable
+        argsort of the flat support table splits into N rows of K.
+        """
+        table = np.argsort(self.supports.reshape(-1), kind="stable").reshape(self.N, self.K)
+        table.flags.writeable = False
+        return table
+
     def projection_matrix(self, i):
         """Dense diagonal 0/1 projection onto W_i (cross-checks only)."""
         P = np.zeros((self.N, self.N))
-        idx = sorted(self.subspaces[i].support)
+        idx = self.supports[i]
         P[idx, idx] = 1.0
         return P
 
     def projection_sum_diagonal(self):
         """Integer diagonal of sum_i P_i; equals K everywhere for a valid set."""
-        diag = [0] * self.N
-        for sub in self.subspaces:
-            for m in sub.support:
-                diag[m] += 1
-        return diag
+        return np.bincount(self.supports.reshape(-1), minlength=self.N)
 
 
 @dataclass
@@ -66,29 +81,25 @@ class FusionReport:
 
 def build_fusion_frame(ds):
     """Fusion frame of all N translates of the difference-set support."""
-    base = [int(e) for e in ds.elements]
-    K = ds.params.K
-    subs = [
-        FusionSubspace(i, frozenset((k + i) % ds.N for k in base), K)
-        for i in range(ds.N)
-    ]
-    return GaborFusionFrame(ds, subs)
+    return GaborFusionFrame(ds)
 
 
 def fusion_frame_bounds(ff):
     """(A, B) = extreme eigenvalues of sum_i P_i — min/max diagonal counts."""
     diag = ff.projection_sum_diagonal()
-    return float(min(diag)), float(max(diag))
+    return float(diag.min()), float(diag.max())
 
 
-def chordal_distance(W_a, W_b):
-    """d_c = sqrt(m - Tr[P_a P_b]) = sqrt(m - |support_a intersect support_b|)."""
-    if W_a.dimension != W_b.dimension:
+def chordal_distance(support_a, support_b):
+    """d_c = sqrt(m - Tr[P_a P_b]) = sqrt(m - |support_a intersect support_b|)
+    for two supports of m distinct coordinates, such as rows of ff.supports."""
+    m = len(support_a)
+    if len(support_b) != m:
         raise InvalidInputError(
-            f"chordal distance needs equal dimensions, got {W_a.dimension} != {W_b.dimension}"
+            f"chordal distance needs equal dimensions, got {m} != {len(support_b)}"
         )
-    overlap = len(W_a.support & W_b.support)
-    return float(np.sqrt(W_a.dimension - overlap))
+    overlap = len(set(support_a).intersection(support_b))
+    return float(np.sqrt(m - overlap))
 
 
 def overlap_circulant(ff):
@@ -140,20 +151,19 @@ def sparsity_count(ff):
     Returns (KN, bases) where bases[i] lists the canonical-vector indices
     {(k + i) mod N : k in S} spanning W_i — each basis vector is 1-sparse.
     """
-    bases = [sorted(sub.support) for sub in ff.subspaces]
-    return ff.K * ff.N, bases
+    return ff.K * ff.N, ff.supports
 
 
 def support_product_norm(support_a, support_b):
     """Spectral norm of the product of two diagonal 0/1 projections: 1 iff they overlap."""
-    return 1.0 if frozenset(support_a) & frozenset(support_b) else 0.0
+    return 0.0 if set(support_a).isdisjoint(support_b) else 1.0
 
 
 def projection_product_norm(ff, a, b):
     """||P_a P_b||_2 for distinct subspaces; lambda >= 1 forces overlap, so 1."""
     if a == b:
         raise InvalidInputError("projection product norm is defined for distinct pairs")
-    return support_product_norm(ff.subspaces[a].support, ff.subspaces[b].support)
+    return support_product_norm(ff.supports[a], ff.supports[b])
 
 
 def fusion_report(ff, tol=CLOSED_FORM_TOL):

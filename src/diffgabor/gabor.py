@@ -6,6 +6,7 @@ Columns are ordered c(k, j) = k*N + j so the translates form contiguous
 blocks [B_0 B_1 ... B_{N-1}]; everything downstream relies on that layout.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -382,15 +383,17 @@ def family_table_rows(quadratic=(), quartic=(), singer=(), catalog=None,
     quartic:   primes p in {37, 101} (catalog-backed) -> (p, (p-1)/4, (p-5)/16),
                mu^2 = (3p+1)/(p-1)^2 below p=57 and (p-5)^2/(16(p-1)^2) above.
     singer:    pairs (q, d) -> ((q^{d+1}-1)/(q-1), (q^d-1)/(q-1), (q^{d-1}-1)/(q-1)),
-               q >= 2 and d >= 2 (d = 1 gives lambda = 0).
+               q >= 2 and d >= 2 (d = 1 gives lambda = 0), and q^{d+1} < 2^1024
+               so that N and the row's floats stay finite.
     """
     from . import diffsets
 
     if measure_limit < 0:
         raise InvalidInputError(f"measure limit {measure_limit} must be nonnegative")
     for q, d in singer:
-        if q < 2 or d < 2:
-            raise InvalidInputError(f"Singer pair q:d = {q}:{d} needs q >= 2 and d >= 2")
+        if q < 2 or d < 2 or (d + 1) * math.log2(q) >= 1024:
+            raise InvalidInputError(
+                f"Singer pair q:d = {q}:{d} needs q >= 2, d >= 2 and q^(d+1) < 2^1024")
     if catalog is None:
         catalog = diffsets.catalog_lookup
     rows = []

@@ -420,7 +420,8 @@ def _admm(matrix, y, cfg, shrink, objective, certify_l1=False, refute_below=None
     primal, step, x, z, u = rows
     parts = rows.view(float)
     squares = np.empty(5)
-    history = np.empty((cfg.max_iters, 2))
+    # grows per iteration: max_iters bounds the loop, not memory
+    history = []
     w = np.empty(d, dtype=complex)
     rho = cfg.rho
     tau = 1.0 / rho
@@ -439,7 +440,7 @@ def _admm(matrix, y, cfg, shrink, objective, certify_l1=False, refute_below=None
         np.subtract(x, z, out=primal)
         u += primal
         r2, s2, x2, z2, u2 = _row_squares(parts, squares).tolist()
-        history[it - 1] = r2, s2
+        history.append((r2, s2))
         if (math.sqrt(r2) <= tol_primal * max(1.0, math.sqrt(max(x2, z2)))
                 and rho * math.sqrt(s2) <= tol_dual * max(1.0, rho * math.sqrt(u2))):
             status = STATUS_CONVERGED
@@ -462,7 +463,7 @@ def _admm(matrix, y, cfg, shrink, objective, certify_l1=False, refute_below=None
         if bound is not None and objective(x) < bound:
             status = STATUS_REFUTED
             break
-    history = np.sqrt(history[:it])
+    history = np.sqrt(history)
     history[:, 1] *= rho
     solution = x * ynorm
     return SolveResult(
@@ -541,17 +542,15 @@ class FusionMeasurementOperator:
 
     B_j is the canonical 1-sparse basis of W_j (columns e_m, m in the sorted
     support), so stacked coefficient j*K + c lands on ambient coordinate
-    support_j[c].  Every coordinate m lies in exactly K translates, and
-    measurement i at m reads only those K coefficients: row i*N + m of the
-    map is row i of the local block a[:, owners[m] // K] applied to
-    c[owners[m]].  Shape: (n*N) x (N*K).
+    fusion_frame.supports[j, c].  Every coordinate m lies in exactly K
+    translates, and measurement i at m reads only those K coefficients: row
+    i*N + m of the map is row i of the local block a[:, owners[m] // K]
+    applied to c[owners[m]].  Shape: (n*N) x (N*K).
     """
 
-    coefficients: np.ndarray  # n x N
     fusion_frame: object
     block_structure: BlockStructure
-    subspace_bases: list  # per subspace: sorted canonical support indices
-    owners: np.ndarray  # (N, K): stacked coefficient indices landing on coordinate m
+    owners: np.ndarray  # (N, K): fusion_frame.owners, the coefficients on coordinate m
     blocks: np.ndarray  # (N, n, K): local block of coordinate m; real for real coefficients
 
     @property
@@ -583,25 +582,16 @@ class FusionMeasurementOperator:
 def assemble_fusion_operator(a, ff):
     """Measurement operator of coefficients ``a`` (n x N) on the fusion frame ``ff``.
 
-    Records, for each ambient coordinate m, the K stacked coefficient indices
-    that land on m, and the n x K local block a[:, j] of the owning
-    subspaces j; see FusionMeasurementOperator.
+    Gathers, for each ambient coordinate m, the n x K local block a[:, j] of
+    the subspaces j that own it (``ff.owners``); see FusionMeasurementOperator.
     """
     a = np.asarray(a)
-    if a.ndim != 2:
-        raise InvalidInputError("coefficients must be an n x N matrix")
-    n, cols = a.shape
     N, K = ff.N, ff.K
-    if cols != N:
-        raise InvalidInputError(f"coefficients have {cols} columns, fusion frame has {N}")
-    bases = [sorted(sub.support) for sub in ff.subspaces]
-    landing = np.array(bases).reshape(-1)
-    if np.any(np.bincount(landing, minlength=N) != K):
-        raise InvalidInputError(f"fusion frame does not cover every coordinate exactly {K} times")
-    owners = np.argsort(landing, kind="stable").reshape(N, K)
+    if a.ndim != 2 or a.shape[1] != N:
+        raise InvalidInputError(f"coefficients must be an n x {N} matrix, got shape {a.shape}")
     dtype = complex if np.iscomplexobj(a) else float
-    blocks = np.ascontiguousarray(a[:, owners // K].transpose(1, 0, 2), dtype=dtype)
-    return FusionMeasurementOperator(a, ff, BlockStructure(N, K), bases, owners, blocks)
+    blocks = np.ascontiguousarray(a[:, ff.owners // K].transpose(1, 0, 2), dtype=dtype)
+    return FusionMeasurementOperator(ff, BlockStructure(N, K), ff.owners, blocks)
 
 
 def coefficients_to_subspace_vectors(ff, coeffs):
@@ -611,8 +601,7 @@ def coefficients_to_subspace_vectors(ff, coeffs):
     if coeffs.shape[0] != N * K:
         raise InvalidInputError(f"expected {N * K} stacked coefficients, got {coeffs.shape[0]}")
     out = np.zeros((N, N), dtype=complex)
-    for j, sub in enumerate(ff.subspaces):
-        out[j, sorted(sub.support)] = coeffs[j * K:(j + 1) * K]
+    out[np.arange(N)[:, None], ff.supports] = coeffs.reshape(N, K)
     return out
 
 

@@ -336,6 +336,40 @@ def test_gabor_table_bad_singer_pair_exit_code(capsys, pair):
     assert rc == 3 and captured.out == "" and f"q:d = {pair}" in captured.err
 
 
+def test_gabor_table_singer_pair_beyond_float_range(capsys):
+    # N = 2^1101 - 1 has no float form, so 1/(N + 1) cannot be a float
+    rc = cli.main(["gabor", "table", "--singer", "2:1100"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and "q:d = 2:1100" in captured.err
+    # the largest q = 2 pair below the bound still gives its row
+    rc, doc = _run_json(capsys, "gabor", "table", "--singer", "2:1022", "--quadratic", ",",
+                        "--quartic", ",")
+    assert rc == 0 and doc["report"]["rows"][0]["N"] == 2 ** 1023 - 1
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["classic", "--n", "7", "--generators", "alltop", "--kmax", "0"], "kmax=0"),
+    (["classic", "--n", "7", "--generators", "alltop", "--ks", ","], "grid []"),
+    (["fusion", "--set", "7,3", "--measurements", "4", "--ks", ","], "grid []"),
+])
+def test_experiment_empty_sparsity_grid_exit_code(capsys, tmp_path, argv, value):
+    rc = cli.main(["experiment", *argv, "--trials", "1", "--out", str(tmp_path / "out.csv")])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and value in captured.err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("max_iters", ["1000000000000", "99999999999999999999"])
+def test_experiment_huge_iteration_cap(capsys, tmp_path, max_iters):
+    # the cap bounds the loop; the trial certifies long before it
+    rc, doc = _run_json(capsys, "experiment", "classic", "--n", "7", "--ks", "1",
+                        "--trials", "1", "--generators", "alltop", "--max-iters", max_iters,
+                        "--out", str(tmp_path / "out.csv"))
+    assert rc == 0
+    diag = doc["report"]["curves"][0]["diagnostics"][0]
+    assert diag["certified"] == 1 and diag["max_iterations"] <= 10
+
+
 @pytest.mark.parametrize("argv", [
     ["diffset", "search", "7", "3", "--budget", "-1"],
     ["gabor", "table", "--measure-limit", "-1"],

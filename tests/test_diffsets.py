@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffgabor import diffsets
-from diffgabor.errors import CatalogError, InvalidInputError, UnsupportedParametersError
+from diffgabor.errors import (CatalogError, ConfigurationError, InvalidInputError,
+                              UnsupportedParametersError)
 
 
 def test_params_accepts_valid_triples():
@@ -187,6 +188,10 @@ def test_catalog_lookup():
     assert ds is not None and ds.params.lam == 10
     assert diffsets.catalog_lookup(6, 3) is None
     assert diffsets.catalog_lookup(97, 10) is None
+    assert diffsets.require_catalog_set(43, 21) is ds
+    for N, K in [(6, 3), (97, 10)]:
+        with pytest.raises(ConfigurationError, match=rf"no catalog difference set for \({N}, {K}\)"):
+            diffsets.require_catalog_set(N, K)
 
 
 def test_catalog_rejects_corruption(tmp_path):
@@ -194,6 +199,21 @@ def test_catalog_rejects_corruption(tmp_path):
     bad.write_text("7 3 1 : 0,1,2\n")  # not a difference set
     with pytest.raises(CatalogError):
         diffsets.load_catalog(str(bad))
+    bad.write_text("# comment\n\n7 3 1 : 0,1,3\n13 4 1 : 0,1,3\n")  # K=4, three elements
+    with pytest.raises(CatalogError, match="catalog.txt:4: element count"):
+        diffsets.load_catalog(str(bad))
+
+
+def test_catalog_verifies_each_entry_once(monkeypatch, tmp_path):
+    calls = []
+    verify = diffsets.verify_difference_set
+    monkeypatch.setattr(diffsets, "verify_difference_set",
+                        lambda N, subset: calls.append(N) or verify(N, subset))
+    path = tmp_path / "catalog.txt"
+    path.write_text("7 3 1 : 0,1,3\n13 4 1 : 0,1,3,9\n")
+    entries = diffsets.load_catalog(str(path))
+    assert calls == [7, 13]
+    assert entries[(13, 4)] == diffsets.make_difference_set(13, [0, 1, 3, 9])
 
 
 def test_normalized_generator_and_spectrum():

@@ -9,15 +9,38 @@ def _ff(N, K):
     return fusion.build_fusion_frame(diffsets.catalog_lookup(N, K))
 
 
+def _non_difference_set():
+    # {0, 1, 3} is a (7,3,1) set, {0, 1, 2} is not: overlaps 2, 1 and 0 occur
+    return diffsets.DifferenceSet(7, (0, 1, 2), diffsets.DifferenceSetParams(7, 3, 1))
+
+
 def test_subspaces_are_cyclic_shifts():
     ff = _ff(7, 3)
     assert ff.N == 7 and ff.K == 3
-    assert len(ff.subspaces) == 7
+    assert ff.supports.shape == (7, 3) and ff.supports.dtype.kind == "i"
     base = set(ff.diffset.elements)
-    for i, sub in enumerate(ff.subspaces):
-        assert sub.index == i
-        assert sub.dimension == 3
-        assert sub.support == {(e + i) % 7 for e in base}
+    for i, row in enumerate(ff.supports.tolist()):
+        assert row == sorted({(e + i) % 7 for e in base})
+    with pytest.raises(ValueError):
+        ff.supports[0, 0] = 5  # shared by every operator on the frame
+    with pytest.raises(AttributeError):  # frozen: the cached tables cannot go stale
+        ff.diffset = _non_difference_set()
+
+
+@pytest.mark.parametrize("ds", [*diffsets.catalog_entries(),
+                                pytest.param(_non_difference_set(), id="7,not-a-difference-set")],
+                         ids=lambda ds: f"{ds.N},{ds.params.K}")
+def test_owners_invert_supports(ds):
+    ff = fusion.build_fusion_frame(ds)
+    N, K = ds.N, ds.params.K
+    assert ff.owners.shape == (N, K)
+    flat = ff.supports.reshape(-1)
+    for m in range(N):
+        assert np.all(flat[ff.owners[m]] == m)
+        assert np.all(np.diff(ff.owners[m]) > 0)
+    assert sorted(ff.owners.reshape(-1).tolist()) == list(range(N * K))
+    with pytest.raises(ValueError):
+        ff.owners[0, 0] = 5
 
 
 def test_projection_matrices():
@@ -46,13 +69,10 @@ def test_tight_bound():
 
 def test_chordal_distance_exact():
     ff = _ff(7, 3)
-    d = fusion.chordal_distance(ff.subspaces[0], ff.subspaces[1])
+    d = fusion.chordal_distance(ff.supports[0], ff.supports[1])
     assert d == pytest.approx(np.sqrt(2))
-    with pytest.raises(InvalidInputError):
-        fusion.chordal_distance(
-            ff.subspaces[0],
-            fusion.FusionSubspace(0, frozenset({0, 1}), 2),
-        )
+    with pytest.raises(InvalidInputError, match="3 != 2"):
+        fusion.chordal_distance(ff.supports[0], [0, 1])
 
 
 @pytest.mark.parametrize("ds", diffsets.catalog_entries(), ids=lambda ds: f"{ds.N},{ds.params.K}")
@@ -60,20 +80,19 @@ def test_overlap_circulant_matches_set_intersections(ds):
     ff = fusion.build_fusion_frame(ds)
     O = fusion.overlap_circulant(ff)
     assert O.shape == (ds.N, ds.N) and O.dtype.kind == "i"
-    brute = [[len(Wa.support & Wb.support) for Wb in ff.subspaces] for Wa in ff.subspaces]
+    # brute force: each translate as a set, straight from the difference set
+    subspaces = [{(e + i) % ds.N for e in ds.elements} for i in range(ds.N)]
+    brute = [[len(Wa & Wb) for Wb in subspaces] for Wa in subspaces]
     assert O.tolist() == brute
-    # distances read from the same overlaps as the frozenset chordal distance
+    # distances read from the same overlaps as the pairwise chordal distance
     D = fusion.chordal_distance_matrix(ff)
     for a, b in [(0, 1), (1, 0), (ds.N - 1, 0), (2 % ds.N, ds.N - 1)]:
         if a != b:
-            assert D[a, b] == fusion.chordal_distance(ff.subspaces[a], ff.subspaces[b])
+            assert D[a, b] == fusion.chordal_distance(ff.supports[a], ff.supports[b])
 
 
 def test_equidistance_check_detects_unequal_overlaps():
-    # {0, 1, 3} is a (7,3,1) set, {0, 1, 2} is not: overlaps 2, 1 and 0 occur
-    params = diffsets.DifferenceSetParams(7, 3, 1)
-    fake = diffsets.DifferenceSet(7, (0, 1, 2), params)
-    equi, dc2 = fusion.equidistance_check(fusion.build_fusion_frame(fake))
+    equi, dc2 = fusion.equidistance_check(fusion.build_fusion_frame(_non_difference_set()))
     assert not equi and dc2 is None
 
 
@@ -108,7 +127,8 @@ def test_sparsity_count():
     total, bases = fusion.sparsity_count(ff)
     assert total == 21
     assert len(bases) == 7
-    assert bases[0] == sorted(ff.subspaces[0].support)
+    assert list(bases[0]) == sorted(ff.diffset.elements)
+    assert list(bases[3]) == sorted((e + 3) % 7 for e in ff.diffset.elements)
 
 
 def test_projection_product_norms():

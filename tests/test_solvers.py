@@ -219,6 +219,19 @@ def test_block_solve_result_history(complex_valued):
     np.testing.assert_allclose(res.residual_history, ref, rtol=0, atol=1e-12)
 
 
+def test_iteration_cap_sizes_no_buffer():
+    # the history grows with the iterations run, not with the cap
+    frame = _frame()
+    x = np.zeros(49, dtype=complex)
+    x[3] = 1.0
+    y = frame.columns @ x
+    ref = solvers.basis_pursuit(frame, y)
+    for cap in (10 ** 12, 10 ** 20):
+        res = solvers.basis_pursuit(frame, y, solvers.SolverConfig(max_iters=cap))
+        assert res.iterations == ref.iterations < 100
+        assert res.residual_history.tobytes() == ref.residual_history.tobytes()
+
+
 def test_max_iters_status():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((4, 12))
