@@ -190,7 +190,8 @@ def exhaustive_search(N, K, lam=None, budget=DEFAULT_SEARCH_BUDGET):
 
     Translation-invariance lets us force 0 as the smallest element; branches
     die as soon as any difference count exceeds lam.  `nodes` counts every
-    candidate element tried.  When lam is omitted it is derived from (N, K).
+    candidate element tried.  When lam is omitted it is derived from (N, K);
+    a given lam below 1 is an InvalidInputError.
 
     Returns
     -------
@@ -209,7 +210,9 @@ def exhaustive_search(N, K, lam=None, budget=DEFAULT_SEARCH_BUDGET):
         if derived is None:
             return SearchResult(SEARCH_NONEXISTENT, None, 0)
         lam = derived.lam
-    if lam < 1 or lam > K or K * (K - 1) != lam * (N - 1):
+    if lam < 1:
+        raise InvalidInputError(f"lam={lam} must be a positive integer")
+    if lam > K or K * (K - 1) != lam * (N - 1):
         return SearchResult(SEARCH_NONEXISTENT, None, 0)
 
     counts = [0] * N
@@ -287,7 +290,10 @@ def _parse_catalog(text, origin="catalog"):
             raise CatalogError(f"{origin}:{lineno}: cannot parse {line!r}") from exc
         if len(elements) != K:
             raise CatalogError(f"{origin}:{lineno}: element count != K")
-        report = verify_difference_set(N, elements)
+        try:
+            report = verify_difference_set(N, elements)
+        except InvalidInputError as exc:  # a duplicate or out-of-range residue
+            raise CatalogError(f"{origin}:{lineno}: {exc}") from exc
         if not report.is_difference_set or report.inferred_lambda != lam or not report.params_ok:
             raise CatalogError(f"{origin}:{lineno}: entry ({N},{K},{lam}) fails verification")
         entries[(N, K)] = DifferenceSet(N, tuple(sorted(elements)), DifferenceSetParams(N, K, lam))

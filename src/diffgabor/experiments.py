@@ -115,7 +115,8 @@ class FusionExperimentConfig:
         self.sparsity_grid = tuple(int(k) for k in self.sparsity_grid)
         N = self.set_params[0]
         if not self.measurement_grid or min(self.measurement_grid) < 1:
-            raise InvalidInputError("measurement grid must be nonempty and positive")
+            raise InvalidInputError(
+                f"measurement grid {list(self.measurement_grid)} must be nonempty and positive")
         if not self.sparsity_grid or not all(1 <= k <= N for k in self.sparsity_grid):
             raise InvalidInputError(
                 f"sparsity grid {list(self.sparsity_grid)} must be nonempty with 1 <= k <= N")

@@ -119,10 +119,21 @@ def difference_set_generator(ds):
     return Generator(normalized_generator(ds), kind="difference_set", params=ds.params)
 
 
+def check_window_length(N):
+    """InvalidInputError when the N x N^2 frame of an N-point window has more
+    entries than an array can index; checked before anything of length N is made."""
+    limit = np.iinfo(np.intp).max
+    if N ** 3 > limit:
+        raise InvalidInputError(
+            f"dimension N={N} is too large: its N x N^2 Gabor frame would have more "
+            f"than {limit} entries")
+
+
 def alltop_generator(N):
     """Cubic-phase unimodular window g(j) = exp(2 pi i j^3 / N)/sqrt(N), N prime >= 5."""
     from .diffsets import _is_prime
 
+    check_window_length(N)
     if not _is_prime(N) or N < 5:
         raise UnsupportedParametersError(f"Alltop window needs prime N >= 5, got {N}")
     j = np.arange(N)
@@ -136,6 +147,7 @@ def random_torus_generator(N, seed):
         raise InvalidInputError(f"random torus window needs N >= 1, got N={N}")
     if seed < 0:
         raise InvalidInputError(f"random torus window needs seed >= 0, got seed={seed}")
+    check_window_length(N)
     rng = np.random.default_rng(seed)
     u = rng.random(N)
     return Generator(np.exp(2j * np.pi * u) / np.sqrt(N), kind="random_torus")

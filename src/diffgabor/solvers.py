@@ -2,12 +2,13 @@
 
 Splitting: min ||z||_1 (or sum of block norms) subject to x in {Ax = y}, x = z.
 The x-update is an exact affine projection chosen by the type of A — a
-scalar correction for a Gabor frame (N-tight: A A* = N ||g||^2 I), and an
-SVD pseudoinverse otherwise, factored coordinate by coordinate for a fusion
-measurement operator — and the z-update is the
-complex (block) soft threshold.  Basis pursuit is positively homogeneous,
-so the iteration runs on y/||y|| and the solution is rescaled afterwards;
-this keeps convergence behavior scale-free.
+scalar correction for a Gabor frame (N-tight: A A* = N ||g||^2 I), a QR
+factorization of the local blocks of a fusion measurement operator (one per
+coordinate, with an SVD when full rank cannot be proved from R: see
+_blockwise_qr), and an SVD pseudoinverse otherwise — and the z-update is the complex (block) soft
+threshold.  Basis pursuit is positively homogeneous, so the iteration runs
+on y/||y|| and the solution is rescaled afterwards; this keeps convergence
+behavior scale-free.
 
 When A has full column rank (projection rank d), {x : Ax = y} is one point,
 the projection of 0, and it is returned with 0 iterations: a fusion
@@ -57,6 +58,10 @@ STATUS_REFUTED = "refuted"
 
 # relative residual above which y is declared outside the range of A
 _CONSISTENCY_TOL = 1e-8
+# the QR rank test's bound must clear the SVD cutoff by this factor: the
+# computed R is exact for a perturbation of B of order p * eps * ||B||, and
+# near the cutoff R^-1 is computed to about p / size <= 1/N relative
+_RANK_MARGIN = 2.0
 # basis pursuit tries to certify its iterate every this many iterations
 _CERTIFY_PERIOD = 10
 # a dual certificate must keep |A_j^H w| below 1 - margin off the support
@@ -138,11 +143,15 @@ class AffineProjection:
 
     A FusionMeasurementOperator is block-diagonal up to a row and column
     permutation, so it is factored as its N local n x K blocks instead: one
-    batched SVD, with the rank cutoff and the range check taken over all
-    blocks at once, which is what the dense SVD of the permuted matrix gives.
-    Real blocks stay real: the SVD and the null projectors are real, and a
-    complex iterate is projected as its (N, K, 2) view of real and
-    imaginary parts.
+    batched QR of each block's tall side, B = QR for n >= K and B^H = QR for
+    n < K.  It is used only when a bound on R proves that every block has
+    the full rank p = min(n, K) that the dense SVD of the permuted matrix
+    would report; any other case takes one batched SVD, with the rank cutoff
+    and the range check taken over all blocks at once, which is what that
+    dense SVD gives.  With n >= K the feasible set is one point, so no null
+    projector is formed.  Real blocks stay real: the factors and the null
+    projectors are real, and a complex iterate is projected as its (N, K, 2)
+    view of real and imaginary parts.
 
     ``rank`` is the rank of A: rank == d means the feasible set is a single
     point, which every w projects to.
@@ -179,46 +188,36 @@ class AffineProjection:
         Ur, sr, self._Vr = U[:, :r], s[:r], Vh[:r, :]
         self._VrH = self._Vr.conj().T
         coeffs = Ur.conj().T @ y
-        if np.linalg.norm(y - Ur @ coeffs) > _CONSISTENCY_TOL * max(1.0, np.linalg.norm(y)):
-            raise FactorizationError("y is not in the range of the measurement matrix")
+        _require_consistent(y - Ur @ coeffs, y)
         self._particular = self._VrH @ (coeffs / sr)
 
     def _init_blockwise(self, op, y):
         n_rows, d = op.shape
         self._owners = op.owners
-        # U: (N, n, p), s: (N, p), Vh: (N, p, K) with p = min(n, K); real
-        # when the blocks are
-        U, s, Vh = np.linalg.svd(op.blocks, full_matrices=False)
-        s_max = float(s.max())
-        if s_max == 0.0:
-            raise FactorizationError("measurement matrix has no energy")
-        keep = s > s_max * max(n_rows, d) * np.finfo(float).eps
-        self.rank = int(keep.sum())
-        Vr = Vh * keep[:, :, None]
         y_local = op.local_measurements(y)[:, None, :]  # (N, 1, n): row vectors
-        coeffs = (y_local @ U.conj()) * keep[:, None, :]  # U_r^H y per block
-        residual = y_local - coeffs @ U.transpose(0, 2, 1)
-        if np.linalg.norm(residual) > _CONSISTENCY_TOL * max(1.0, np.linalg.norm(y)):
-            raise FactorizationError("y is not in the range of the measurement matrix")
-        inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        size = max(n_rows, d)
+        factors = _blockwise_qr(op.blocks, y_local, y, size)
+        if factors is None:
+            factors = _blockwise_svd(op.blocks, y_local, y, size)
+        local, self._null_projector, self.rank = factors
         self._particular = np.empty(d, dtype=complex)
-        self._particular[op.owners] = ((coeffs * inv_s[:, None, :]) @ Vr.conj())[:, 0]
-        # per-block projector onto the null space, I - V_r^H V_r: one batched
-        # matmul per call is cheaper than applying V_r and V_r^H in turn
-        N, _, K = Vh.shape
-        self._null_projector = np.eye(K) - Vr.conj().transpose(0, 2, 1) @ Vr
-        # a complex (N, K) array viewed in the projector's dtype: (N, K, 2)
-        # real and imaginary columns for a real projector, (N, K, 1) otherwise
-        self._local_shape = (N, K, -1)
-        # stacked coefficient i sits at flat position _placement[i] of (N, K)
-        self._placement = np.argsort(op.owners.reshape(-1))
+        self._particular[op.owners] = local
+        if self._null_projector is not None:
+            N, _, K = op.blocks.shape
+            # a complex (N, K) array viewed in the projector's dtype: (N, K, 2)
+            # real and imaginary columns for a real projector, (N, K, 1) otherwise
+            self._local_shape = (N, K, -1)
+            # stacked coefficient i sits at flat position _placement[i] of (N, K)
+            self._placement = np.argsort(op.owners.reshape(-1))
 
     def __call__(self, w, out=None):
         """The projection of w, written to ``out`` (a new array if None)."""
         w = np.asarray(w, dtype=complex).reshape(-1)
         if out is None:
             out = np.empty_like(w)
-        if self._owners is not None:
+        if self._owners is not None and self._null_projector is None:
+            out[:] = self._particular  # the feasible set is this one point
+        elif self._owners is not None:
             local = w[self._owners].view(self._null_projector.dtype)
             image = self._null_projector @ local.reshape(self._local_shape)
             np.add(image.view(complex).reshape(-1)[self._placement], self._particular, out=out)
@@ -229,6 +228,74 @@ class AffineProjection:
             r = (self.y - self.matrix @ w) / self.scalar
             np.add(w, (r.conj() @ self.matrix).conj(), out=out)
         return out
+
+
+def _require_consistent(residual, y):
+    """FactorizationError unless the part of y outside the range, ``residual``, is negligible."""
+    if np.linalg.norm(residual) > _CONSISTENCY_TOL * max(1.0, np.linalg.norm(y)):
+        raise FactorizationError("y is not in the range of the measurement matrix")
+
+
+def _blockwise_qr(blocks, y_local, y, size):
+    """(particular solution, null projectors, rank) of the (N, n, K) local
+    ``blocks`` by one batched QR, or None unless every block provably has
+    full rank p = min(n, K).
+
+    Each block B is factored on its tall side, B = QR when n >= K and
+    B^H = QR when n < K, so R is p x p.  The SVD path keeps a singular value
+    above s_max * size * eps, s_max the largest over all blocks.  The
+    singular values of B are those of R, each at least 1/||R^-1||_F, and
+    s_max <= max ||B||_F; so when min 1/||R^-1||_F clears max ||B||_F * size
+    * eps, by _RANK_MARGIN, the SVD would keep all N*p of them.  Any other
+    case, a singular R included, is left to the SVD (_blockwise_svd).
+    ``y_local`` holds y's (N, 1, n) rows by coordinate.
+    """
+    N, n, K = blocks.shape
+    wide = n < K
+    Q, R = np.linalg.qr(blocks.conj().transpose(0, 2, 1) if wide else blocks)
+    try:
+        R_inv = np.linalg.inv(R)
+    except np.linalg.LinAlgError:  # an exactly singular R
+        return None
+    with np.errstate(over="ignore"):  # an overflowing inverse only fails the test
+        floor = 1.0 / np.linalg.norm(R_inv, axis=(1, 2)).max()
+    ceiling = np.linalg.norm(blocks, axis=(1, 2)).max()
+    if not floor > _RANK_MARGIN * ceiling * size * np.finfo(float).eps:
+        return None
+    if wide:
+        # B = R^H Q^H has full row rank, so every y is in the range; the
+        # minimum-norm solution is Q R^-H y, and I - Q Q^H projects onto null(B)
+        local = (y_local @ R_inv.conj()) @ Q.transpose(0, 2, 1)
+        return local[:, 0], np.eye(K) - Q @ Q.conj().transpose(0, 2, 1), N * n
+    # B = QR has full column rank: R^-1 Q^H y is the one feasible point, so
+    # there is no null space to project onto
+    coeffs = y_local @ Q.conj()  # (Q^H y)^T per block
+    _require_consistent(y_local - coeffs @ Q.transpose(0, 2, 1), y)
+    return (coeffs @ R_inv.transpose(0, 2, 1))[:, 0], None, N * K
+
+
+def _blockwise_svd(blocks, y_local, y, size):
+    """(particular solution, null projectors, rank) of the (N, n, K) local
+    ``blocks`` by one batched SVD, with the rank cutoff and the range check
+    taken over all blocks at once, which is what the dense SVD of the
+    permuted matrix gives.  Arguments as in _blockwise_qr.
+    """
+    # U: (N, n, p), s: (N, p), Vh: (N, p, K) with p = min(n, K); real
+    # when the blocks are
+    U, s, Vh = np.linalg.svd(blocks, full_matrices=False)
+    s_max = float(s.max())
+    if s_max == 0.0:
+        raise FactorizationError("measurement matrix has no energy")
+    keep = s > s_max * size * np.finfo(float).eps
+    Vr = Vh * keep[:, :, None]
+    coeffs = (y_local @ U.conj()) * keep[:, None, :]  # U_r^H y per block
+    _require_consistent(y_local - coeffs @ U.transpose(0, 2, 1), y)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    local = ((coeffs * inv_s[:, None, :]) @ Vr.conj())[:, 0]
+    # per-block projector onto the null space, I - V_r^H V_r: one batched
+    # matmul per call is cheaper than applying V_r and V_r^H in turn
+    null_projector = np.eye(Vh.shape[2]) - Vr.conj().transpose(0, 2, 1) @ Vr
+    return local, null_projector, int(keep.sum())
 
 
 _TINY = np.finfo(float).tiny

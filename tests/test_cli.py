@@ -359,6 +359,35 @@ def test_experiment_empty_sparsity_grid_exit_code(capsys, tmp_path, argv, value)
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("lam", ["0", "-1"])
+def test_diffset_search_lambda_below_one_exit_code(capsys, lam):
+    rc = cli.main(["diffset", "search", "7", "3", "--lam", lam])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and f"lam={lam}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "classic", "--n", "99999999999999999999", "--ks", "1", "--trials", "1",
+     "--generators", "random_torus", "--out", "x.csv"],
+    ["gabor", "coherence", "--random", "99999999999999999999"],
+    ["gabor", "coherence", "--alltop", "99999999999999999999"],
+])
+def test_dimension_beyond_any_frame_exit_code(capsys, tmp_path, monkeypatch, argv):
+    # rejected by its size alone, before any array of that length is asked for
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and "N=99999999999999999999" in captured.err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_experiment_empty_measurement_grid_exit_code(capsys, tmp_path):
+    rc = cli.main(["experiment", "fusion", "--set", "7,3", "--measurements", ",",
+                   "--out", str(tmp_path / "out.csv")])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and "measurement grid []" in captured.err
+
+
 @pytest.mark.parametrize("max_iters", ["1000000000000", "99999999999999999999"])
 def test_experiment_huge_iteration_cap(capsys, tmp_path, max_iters):
     # the cap bounds the loop; the trial certifies long before it

@@ -160,6 +160,13 @@ def test_search_infeasible_params_without_lambda():
     assert res.nodes == 0 and res.result is None
 
 
+@pytest.mark.parametrize("lam", [0, -1])
+def test_search_rejects_lambda_below_one(lam):
+    # a lambda below 1 is bad input, not a proof that no set exists
+    with pytest.raises(InvalidInputError, match=f"lam={lam}"):
+        diffsets.exhaustive_search(7, 3, lam=lam)
+
+
 def test_search_budget_exhaustion():
     res = diffsets.exhaustive_search(16, 6, budget=100)
     assert res.status == diffsets.SEARCH_BUDGET_EXHAUSTED
@@ -202,6 +209,11 @@ def test_catalog_rejects_corruption(tmp_path):
     bad.write_text("# comment\n\n7 3 1 : 0,1,3\n13 4 1 : 0,1,3\n")  # K=4, three elements
     with pytest.raises(CatalogError, match="catalog.txt:4: element count"):
         diffsets.load_catalog(str(bad))
+    # a residue the subset check rejects is still reported by its line
+    for line in ("7 3 1 : 0,1,1", "7 3 1 : 0,1,9"):
+        bad.write_text(f"7 3 1 : 0,1,3\n{line}\n")
+        with pytest.raises(CatalogError, match="catalog.txt:2: "):
+            diffsets.load_catalog(str(bad))
 
 
 def test_catalog_verifies_each_entry_once(monkeypatch, tmp_path):

@@ -640,10 +640,10 @@ def test_csv_read_validation(tmp_path):
 
 # ------------------------------------------- structured fusion operator vs dense oracle
 
-def _fusion_instance(N, K, n, seed):
+def _fusion_instance(N, K, n, seed, complex_valued=False, scale=1.0):
     ff = fusion.build_fusion_frame(diffsets.catalog_lookup(N, K))
-    a = solvers.gaussian_measurement_coefficients(n, N, seed=seed)
-    return solvers.assemble_fusion_operator(a, ff)
+    a = solvers.gaussian_measurement_coefficients(n, N, seed, complex_valued=complex_valued)
+    return solvers.assemble_fusion_operator(scale * a, ff)
 
 
 def _complex_normal(rng, size):
@@ -811,3 +811,113 @@ def test_block_basis_pursuit_structured_matches_dense(params, n, k):
     dense = solvers.block_basis_pursuit(op.effective, y, op.block_structure, cfg)
     assert structured.status == dense.status
     assert np.linalg.norm(structured.solution - dense.solution) <= 1e-8 * np.linalg.norm(c)
+
+
+# ------------------------------------ QR factorization of the blocks vs the SVD oracle
+
+def _count_svd_calls(monkeypatch):
+    """Record every call of the blockwise SVD, the fallback of the QR rank test."""
+    calls = []
+    original = solvers._blockwise_svd
+
+    def counting(blocks, *args):
+        calls.append(blocks.shape)
+        return original(blocks, *args)
+
+    monkeypatch.setattr(solvers, "_blockwise_svd", counting)
+    return calls
+
+
+def _svd_oracle(op, y, monkeypatch):
+    """The projection the batched SVD alone gives: the QR rank test always defers."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_blockwise_qr", lambda *args: None)
+        return solvers.AffineProjection(op, y)
+
+
+def _relative_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+@pytest.mark.parametrize("params, n", [((7, 3), 1), ((7, 3), 2), ((7, 3), 3), ((7, 3), 6),
+                                       ((40, 13), 1), ((40, 13), 12), ((40, 13), 13),
+                                       ((40, 13), 16)])
+def test_qr_projection_matches_the_svd_oracle(params, n, complex_valued, monkeypatch):
+    N, K = params
+    op = _fusion_instance(N, K, n, seed=51, complex_valued=complex_valued)
+    rng = np.random.default_rng(52)
+    y = op @ _complex_normal(rng, N * K)
+    calls = _count_svd_calls(monkeypatch)
+    qr = solvers.AffineProjection(op, y)
+    assert calls == []
+    svd = _svd_oracle(op, y, monkeypatch)
+    assert calls == [op.blocks.shape]
+    assert qr.rank == svd.rank == N * min(n, K)
+    assert _relative_gap(qr._particular, svd._particular) <= 1e-12
+    for _ in range(3):
+        w = _complex_normal(rng, N * K)
+        assert _relative_gap(qr(w), svd(w)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(params=st.sampled_from([(7, 3), (13, 4), (40, 13)]), n=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1), complex_valued=st.booleans(),
+       scale=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_gaussian_blocks_never_need_the_svd(params, n, seed, complex_valued, scale):
+    # the rank verdict is scale-free, so Gaussian blocks of any size pass the QR test
+    N, K = params
+    op = _fusion_instance(N, K, n, seed, complex_valued=complex_valued, scale=scale)
+    y = op @ _complex_normal(np.random.default_rng(seed), N * K)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_blockwise_svd", lambda blocks, *args: calls.append(1))
+        proj = solvers.AffineProjection(op, y)
+    assert calls == [] and proj.rank == N * min(n, K)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("defect, n", [("duplicated column", 3), ("duplicated column", 4),
+                                       ("zero column", 3), ("zero column", 4),
+                                       ("duplicated row", 2)])
+def test_rank_deficient_blocks_take_the_svd_path(defect, n, scale, monkeypatch):
+    # n >= K: a repeated or zero column of a leaves the blocks holding it
+    # without full column rank; n < K: a repeated row leaves every block
+    # without full row rank
+    ff = fusion.build_fusion_frame(diffsets.catalog_lookup(7, 3))
+    a = scale * solvers.gaussian_measurement_coefficients(n, 7, seed=53)
+    if defect == "duplicated column":
+        a[:, 4] = a[:, 1]
+    elif defect == "zero column":
+        a[:, 4] = 0.0
+    else:
+        a[1] = a[0]
+    op = solvers.assemble_fusion_operator(a, ff)
+    y = op @ _complex_normal(np.random.default_rng(54), 21)
+    calls = _count_svd_calls(monkeypatch)
+    proj = solvers.AffineProjection(op, y)
+    dense = solvers.AffineProjection(op.effective, y)
+    assert calls == [op.blocks.shape]
+    assert proj.rank == dense.rank < 7 * min(n, 3)
+    w = _complex_normal(np.random.default_rng(55), 21)
+    assert _relative_gap(proj(w), dense(w)) <= 1e-12
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+@pytest.mark.parametrize("params, n", [((7, 3), 4), ((40, 13), 16)])
+def test_qr_path_checks_the_range(params, n, complex_valued, monkeypatch):
+    N, K = params
+    rng = np.random.default_rng(56)
+    calls = _count_svd_calls(monkeypatch)
+    # n > K: y can leave the range of the tall blocks, and QR alone says so
+    tall = _fusion_instance(N, K, n, seed=57, complex_valued=complex_valued)
+    y = tall @ _complex_normal(rng, N * K)
+    y[0] += 1.0
+    with pytest.raises(FactorizationError):
+        solvers.AffineProjection(tall, y)
+    # n < K: the wide blocks have full row rank, so every y is met
+    wide = _fusion_instance(N, K, K - 1, seed=58, complex_valued=complex_valued)
+    y = _complex_normal(rng, wide.shape[0])
+    x = solvers.AffineProjection(wide, y)(_complex_normal(rng, N * K))
+    assert np.linalg.norm(wide @ x - y) <= 1e-12 * np.linalg.norm(y)
+    assert calls == []
