@@ -249,6 +249,10 @@ def _curves_json(curves):
 def _cmd_experiment_classic(args):
     if args.kmax is not None and args.kmax < 1:
         raise InvalidInputError(f"kmax={args.kmax} must be at least 1")
+    # checked before range(1, kmax + 1) is made into a grid
+    gabor.check_window_length(args.n)
+    if args.kmax is not None and args.kmax > args.n ** 2:
+        raise InvalidInputError(f"kmax={args.kmax} must be at most N^2 = {args.n ** 2}")
     grid = args.ks if args.ks is not None else range(1, (args.kmax or args.n) + 1)
     cfg = experiments.ClassicExperimentConfig(
         N=args.n,

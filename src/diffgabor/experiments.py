@@ -7,12 +7,17 @@ default PCG64.  Trials run serially: a thread pool measured slower than one
 thread, and a certified basis-pursuit trial at N=43 takes about 10 ms.
 
 A trial succeeds when NSE(x_hat, x) < tau, the success threshold.  Each
-trial hands its solver the bound f(x) - sqrt(k tau) ||x|| (f the l1 or block
-objective, k the number of nonzero entries or blocks of the planted x): a
-feasible iterate below it is proved to lie, with every minimiser, outside
-the NSE ball of x (see the solvers module), so ADMM stops there with status
-"refuted" instead of running to the iteration cap.  The refuted iterate has
-NSE > tau, so the success rule, and with it the CSV, is unchanged.
+trial hands its solver the planted x and tau, and the solver bounds the
+objective f (l1 or block) over the NSE ball of x from below: f(x) minus
+||P g|| sqrt(tau) ||x||, for P the null projector of the measurements and g
+a subgradient of f at x, minus a slack proved from the residuals and a lower
+bound on the singular values (see the solvers module).  Until iteration 200
+it takes g = 0 off the support, which gives the margin sqrt(k tau) ||x||;
+then it picks g off the support to shrink ||P g||.  A feasible iterate below
+the bound is proved to lie, with every minimiser, outside the NSE ball, so
+ADMM stops there with status "refuted" instead of running to the iteration
+cap.  The refuted iterate has NSE > tau, so the success rule, and with it
+the CSV, is unchanged.
 
 Each point also keeps diagnostics beside its success count: how many trials
 ended certified, converged, refuted or at the iteration cap, and the median
@@ -185,18 +190,6 @@ def normalized_squared_error(x_hat, x):
     return float(np.linalg.norm(x_hat - x) ** 2 / ref)
 
 
-def _refutation_bound(x, tau, blocks=None):
-    """f(x) - sqrt(k tau) ||x||: the objective a feasible point must beat to
-    prove that no minimiser is within NSE tau of x (see the module docstring).
-
-    f is the l1 norm, or with ``blocks`` the sum of block norms; k counts the
-    nonzero entries or blocks of x.
-    """
-    parts = np.abs(x) if blocks is None else np.linalg.norm(
-        x.reshape(blocks.block_count, blocks.block_size), axis=1)
-    return float(parts.sum() - math.sqrt(np.count_nonzero(parts) * tau) * np.linalg.norm(x))
-
-
 def _run_trials(trial_fn, trials):
     """(successes, diagnostics) of one point; trial_fn(t) gives (success, SolveResult)."""
     diagnostics = dict.fromkeys(TRIAL_OUTCOMES, 0)
@@ -247,8 +240,7 @@ def run_classic_experiment(cfg):
                     frame = fixed[kind]
                 x = random_k_sparse_signal(cfg.N ** 2, k, signal_seed)
                 y = frame.columns @ x
-                bound = _refutation_bound(x, cfg.success_threshold)
-                result = basis_pursuit(frame, y, cfg.solver, _refute_below=bound)
+                result = basis_pursuit(frame, y, cfg.solver, _refute=(x, cfg.success_threshold))
                 nse = normalized_squared_error(result.solution, x)
                 return nse < cfg.success_threshold, result
 
@@ -285,9 +277,8 @@ def run_fusion_experiment(cfg):
                     ff, k, x_seed, complex_coefficients=cfg.complex_signal_coefficients
                 )
                 y = op @ x
-                bound = _refutation_bound(x, cfg.success_threshold, op.block_structure)
                 result = block_basis_pursuit(op, y, op.block_structure, cfg.solver,
-                                             _refute_below=bound)
+                                             _refute=(x, cfg.success_threshold))
                 nse = normalized_squared_error(result.solution, x)
                 return nse < cfg.success_threshold, result
 

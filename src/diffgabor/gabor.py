@@ -288,6 +288,9 @@ def mutual_coherence(frame):
     from the same _tf_gram array, and carries the closed-form prediction.
     The per-block tightness check is left to block_coherence_profile.
     """
+    count = frame.N ** 2 if isinstance(frame, GaborFrame) else np.shape(frame)[-1]
+    if count < 2:
+        raise InvalidInputError(f"coherence needs at least two columns, the frame has {count}")
     if not isinstance(frame, GaborFrame):
         columns = np.asarray(frame, dtype=complex)
         mu, pair = _coherence_scan(columns)
@@ -411,13 +414,15 @@ def family_table_rows(quadratic=(), quartic=(), singer=(), catalog=None,
     rows = []
 
     def add(family, N, K, lam, mu2):
+        """``mu2`` gives the family's mu^2, called once (N, K, lam) is valid:
+        an N below 2 would divide by zero."""
         params = DifferenceSetParams(N, K, lam)
         row = {
             "family": family,
             "N": N,
             "K": K,
             "lambda": lam,
-            "mu_squared": float(mu2),
+            "mu_squared": float(mu2()),
             "welch_squared": 1.0 / (N + 1),
             "predicted_mu_squared": predicted_coherence(params) ** 2,
             "measured_mu_squared": None,
@@ -432,10 +437,11 @@ def family_table_rows(quadratic=(), quartic=(), singer=(), catalog=None,
         N = (q ** (d + 1) - 1) // (q - 1)
         K = (q ** d - 1) // (q - 1)
         lam = (q ** (d - 1) - 1) // (q - 1)
-        add(f"singer d={d}", N, K, lam, _singer_family_mu2(q, d))
+        add(f"singer d={d}", N, K, lam, lambda: _singer_family_mu2(q, d))
     for q in quadratic:
-        add("quadratic", q, (q - 1) // 2, (q - 3) // 4, (q - 3) ** 2 / (4 * (q - 1) ** 2))
+        add("quadratic", q, (q - 1) // 2, (q - 3) // 4,
+            lambda: (q - 3) ** 2 / (4 * (q - 1) ** 2))
     for p in quartic:
-        mu2 = (3 * p + 1) / (p - 1) ** 2 if p < 57 else (p - 5) ** 2 / (16 * (p - 1) ** 2)
-        add("quartic", p, (p - 1) // 4, (p - 5) // 16, mu2)
+        add("quartic", p, (p - 1) // 4, (p - 5) // 16,
+            lambda: (3 * p + 1) / (p - 1) ** 2 if p < 57 else (p - 5) ** 2 / (16 * (p - 1) ** 2))
     return rows

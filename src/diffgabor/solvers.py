@@ -30,16 +30,29 @@ Zhang, Yin & Cheng 2015).  Otherwise the iteration runs on unchanged until
 the residual tolerances or the iteration cap stop it.
 
 A recovery trial may also stop a solve once it is proved a failure.  The
-trial knows the planted signal x, with k nonzero entries (or blocks), and
-passes the bound f(x) - sqrt(k tau) ||x|| for its NSE threshold tau.  The
-vector g with g_b = x_b/||x_b|| on the support and 0 elsewhere is a
-subgradient of f at x with ||g|| = sqrt(k), so f(v) >= f(x) - sqrt(k)||v - x||
-for every v.  A projection output x_k is feasible, so a minimiser has
-f <= f(x_k); once f(x_k) falls below the bound, every point at NSE <= tau
-from x has a larger objective, so no minimiser lies there, and x_k itself
-has NSE > tau.  The solve then returns x_k with status "refuted" (checked
-every _CERTIFY_PERIOD iterations; see _admm).  The public solve commands
-never pass a bound.
+trial passes its planted signal x, with k nonzero entries (or blocks), and
+its NSE threshold tau.  Any subgradient g of f at x (g_b = x_b/||x_b|| on
+the support, ||g_b|| <= 1 off it) gives f(v) >= f(x) + Re<g, v - x>.  Split
+v - x into n in null(A) and w in the row space: Re<g, v - x> >=
+-||P g|| ||n|| - ||g|| ||w||, with P the projector onto null(A),
+||n|| <= ||v - x|| and ||w|| <= ||A v - A x|| / sigma, sigma the smallest
+nonzero singular value of A.  So every v within NSE tau of x has
+
+    f(v) >= f(x) - ||P g|| sqrt(tau) ||x|| - ||g|| ||A v - A x|| / sigma.
+
+A projection output x_k meets A x_k = y up to rounding, and so does x, so
+the last term is of rounding size.  Once f(x_k) falls below the bound, x_k
+lies outside the NSE ball, and so does every minimiser: the feasible point
+nearest x_k has an objective at most sqrt(B) ||A x_k - y|| / sigma above
+f(x_k), for B blocks.  The solve then returns x_k with status "refuted"
+(checked every _CERTIFY_PERIOD iterations; see _admm).  Until iteration
+_TIGHTEN_AT the bound takes g = 0 off the support, so ||P g|| <= ||g|| =
+sqrt(k) and no projection is needed; from there on g off the support is
+chosen, once, to make ||P g|| small, by a few projected-gradient steps with
+the solve's own null projector (N batched K x K blocks on the fusion path).
+The margin, the residuals and sigma enter with bounds on their rounding,
+so the stop is proved, not estimated (_Refutation).  The public solve
+commands never pass a trial.
 """
 
 import math
@@ -76,6 +89,12 @@ _LAWSON_STEPS = 30
 # chunk and its conjugate are the search's largest arrays; at N=43, 64
 # columns raise peak RSS least, for about 0.5 ms more per step than 256
 _LAWSON_CHUNK = 64
+# a recovery trial's refutation bound is tightened once, at the first check at
+# or past this iteration (_Refutation): fewer than 50 of the 512 fusion-40-13
+# reference trials get that far, and most of those are headed for the cap
+_TIGHTEN_AT = 200
+# projected-gradient steps of that tightening
+_TIGHTEN_STEPS = 30
 
 
 @dataclass
@@ -86,8 +105,10 @@ class SolverConfig:
     tol_dual: float = 1e-9
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise InvalidInputError(f"rho={self.rho} must be positive and finite")
+        # ADMM shrinks by 1/rho, so a subnormal rho would shrink by inf
+        if not (math.isfinite(self.rho) and self.rho > 0 and math.isfinite(1.0 / self.rho)):
+            raise InvalidInputError(f"rho={self.rho} must be positive and finite, "
+                                    "with 1/rho finite")
         if self.max_iters < 1:
             raise InvalidInputError("max_iters must be at least 1")
         tols = (self.tol_primal, self.tol_dual)
@@ -154,7 +175,10 @@ class AffineProjection:
     view of real and imaginary parts.
 
     ``rank`` is the rank of A: rank == d means the feasible set is a single
-    point, which every w projects to.
+    point, which every w projects to.  ``null_part`` applies the linear part
+    of the projection, the projector onto null(A), and ``_sigma`` holds a
+    lower bound on the smallest kept singular value of the factored A and an
+    upper bound on its largest, for the refutation bound (_Refutation).
     """
 
     _owners = None  # (N, K) coefficient table, set only on the coordinate-factored path
@@ -175,6 +199,7 @@ class AffineProjection:
         if tight:
             self.scalar = matrix.frame_bound
             self.rank = n
+            self._sigma = (math.sqrt(self.scalar),) * 2
             return
         if isinstance(A, FusionMeasurementOperator):
             self._init_blockwise(A, y)
@@ -185,6 +210,7 @@ class AffineProjection:
         if r == 0:
             raise FactorizationError("measurement matrix has rank zero")
         self.rank = r
+        self._sigma = (float(s[r - 1]), float(s[0]))
         Ur, sr, self._Vr = U[:, :r], s[:r], Vh[:r, :]
         self._VrH = self._Vr.conj().T
         coeffs = Ur.conj().T @ y
@@ -199,7 +225,7 @@ class AffineProjection:
         factors = _blockwise_qr(op.blocks, y_local, y, size)
         if factors is None:
             factors = _blockwise_svd(op.blocks, y_local, y, size)
-        local, self._null_projector, self.rank = factors
+        local, self._null_projector, self.rank, self._sigma = factors
         self._particular = np.empty(d, dtype=complex)
         self._particular[op.owners] = local
         if self._null_projector is not None:
@@ -207,6 +233,10 @@ class AffineProjection:
             # a complex (N, K) array viewed in the projector's dtype: (N, K, 2)
             # real and imaginary columns for a real projector, (N, K, 1) otherwise
             self._local_shape = (N, K, -1)
+            # the projector's image, preallocated, and its flat complex view
+            self._image = np.empty((N, K), dtype=complex).view(
+                self._null_projector.dtype).reshape(self._local_shape)
+            self._image_flat = self._image.view(complex).reshape(-1)
             # stacked coefficient i sits at flat position _placement[i] of (N, K)
             self._placement = np.argsort(op.owners.reshape(-1))
 
@@ -217,16 +247,33 @@ class AffineProjection:
             out = np.empty_like(w)
         if self._owners is not None and self._null_projector is None:
             out[:] = self._particular  # the feasible set is this one point
-        elif self._owners is not None:
-            local = w[self._owners].view(self._null_projector.dtype)
-            image = self._null_projector @ local.reshape(self._local_shape)
-            np.add(image.view(complex).reshape(-1)[self._placement], self._particular, out=out)
-        elif self.uses_factorization:
-            np.subtract(w, self._VrH @ (self._Vr @ w), out=out)
-            out += self._particular
-        else:
+        elif self.scalar is not None:
             r = (self.y - self.matrix @ w) / self.scalar
             np.add(w, (r.conj() @ self.matrix).conj(), out=out)
+        elif self._owners is not None:
+            np.add(self._null_image(w)[self._placement], self._particular, out=out)
+        else:
+            self.null_part(w, out)
+            out += self._particular
+        return out
+
+    def _null_image(self, w):
+        """P w on the coordinate-factored path, in (N, K) order, in a buffer
+        that the next call overwrites."""
+        local = w[self._owners].view(self._null_projector.dtype)
+        np.matmul(self._null_projector, local.reshape(self._local_shape), out=self._image)
+        return self._image_flat
+
+    def null_part(self, w, out):
+        """The projection of w onto null(A), the part of __call__ that is linear
+        in w, written to ``out``; A must have rank below d."""
+        if self._owners is not None:
+            out[:] = self._null_image(w)[self._placement]
+        elif self.scalar is not None:
+            np.subtract(w, ((self.matrix @ w / self.scalar).conj() @ self.matrix).conj(),
+                        out=out)
+        else:
+            np.subtract(w, self._VrH @ (self._Vr @ w), out=out)
         return out
 
 
@@ -237,9 +284,9 @@ def _require_consistent(residual, y):
 
 
 def _blockwise_qr(blocks, y_local, y, size):
-    """(particular solution, null projectors, rank) of the (N, n, K) local
-    ``blocks`` by one batched QR, or None unless every block provably has
-    full rank p = min(n, K).
+    """(particular solution, null projectors, rank, singular value bounds) of
+    the (N, n, K) local ``blocks`` by one batched QR, or None unless every
+    block provably has full rank p = min(n, K).
 
     Each block B is factored on its tall side, B = QR when n >= K and
     B^H = QR when n < K, so R is p x p.  The SVD path keeps a singular value
@@ -248,7 +295,9 @@ def _blockwise_qr(blocks, y_local, y, size):
     s_max <= max ||B||_F; so when min 1/||R^-1||_F clears max ||B||_F * size
     * eps, by _RANK_MARGIN, the SVD would keep all N*p of them.  Any other
     case, a singular R included, is left to the SVD (_blockwise_svd).
-    ``y_local`` holds y's (N, 1, n) rows by coordinate.
+    ``y_local`` holds y's (N, 1, n) rows by coordinate.  The bounds are
+    (min 1/||R^-1||_F, max ||B||_F): at most the smallest and at least the
+    largest singular value of the computed factors.
     """
     N, n, K = blocks.shape
     wide = n < K
@@ -266,19 +315,20 @@ def _blockwise_qr(blocks, y_local, y, size):
         # B = R^H Q^H has full row rank, so every y is in the range; the
         # minimum-norm solution is Q R^-H y, and I - Q Q^H projects onto null(B)
         local = (y_local @ R_inv.conj()) @ Q.transpose(0, 2, 1)
-        return local[:, 0], np.eye(K) - Q @ Q.conj().transpose(0, 2, 1), N * n
+        return local[:, 0], np.eye(K) - Q @ Q.conj().transpose(0, 2, 1), N * n, (floor, ceiling)
     # B = QR has full column rank: R^-1 Q^H y is the one feasible point, so
     # there is no null space to project onto
     coeffs = y_local @ Q.conj()  # (Q^H y)^T per block
     _require_consistent(y_local - coeffs @ Q.transpose(0, 2, 1), y)
-    return (coeffs @ R_inv.transpose(0, 2, 1))[:, 0], None, N * K
+    return (coeffs @ R_inv.transpose(0, 2, 1))[:, 0], None, N * K, (floor, ceiling)
 
 
 def _blockwise_svd(blocks, y_local, y, size):
-    """(particular solution, null projectors, rank) of the (N, n, K) local
-    ``blocks`` by one batched SVD, with the rank cutoff and the range check
-    taken over all blocks at once, which is what the dense SVD of the
-    permuted matrix gives.  Arguments as in _blockwise_qr.
+    """(particular solution, null projectors, rank, singular value bounds) of
+    the (N, n, K) local ``blocks`` by one batched SVD, with the rank cutoff
+    and the range check taken over all blocks at once, which is what the
+    dense SVD of the permuted matrix gives.  Arguments as in _blockwise_qr;
+    the bounds are the smallest kept and the largest singular value.
     """
     # U: (N, n, p), s: (N, p), Vh: (N, p, K) with p = min(n, K); real
     # when the blocks are
@@ -295,7 +345,7 @@ def _blockwise_svd(blocks, y_local, y, size):
     # per-block projector onto the null space, I - V_r^H V_r: one batched
     # matmul per call is cheaper than applying V_r and V_r^H in turn
     null_projector = np.eye(Vh.shape[2]) - Vr.conj().transpose(0, 2, 1) @ Vr
-    return local, null_projector, int(keep.sum())
+    return local, null_projector, int(keep.sum()), (float(s[keep].min()), s_max)
 
 
 _TINY = np.finfo(float).tiny
@@ -320,9 +370,15 @@ def _shrinkage(norms, tau):
     return np.subtract(1.0, norms, out=norms)
 
 
-def _shrink_entries(v, tau, out):
-    """Complex soft threshold of the 1-d v into ``out``, unchecked (the ADMM z-update)."""
-    return np.multiply(v, _shrinkage(np.abs(v), tau), out=out)
+def _entry_shrink(v, out):
+    """The complex soft threshold of the 1-d v into ``out``, unchecked, as a
+    function of tau alone (the ADMM z-update): the magnitude buffer is bound once."""
+    magnitudes = np.empty(len(v))
+
+    def shrink(tau):
+        np.multiply(v, _shrinkage(np.abs(v, out=magnitudes), tau), out=out)
+
+    return shrink
 
 
 def _shrink_blocks(v, tau, count, out):
@@ -333,12 +389,32 @@ def _shrink_blocks(v, tau, count, out):
     return out
 
 
+def _block_shrink(v, out, count):
+    """_shrink_blocks(v, tau, count, out) as a function of tau alone (the ADMM
+    z-update): its real views, norm buffer and (count, 1, 1) matmul target
+    are bound once, and the same ufuncs and matmul run in the same order, so
+    the result is the same to the bit."""
+    parts = v.view(float).reshape(count, -1)
+    target = out.view(float).reshape(count, -1)
+    norms = np.empty(count)
+    squares, scale = norms.reshape(count, 1, 1), norms[:, None]
+    rows, columns = parts[:, None, :], parts[:, :, None]
+
+    def shrink(tau):
+        np.matmul(rows, columns, out=squares)
+        _shrinkage(np.sqrt(norms, out=norms), tau)
+        np.multiply(parts, scale, out=target)
+
+    return shrink
+
+
 def complex_soft_threshold(z, tau):
     """Proximal map of the complex modulus: z * max(1 - tau/|z|, 0)."""
     if tau < 0:
         raise InvalidInputError(f"threshold tau={tau} must be nonnegative")
     arr = np.asarray(z, dtype=complex)
-    out = _shrink_entries(arr.reshape(-1), tau, np.empty(arr.size, dtype=complex))
+    out = np.empty(arr.size, dtype=complex)
+    _entry_shrink(arr.reshape(-1), out)(tau)
     if arr.ndim == 0:
         return complex(out[0])
     return out.reshape(arr.shape)
@@ -458,15 +534,104 @@ def _l1_certificate(A, y, z, search=True):
     return x
 
 
-def _admm(matrix, y, cfg, shrink, objective, certify_l1=False, refute_below=None):
-    """ADMM for min objective(x) s.t. Ax = y, with ``shrink(v, tau, out)`` its
-    proximal map written into ``out``.
+class _Refutation:
+    """The objective bound below which a projection output x_k proves a
+    recovery trial a failure (module docstring), in the scale of y/||y||.
+
+    ``refutes(x_k, it)`` is True when f(x_k) < f(x) - m sqrt(tau) ||x|| -
+    slack.  The margin factor m is ||g|| = sqrt(k) for the subgradient g that
+    is 0 off the support, until the first check at or past _TIGHTEN_AT.
+    There g off the support is chosen once, by _TIGHTEN_STEPS projected-
+    gradient steps on ||P g||^2 / 2 over the unit block balls (step 1, the
+    gradient's Lipschitz constant; each step only lowers ||P g||), and
+    m = ||P g|| as computed plus ||g|| (delta/sigma + size^1.5 eps).  Here
+    size = max(n, d), the factors of the projection are exact for a matrix
+    within delta = s_max size eps of A (s_max an upper bound on its largest
+    singular value; the SVD paths drop singular values below the same
+    delta), sigma = s_min - delta is then a lower bound on the smallest
+    nonzero singular value of that matrix, from the bound s_min each path
+    has (_blockwise_qr, _blockwise_svd, sqrt(c) for a Gabor frame), and
+    size^1.5 eps covers the rounding of applying P.  The slack is
+    sqrt(B) (r(x_k) + r(x)) / sigma + size eps (f(x_k) + f(x)), with B the
+    block count, r(v) the computed ||A v - y|| plus the rounding of
+    computing it, and the last term the rounding of the two objectives.  It
+    is computed only when f(x_k) is already below the bound without it.
+    """
+
+    def __init__(self, x, tau, blocks, objective, project, ynorm):
+        # only what the checks before _TIGHTEN_AT read: most solves stop sooner
+        x = np.asarray(x, dtype=complex).reshape(-1) / ynorm
+        self._x, self._objective, self._project = x, objective, project
+        self._parts = x.reshape(blocks.block_count, blocks.block_size)
+        self._value = objective(x)
+        self._radius = math.sqrt(tau) * float(np.linalg.norm(x))
+        self._margin = math.sqrt(np.count_nonzero(self._parts.any(axis=1)))
+        self._tightened = False
+
+    def _scales(self):
+        """(size, size eps, s_max, sigma) of the class docstring, with delta =
+        s_max size eps taken off the path's lower bound s_min."""
+        size = max(self._project.matrix.shape)
+        unit = size * np.finfo(float).eps
+        lower, upper = self._project._sigma
+        return size, unit, upper, lower - upper * unit
+
+    def _residual(self, v):
+        """r(v): ||A v - y|| as computed plus a bound on the rounding of
+        computing it (A v sums at most size terms per entry, and ||A||_F <=
+        sqrt(size) s_max)."""
+        size, unit, upper, _ = self._scales()
+        y = self._project.y
+        computed = float(np.linalg.norm(self._project.matrix @ v - y))
+        return computed * (1.0 + unit) + math.sqrt(size) * unit * (
+            upper * float(np.linalg.norm(v)) + float(np.linalg.norm(y)))
+
+    def _tighten(self):
+        self._tightened = True
+        norms = np.linalg.norm(self._parts, axis=1)
+        on = norms > 0
+        g_blocks = np.zeros_like(self._parts)
+        np.divide(self._parts, norms[:, None], out=g_blocks, where=on[:, None])
+        g = g_blocks.reshape(-1)
+        image = np.empty_like(g)
+        image_blocks = image.reshape(g_blocks.shape)
+        off = ~on
+        if off.any():
+            for _ in range(_TIGHTEN_STEPS):
+                self._project.null_part(g, image)
+                step = g_blocks[off] - image_blocks[off]
+                step /= np.maximum(np.linalg.norm(step, axis=1), 1.0)[:, None]
+                g_blocks[off] = step
+        self._project.null_part(g, image)
+        size, unit, upper, sigma = self._scales()
+        rounding = upper * unit / sigma + math.sqrt(size) * unit
+        self._margin = float(np.linalg.norm(image)) + float(np.linalg.norm(g)) * rounding
+
+    def refutes(self, v, it):
+        """Whether the projection output v at iteration ``it`` is proved a failure."""
+        if it >= _TIGHTEN_AT and not self._tightened:
+            self._tighten()
+        value = self._objective(v)
+        bound = self._value - self._margin * self._radius
+        if not value < bound:
+            return False
+        _, unit, _, sigma = self._scales()
+        slack = (math.sqrt(len(self._parts)) * (self._residual(v) + self._residual(self._x))
+                 / sigma + unit * (value + self._value))
+        return value < bound - slack
+
+
+def _admm(matrix, y, cfg, blocks, make_shrink, objective, certify_l1=False, refute=None):
+    """ADMM for min objective(x) s.t. Ax = y, with ``make_shrink(v, out)``
+    giving its proximal map of v into ``out`` as a function of tau alone, and
+    ``blocks`` the blocks objective sums the norms of (size 1 for l1).
 
     A full-column-rank A has one feasible point, returned with 0 iterations.
     Otherwise, every _CERTIFY_PERIOD iterations it tries the l1 certificate
-    (when ``certify_l1``), and then, when ``refute_below`` is given, stops
-    with STATUS_REFUTED as soon as the projection output x_k has
-    objective(x_k) < refute_below (in the scale of y).
+    (when ``certify_l1``), and then, when ``refute`` = (x, tau) names a
+    recovery trial's planted signal and NSE threshold, stops with
+    STATUS_REFUTED as soon as the projection output is proved to lie, with
+    every minimiser, farther than NSE tau from x (_Refutation).
     """
     A = _as_operator(matrix)
     y = np.asarray(y, dtype=complex).reshape(-1)
@@ -480,7 +645,8 @@ def _admm(matrix, y, cfg, shrink, objective, certify_l1=False, refute_below=None
         return SolveResult(solution, 0, 0.0, 0.0, STATUS_CONVERGED,
                            objective=float(objective(solution)))
     # f is positively homogeneous, so the bound is compared in the scale of y / ||y||
-    bound = None if refute_below is None else refute_below / ynorm
+    refutation = None if refute is None else _Refutation(*refute, blocks, objective,
+                                                         project, ynorm)
     # rows x - z, z - z_old, x, z, u: their squared norms are one reduction
     # over the real view; the first two are kept as the residual history
     rows = np.zeros((5, d), dtype=complex)
@@ -490,6 +656,7 @@ def _admm(matrix, y, cfg, shrink, objective, certify_l1=False, refute_below=None
     # grows per iteration: max_iters bounds the loop, not memory
     history = []
     w = np.empty(d, dtype=complex)
+    shrink = make_shrink(w, z)
     rho = cfg.rho
     tau = 1.0 / rho
     tol_primal = cfg.tol_primal * math.sqrt(d)
@@ -502,7 +669,8 @@ def _admm(matrix, y, cfg, shrink, objective, certify_l1=False, refute_below=None
     for it in range(1, cfg.max_iters + 1):
         project(np.subtract(z, u, out=w), out=x)
         np.negative(z, out=step)
-        shrink(np.add(x, u, out=w), tau, z)
+        np.add(x, u, out=w)
+        shrink(tau)
         step += z
         np.subtract(x, z, out=primal)
         u += primal
@@ -527,7 +695,7 @@ def _admm(matrix, y, cfg, shrink, objective, certify_l1=False, refute_below=None
             if exact is not None:
                 x, status, certified = exact, STATUS_CONVERGED, True
                 break
-        if bound is not None and objective(x) < bound:
+        if refutation is not None and refutation.refutes(x, it):
             status = STATUS_REFUTED
             break
     history = np.sqrt(history)
@@ -545,7 +713,7 @@ def _admm(matrix, y, cfg, shrink, objective, certify_l1=False, refute_below=None
     )
 
 
-def basis_pursuit(matrix, y, cfg=None, *, _refute_below=None):
+def basis_pursuit(matrix, y, cfg=None, *, _refute=None):
     """min ||x||_1 subject to Ax = y, complex-native ADMM.
 
     On a dense matrix, every _CERTIFY_PERIOD iterations the support of the
@@ -556,20 +724,20 @@ def basis_pursuit(matrix, y, cfg=None, *, _refute_below=None):
     measurements to machine precision whenever y is consistent; on
     convergence it also matches the shrunk iterate to the stated tolerances.
 
-    ``_refute_below`` is for recovery trials only: see _admm and the module
-    docstring for the STATUS_REFUTED stop it enables.
+    ``_refute`` = (x, tau) is for recovery trials only: see _admm and the
+    module docstring for the STATUS_REFUTED stop it enables.
     """
     cfg = cfg or SolverConfig()
     A = _as_operator(matrix)
-    return _admm(A, y, cfg, _shrink_entries, lambda v: np.sum(np.abs(v)),
-                 certify_l1=not isinstance(A, FusionMeasurementOperator),
-                 refute_below=_refute_below)
+    d = A.shape[1]
+    return _admm(A, y, cfg, BlockStructure(d, 1), _entry_shrink, lambda v: np.sum(np.abs(v)),
+                 certify_l1=not isinstance(A, FusionMeasurementOperator), refute=_refute)
 
 
-def block_basis_pursuit(matrix, y, blocks, cfg=None, *, _refute_below=None):
+def block_basis_pursuit(matrix, y, blocks, cfg=None, *, _refute=None):
     """min sum_b ||x_b||_2 subject to Ax = y (mixed l2/l1, block sparsity).
 
-    ``_refute_below`` is for recovery trials only, as in basis_pursuit.
+    ``_refute`` is for recovery trials only, as in basis_pursuit.
     """
     cfg = cfg or SolverConfig()
     A = _as_operator(matrix)
@@ -578,13 +746,13 @@ def block_basis_pursuit(matrix, y, blocks, cfg=None, *, _refute_below=None):
             f"block structure covers {blocks.dimension} coefficients, matrix has {A.shape[1]}"
         )
 
-    def shrink(v, tau, out):
-        return _shrink_blocks(v, tau, blocks.block_count, out)
+    def make_shrink(v, out):
+        return _block_shrink(v, out, blocks.block_count)
 
     def objective(v):
         return np.sum(np.linalg.norm(v.reshape(blocks.block_count, blocks.block_size), axis=1))
 
-    return _admm(A, y, cfg, shrink, objective, refute_below=_refute_below)
+    return _admm(A, y, cfg, blocks, make_shrink, objective, refute=_refute)
 
 
 def gaussian_measurement_coefficients(n, N, seed, complex_valued=False):
@@ -595,6 +763,11 @@ def gaussian_measurement_coefficients(n, N, seed, complex_valued=False):
     """
     if n < 1 or N < 1:
         raise InvalidInputError("coefficient matrix needs positive dimensions")
+    limit = np.iinfo(np.intp).max
+    if n * N > limit:
+        raise InvalidInputError(
+            f"n={n} measurements of N={N} subspaces are too many: the n x N coefficient "
+            f"matrix would have more than {limit} entries")
     if seed < 0:
         raise InvalidInputError(f"coefficient matrix needs a nonnegative seed, got seed={seed}")
     rng = np.random.default_rng(seed)

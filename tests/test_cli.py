@@ -236,12 +236,11 @@ def test_solve_never_reports_refuted(capsys, tmp_path, command, extra):
     x[[0, 1, 4, 5, 6, 7]] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     y = A @ x
     if command == "bp":
-        bound = experiments._refutation_bound(x, experiments.DEFAULT_THRESHOLD)
-        trial = solvers.basis_pursuit(A, y, _refute_below=bound)
+        trial = solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
     else:
         blocks = solvers.BlockStructure(4, 2)
-        bound = experiments._refutation_bound(x, experiments.DEFAULT_THRESHOLD, blocks)
-        trial = solvers.block_basis_pursuit(A, y, blocks, _refute_below=bound)
+        trial = solvers.block_basis_pursuit(A, y, blocks,
+                                            _refute=(x, experiments.DEFAULT_THRESHOLD))
     assert trial.status == solvers.STATUS_REFUTED
     A_path, y_path = tmp_path / "A.csv", tmp_path / "y.csv"
     solvers.write_complex_matrix_csv(A_path, A)
@@ -472,3 +471,107 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["report"]["is_difference_set"] is True
+
+
+_HUGE = "1180591620717411303424"  # 2^70
+_SWEEP_VALUES = ("-" + _HUGE, "-1", "0", "1", _HUGE, "nan", "inf")
+
+
+def _numeric_flag_cases(matrix, y, out):
+    """(argv, value, parses) for each numeric argument of a tiny, otherwise
+    valid command and each sweep value; ``parses`` is whether the argument's
+    type accepts the value (an integer argument rejects nan and inf)."""
+    solver = [("--rho", float), ("--max-iters", int), ("--tol-primal", float),
+              ("--tol-dual", float)]
+    experiment = [("--trials", int), ("--ks", int), ("--seed", int), ("--threshold", float),
+                  ("--workers", int)]
+    commands = [
+        (["diffset", "search", "7", "3"], [("--lam", int), ("--budget", int)]),
+        (["gabor", "coherence"], [("--alltop", int), ("--random", int)]),
+        (["gabor", "coherence", "--set={},3"], [(None, int)]),
+        (["gabor", "coherence", "--random", "7"], [("--seed", int)]),
+        (["gabor", "table", "--quartic", "37", "--singer", "2:2"],
+         [("--quadratic", int), ("--measure-limit", int)]),
+        (["gabor", "table", "--quadratic", "11", "--singer", "2:2"], [("--quartic", int)]),
+        (["gabor", "table", "--quadratic", "11", "--quartic", "37", "--singer={}:2"],
+         [(None, int)]),
+        (["fusion", "report", "--set", "7,3"], [("--tol", float)]),
+        (["fusion", "report", "--set={},3"], [(None, int)]),
+        (["fusion", "distances", "--set=7,{}"], [(None, int)]),
+        (["solve", "bp", "--matrix", matrix, "--y", y], solver),
+        (["solve", "block-bp", "--matrix", matrix, "--y", y, "--blocks={},7"],
+         [(None, int)]),
+        (["experiment", "classic", "--n", "7", "--ks", "1", "--trials", "1",
+          "--generators", "alltop", "--out", out], experiment + solver),
+        (["experiment", "classic", "--n", "7", "--generators", "alltop", "--trials", "1",
+          "--out", out], [("--kmax", int)]),
+        (["experiment", "classic", "--n={}", "--ks", "1", "--trials", "1",
+          "--generators", "alltop", "--out", out], [(None, int)]),
+        (["experiment", "fusion", "--set", "7,3", "--measurements", "2", "--ks", "1",
+          "--trials", "1", "--out", out], experiment + solver),
+        (["experiment", "fusion", "--set", "7,3", "--ks", "1", "--trials", "1", "--out", out],
+         [("--measurements", int)]),
+    ]
+    cases = []
+    for base, flags in commands:
+        for flag, kind in flags:
+            for value in _SWEEP_VALUES:
+                # values that would start real work rather than be rejected:
+                # 2^70 trials, and 2^70 iterations of a solve that may not
+                # converge (its residual history grows every iteration)
+                if value == _HUGE and (flag == "--trials" or (
+                        flag == "--max-iters" and "alltop" not in base)):
+                    continue
+                try:
+                    kind(value)
+                    parses = True
+                except ValueError:
+                    parses = False
+                # --flag=value: a separate "-1,3" would read as an option
+                if flag is None:
+                    argv = [a.replace("{}", value) for a in base]
+                else:
+                    argv = base + [f"{flag}={value}"]
+                cases.append((argv, value, parses))
+    return cases
+
+
+def test_numeric_arguments_exit_zero_or_three(capsys, tmp_path, monkeypatch):
+    # every numeric argument of a tiny, otherwise valid command, at the values
+    # most likely to slip past a check.  Besides 0 and 3, two documented codes
+    # are expected: 2 for a value the argument's type cannot parse, and 4 for
+    # a solve stopped at its iteration cap.  Nothing may raise or exit 1.
+    monkeypatch.chdir(tmp_path)
+    A_path, y_path, _ = _write_instance(tmp_path)
+    unexpected = []
+    for argv, value, parses in _numeric_flag_cases(str(A_path), str(y_path),
+                                                   str(tmp_path / "out.csv")):
+        rc = cli.main(argv)
+        capsys.readouterr()
+        expected = ({0, 3, 4} if argv[0] == "solve" else {0, 3}) if parses else {2}
+        if rc not in expected:
+            unexpected.append((" ".join(argv), rc))
+    assert unexpected == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gabor", "coherence", "--random", "1"], "at least two columns"),
+    (["experiment", "classic", "--n", "7", "--set", "7,3", "--kmax", _HUGE, "--out", "x.csv"],
+     f"kmax={_HUGE}"),
+    (["experiment", "classic", "--n", "7", "--kmax", "99999999999999999999", "--out", "x.csv"],
+     "kmax=99999999999999999999"),
+    (["experiment", "fusion", "--set", "7,3", "--measurements", _HUGE, "--out", "x.csv"],
+     f"n={_HUGE}"),
+    (["experiment", "classic", "--n", "7", "--ks", "1", "--generators", "alltop",
+      "--rho", "1e-320", "--out", "x.csv"], "rho=1e-320"),
+    (["gabor", "table", "--quadratic", "1"], "N=1"),
+    (["gabor", "table", "--quartic", "1"], "N=1"),
+])
+def test_degenerate_or_unallocatable_inputs_exit_code(capsys, tmp_path, monkeypatch, argv,
+                                                      message):
+    # each is rejected before any array it names is asked for, with no traceback
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and message in captured.err
+    assert not (tmp_path / "x.csv").exists()

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,7 +20,7 @@ def test_solver_config_validation():
     cfg = solvers.SolverConfig()
     assert cfg.rho > 0 and cfg.max_iters >= 1
     for bad in [dict(rho=0.0), dict(max_iters=0), dict(tol_primal=-1e-9), dict(tol_dual=0.0),
-                dict(rho=float("nan")), dict(rho=float("inf")),
+                dict(rho=float("nan")), dict(rho=float("inf")), dict(rho=1e-320),
                 dict(tol_primal=float("nan")), dict(tol_dual=float("inf"))]:
         with pytest.raises(InvalidInputError):
             solvers.SolverConfig(**bad)
@@ -479,6 +479,14 @@ def test_certified_solve_is_feasible_and_no_worse_than_planted(seed, n, extra, k
         assert np.abs(res.solution).sum() <= np.abs(x0).sum() * (1 + 1e-10)
 
 
+def _initial_refutation_bound(A, x, y, tau, blocks, objective):
+    """The bound a solve compares its first checks with, in the scale of y."""
+    ynorm = np.linalg.norm(y)
+    project = solvers.AffineProjection(A, y / ynorm)
+    refutation = solvers._Refutation(x, tau, blocks, objective, project, ynorm)
+    return (refutation._value - refutation._margin * refutation._radius) * ynorm
+
+
 def test_refutation_spares_a_minimiser_inside_the_nse_ball():
     # A = [1, -(1-eps)], x = (1, delta): the unique minimiser (y, 0) has a
     # lower objective than x, yet lies within NSE tau of it, so the trial is
@@ -492,15 +500,78 @@ def test_refutation_spares_a_minimiser_inside_the_nse_ball():
     assert np.abs(minimiser).sum() < np.abs(x).sum()
     assert experiments.normalized_squared_error(minimiser, x) < tau
     blocks = solvers.BlockStructure(2, 1)  # l1 without the certified stop
-    bound = experiments._refutation_bound(x, tau, blocks)
-    assert bound == pytest.approx(experiments._refutation_bound(x, tau))
-    res = solvers.block_basis_pursuit(A, y, blocks, _refute_below=bound)
+    bound = _initial_refutation_bound(
+        A, x, y, tau, blocks, lambda v: np.linalg.norm(v.reshape(2, 1), axis=1).sum())
+    assert bound == pytest.approx(_initial_refutation_bound(
+        A, x, y, tau, blocks, lambda v: np.abs(v).sum()))
+    res = solvers.block_basis_pursuit(A, y, blocks, _refute=(x, tau))
     assert res.status == solvers.STATUS_CONVERGED
     assert experiments.normalized_squared_error(res.solution, x) < tau
     # with no margin the rule fires on an iterate, and the trial would fail
-    res = solvers.block_basis_pursuit(A, y, blocks, _refute_below=np.abs(x).sum())
+    res = solvers.block_basis_pursuit(A, y, blocks, _refute=(x, 0.0))
     assert res.status == solvers.STATUS_REFUTED
     assert experiments.normalized_squared_error(res.solution, x) >= tau
+
+
+def _null_space_margin_instance(gap_over_margin):
+    """A = [1, 1 - eps, a3], x = (1, delta, 0), and the null-space margin
+    factor min ||P g|| over the subgradients g = (1, 1, t), |t| <= 1, of the
+    l1 norm at x.  The unique minimiser is (y, 0, 0); v - x = ((1-eps) delta,
+    -delta, 0) lies in null(A), and its objective gap eps delta equals
+    min ||P g|| ||v - x||, so the minimiser sits at NSE gap_over_margin^2 tau
+    with an objective gap of gap_over_margin times the margin."""
+    eps, a3, tau = 0.5, 0.5, experiments.DEFAULT_THRESHOLD
+    A = np.array([[1.0, 1.0 - eps, a3]])
+    scale = np.hypot(1.0, 1.0 - eps)  # ||v - x|| / delta
+    t = (2.0 - eps) * a3 / scale ** 2  # the minimising off-support entry, inside [-1, 1]
+    g = np.array([1.0, 1.0, t])
+    factor = np.linalg.norm(g - (A[0] @ g) / (A[0] @ A[0]) * A[0])
+    assert factor == pytest.approx(eps / scale, rel=1e-12)
+    delta = 0.0
+    for _ in range(5):  # delta scale = gap_over_margin sqrt(tau) ||x||, ||x|| = hypot(1, delta)
+        delta = gap_over_margin * np.sqrt(tau) * np.hypot(1.0, delta) / scale
+    return A, np.array([1.0, delta, 0.0], dtype=complex), factor
+
+
+def test_refutation_spares_a_minimiser_inside_the_null_space_margin():
+    # past the switch the margin is the null-space one, min ||P g|| sqrt(tau)
+    # ||x||, here a third of sqrt(k tau) ||x||.  The minimiser's objective gap
+    # is 98% of it: the solve must not refute, and must refute once tau
+    # shrinks the margin to 98% of the gap.  rho = 300 keeps ADMM running
+    # past _TIGHTEN_AT on this tiny problem.
+    tau = experiments.DEFAULT_THRESHOLD
+    A, x, factor = _null_space_margin_instance(0.98)
+    assert factor < np.sqrt(2.0) / 3
+    y = A @ x
+    minimiser = np.array([y[0], 0.0, 0.0])
+    gap = np.abs(x).sum() - np.abs(minimiser).sum()
+    assert gap == pytest.approx(0.98 * factor * np.sqrt(tau) * np.linalg.norm(x), rel=1e-6)
+    assert experiments.normalized_squared_error(minimiser, x) < tau
+    blocks = solvers.BlockStructure(3, 1)  # l1 without the certified stop
+    cfg = solvers.SolverConfig(rho=300.0, max_iters=2000)
+    res = solvers.block_basis_pursuit(A, y, blocks, cfg, _refute=(x, tau))
+    assert res.status == solvers.STATUS_CONVERGED and res.iterations > solvers._TIGHTEN_AT
+    assert experiments.normalized_squared_error(res.solution, x) < tau
+    res = solvers.block_basis_pursuit(A, y, blocks, cfg, _refute=(x, tau * 0.98 ** 4))
+    assert res.status == solvers.STATUS_REFUTED and res.iterations >= solvers._TIGHTEN_AT
+    assert experiments.normalized_squared_error(res.solution, x) >= tau * 0.98 ** 4
+
+    # the slack: y = A x - e with e = (1 - eps) delta moves the minimiser to
+    # (1, 0, 0), delta from x, inside the NSE ball, with an objective gap of
+    # delta, about twice the null-space margin.  Only the slack's term
+    # sqrt(B) ||y - A x|| / sigma, here sqrt(3) e / ||A||, keeps the solve
+    # from refuting it; the same term covers the rounding in a trial's A x.
+    A, x, factor = _null_space_margin_instance(0.9 * np.hypot(1.0, 0.5))
+    delta = x[1].real
+    y = A @ x - 0.5 * delta
+    minimiser = np.array([1.0, 0.0, 0.0])
+    assert np.allclose(A @ minimiser, y, rtol=0, atol=1e-15)
+    assert experiments.normalized_squared_error(minimiser, x) < tau
+    margin = factor * np.sqrt(tau) * np.linalg.norm(x)
+    assert np.abs(x).sum() - np.abs(minimiser).sum() > 1.9 * margin
+    res = solvers.block_basis_pursuit(A, y, blocks, cfg, _refute=(x, tau))
+    assert res.status == solvers.STATUS_CONVERGED and res.iterations > solvers._TIGHTEN_AT
+    assert experiments.normalized_squared_error(res.solution, x) < tau
 
 
 def _planted_instance(rng, n, d, blocks, k, complex_valued):
@@ -516,30 +587,52 @@ def _planted_instance(rng, n, d, blocks, k, complex_valued):
     return A, x, A @ x
 
 
+def _planted_fusion_instance(rng, params, n, k, complex_valued):
+    """A fusion operator with n < K real or complex measurement coefficients,
+    stacked coefficients x with k active blocks, and y = A x."""
+    N, K = params
+    seed = int(rng.integers(2**32))
+    op = _fusion_instance(N, K, min(n, K - 1), seed, complex_valued=complex_valued)
+    ff = op.fusion_frame
+    x = experiments.random_fusion_sparse_signal(ff, min(k, N), seed)
+    return op, x, op @ x
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), block_size=st.integers(1, 3),
        block_count=st.integers(2, 6), n=st.integers(1, 6), k=st.integers(1, 4),
-       complex_valued=st.booleans())
+       complex_valued=st.booleans(), fusion_set=st.sampled_from([None, (7, 3), (13, 4)]),
+       rho=st.sampled_from([10.0, 300.0]))
+# fusion solves refuted past _TIGHTEN_AT, with real and with complex local blocks
+@example(seed=8, block_size=1, block_count=2, n=2, k=2, complex_valued=False,
+         fusion_set=(13, 4), rho=300.0)
+@example(seed=8, block_size=1, block_count=2, n=2, k=2, complex_valued=True,
+         fusion_set=(13, 4), rho=300.0)
 def test_refuted_solve_is_feasible_and_outside_the_nse_ball(seed, block_size, block_count,
-                                                            n, k, complex_valued):
+                                                            n, k, complex_valued, fusion_set,
+                                                            rho):
     rng = np.random.default_rng(seed)
-    blocks = solvers.BlockStructure(block_count, block_size)
-    d = blocks.dimension
-    A, x, y = _planted_instance(rng, min(n, d), d, blocks, min(k, block_count),
-                                complex_valued)
     tau = experiments.DEFAULT_THRESHOLD
-    cfg = solvers.SolverConfig(max_iters=500)
-    if block_size == 1:
-        res = solvers.basis_pursuit(A, y, cfg, _refute_below=experiments._refutation_bound(x, tau))
+    cfg = solvers.SolverConfig(rho=rho, max_iters=500)
+    if fusion_set is not None:
+        A, x, y = _planted_fusion_instance(rng, fusion_set, n, k, complex_valued)
+        res = solvers.block_basis_pursuit(A, y, A.block_structure, cfg, _refute=(x, tau))
+        A = A.effective
     else:
-        res = solvers.block_basis_pursuit(
-            A, y, blocks, cfg, _refute_below=experiments._refutation_bound(x, tau, blocks))
+        blocks = solvers.BlockStructure(block_count, block_size)
+        d = blocks.dimension
+        A, x, y = _planted_instance(rng, min(n, d), d, blocks, min(k, block_count),
+                                    complex_valued)
+        if block_size == 1:
+            res = solvers.basis_pursuit(A, y, cfg, _refute=(x, tau))
+        else:
+            res = solvers.block_basis_pursuit(A, y, blocks, cfg, _refute=(x, tau))
     if res.status != solvers.STATUS_REFUTED:
         return
     assert res.iterations % solvers._CERTIFY_PERIOD == 0 and not res.certified
     assert np.linalg.norm(A @ res.solution - y) <= 1e-10 * np.linalg.norm(y)
     assert experiments.normalized_squared_error(res.solution, x) >= tau
-    if block_size == 1:
+    if fusion_set is None and block_size == 1:
         # a refuted planted signal is no minimiser, so it has no certificate
         assert solvers._l1_certificate(A, y, x) is None
 
@@ -761,6 +854,79 @@ def test_fusion_with_a_duplicated_column_still_iterates():
     res = solvers.block_basis_pursuit(op, y, op.block_structure)
     assert res.iterations > 0
     assert np.linalg.norm(op @ res.solution - y) <= 1e-9 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("kind", ["gabor", "dense", "fusion-real", "fusion-complex",
+                                  "fusion-svd"])
+def test_null_part_projects_onto_the_null_space(kind):
+    # the refutation bound's P: the part of the projection linear in w,
+    # idempotent and self-adjoint, with A P w = 0 on every projection path
+    rng = np.random.default_rng(30)
+    if kind == "gabor":
+        A, op = _frame().columns, _frame()
+    elif kind == "dense":
+        A = _complex_normal(rng, (4, 9))
+        op = A
+    else:
+        op = _fusion_instance(7, 3, 2, seed=31, complex_valued=kind == "fusion-complex")
+        if kind == "fusion-svd":  # two equal columns of a: rank-deficient 3 x 3 blocks
+            a = solvers.gaussian_measurement_coefficients(3, 7, seed=31)
+            a[:, 4] = a[:, 1]
+            op = solvers.assemble_fusion_operator(a, op.fusion_frame)
+        A = op.effective
+    y = A @ _complex_normal(rng, A.shape[1])
+    project = solvers.AffineProjection(op, y)
+    assert project.rank < A.shape[1] and (kind != "fusion-svd" or project.rank < A.shape[0])
+    w, v = _complex_normal(rng, A.shape[1]), _complex_normal(rng, A.shape[1])
+    Pw = project.null_part(w, np.empty_like(w))
+    Pv = project.null_part(v, np.empty_like(v))
+    assert np.linalg.norm(A @ Pw) <= 1e-12 * np.linalg.norm(A) * np.linalg.norm(w)
+    assert np.linalg.norm(project.null_part(Pw, np.empty_like(w)) - Pw) <= 1e-12 * np.linalg.norm(w)
+    assert abs(np.vdot(v, Pw) - np.vdot(Pv, w)) <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(w)
+    assert np.linalg.norm(project(w) - project(np.zeros_like(w)) - Pw) <= 1e-12 * np.linalg.norm(w)
+    assert 0 < np.linalg.norm(Pw) < np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_fusion_iterates_match_the_reference_kernels_bit_for_bit(complex_valued):
+    # the solve binds its shrink buffers once and projects into preallocated
+    # ones, yet runs the same ufuncs and matmuls: every iterate must equal, to
+    # the bit, the loop built from block_soft_threshold and the unbuffered
+    # projection, which in turn agrees with the dense oracle's projection
+    op = _fusion_instance(40, 13, 9, seed=3, complex_valued=complex_valued)
+    blocks = op.block_structure
+    rng = np.random.default_rng(4)
+    x = np.zeros(blocks.dimension, dtype=complex)
+    for b in rng.choice(blocks.block_count, size=12, replace=False):
+        x[b * 13:(b + 1) * 13] = _complex_normal(rng, 13)
+    y = op @ x
+    cfg = solvers.SolverConfig(max_iters=60)
+    res = solvers.block_basis_pursuit(op, y, blocks, cfg)
+    assert res.status == solvers.STATUS_MAX_ITERS
+    ynorm = np.linalg.norm(y)
+    project = solvers.AffineProjection(op, y / ynorm)
+    dense = solvers.AffineProjection(op.effective, y / ynorm)
+    P = project._null_projector
+    assert P.dtype == (complex if complex_valued else float)
+
+    def reference_projection(w):
+        image = P @ w[op.owners].view(P.dtype).reshape(40, 13, -1)
+        return image.view(complex).reshape(-1)[project._placement] + project._particular
+
+    z = np.zeros(blocks.dimension, dtype=complex)
+    u = np.zeros_like(z)
+    history = []
+    for _ in range(res.iterations):
+        w = z - u
+        x_k = reference_projection(w)
+        assert np.array_equal(project(w), x_k)
+        assert np.linalg.norm(dense(w) - x_k) <= 1e-12 * np.linalg.norm(x_k)
+        z_old = z
+        z = solvers.block_soft_threshold(x_k + u, 1.0 / cfg.rho, blocks)
+        u = u + (x_k - z)
+        history.append((np.linalg.norm(x_k - z), cfg.rho * np.linalg.norm(z - z_old)))
+    assert np.array_equal(res.solution, x_k * ynorm)
+    np.testing.assert_allclose(res.residual_history, history, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("params, n, k", [((7, 3), 2, 2), ((13, 4), 3, 2), ((40, 13), 9, 4),
