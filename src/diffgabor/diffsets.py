@@ -15,6 +15,9 @@ import numpy as np
 from .errors import CatalogError, ConfigurationError, InvalidInputError, UnsupportedParametersError
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
+# largest modulus verify_difference_set accepts: its report holds all N - 1
+# difference counts, about 20 MB as the CLI's JSON at this N
+VERIFY_MODULUS_LIMIT = 10 ** 6
 
 SEARCH_FOUND = "found"
 SEARCH_BUDGET_EXHAUSTED = "budget-exhausted"
@@ -120,7 +123,16 @@ def verify_difference_set(N, subset):
         ``is_difference_set`` is true iff all N-1 counts coincide; in that
         case ``inferred_lambda`` holds the common count and ``params_ok``
         records whether the (N, K, lambda) invariants hold as well.
+
+    Raises
+    ------
+    InvalidInputError
+        For an N above VERIFY_MODULUS_LIMIT, before anything is counted.
     """
+    if N > VERIFY_MODULUS_LIMIT:
+        raise InvalidInputError(
+            f"modulus N={N} is above the verification limit {VERIFY_MODULUS_LIMIT}: "
+            f"the report lists all N - 1 difference counts")
     elements = _check_subset(N, subset)
     counts = difference_counts(N, elements)
     values = set(counts.values())

@@ -17,7 +17,9 @@ from .diffsets import DifferenceSetParams, normalized_generator
 from .errors import InvalidInputError, UnsupportedParametersError
 
 # The dense ETF check of a plain column matrix is capped at desk scale; Gabor
-# frames are measured block by block (_tf_gram) at any N.
+# frames are measured at any N from the ambiguity function of their window
+# (_ambiguity): N FFTs of length N, since each Gram magnitude depends only on
+# the time-frequency offset of its two columns.
 DENSE_GRAM_LIMIT = 64
 _SCAN_CHUNK = 256
 # largest N the family table measures by default: every catalog set but (101,25)
@@ -239,7 +241,8 @@ def _tf_gram(g):
     |<M_j T_r g, M_j' T_q g>| / ||g||^2 for every j with j' - j = delta mod N.
     The inner product is sum_n conj(T_r g)(n) (T_q g)(n) exp(2 pi i delta n / N),
     so block B_r* B_q is circulant and its magnitudes are one length-N FFT of
-    T_r g(n) conj(T_q g)(n): N^2 FFTs instead of an N^2 x N^2 Gram.
+    T_r g(n) conj(T_q g)(n).  Only block_coherence_profile reads it, since it
+    checks every block on its own; everything else reads _ambiguity.
     """
     g = np.asarray(g, dtype=complex)
     N = g.shape[0]
@@ -249,44 +252,45 @@ def _tf_gram(g):
     return np.abs(np.fft.fft(products, axis=-1)) / np.vdot(g, g).real
 
 
-def _off_diagonal_mask(N):
-    """True everywhere in a _tf_gram array except at the column norms [r, r, 0]."""
-    keep = np.ones((N, N, N), dtype=bool)
-    keep[np.arange(N), np.arange(N), 0] = False
-    return keep
+def _ambiguity(g):
+    """Every Gram magnitude of the Gabor system of g, by time-frequency offset.
+
+    Returns the (N, N) array whose [tau, delta] entry is
+    |FFT(g conj(T_tau g))[delta]| / ||g||^2, the r = 0 slice _tf_gram(g)[0]
+    from the same products.  Shifting n by r turns T_r g conj(T_q g) into
+    g conj(T_{q-r} g) times a phase, so _tf_gram(g)[r, q] equals row (q - r) mod N
+    up to rounding: N FFTs instead of N^2.
+    """
+    g = np.asarray(g, dtype=complex)
+    N = g.shape[0]
+    n = np.arange(N)
+    shifts = g[(n[None, :] - n[:, None]) % N]  # shifts[tau] = T_tau g
+    return np.abs(np.fft.fft(g * shifts.conj(), axis=-1)) / np.vdot(g, g).real
 
 
-def _tf_coherence(gram):
-    """Largest off-diagonal Gram magnitude and the first column pair attaining it.
+def _ambiguity_coherence(amb):
+    """Largest magnitude off the column norm amb[0, 0], and the first column pair attaining it.
 
     Entries within _TIE_TOL of the maximum count as ties, and the first one in
-    (r, q, delta) order wins, so roundoff does not pick the pair.  The pair is
-    reported with j = 0: columns (r N, q N + delta).
+    (tau, delta) order wins, so roundoff does not pick the pair.  The pair is
+    reported with r = j = 0: columns (0, tau N + delta).
     """
-    N = gram.shape[0]
-    masked = np.where(_off_diagonal_mask(N), gram, -1.0)
-    mu = float(masked.max())
-    r, q, delta = np.unravel_index(int(np.argmax(masked >= mu - _TIE_TOL)), masked.shape)
-    return mu, (int(r) * N, int(q) * N + int(delta))
-
-
-def _block_entries(gram):
-    """The off-diagonal entries of each B_k* B_k, shape (N, N-1), and every
-    entry of the blocks B_r* B_q with r != q, read from a _tf_gram array."""
-    N = gram.shape[0]
-    k = np.arange(N)
-    return gram[k, k, 1:], gram[~np.eye(N, dtype=bool)]
+    off = amb.reshape(-1)[1:]
+    mu = float(off.max())
+    return mu, (0, 1 + int(np.argmax(off >= mu - _TIE_TOL)))
 
 
 def mutual_coherence(frame):
     """Coherence report for a GaborFrame (or a plain column matrix).
 
-    A GaborFrame is measured from its block-circulant Gram (_tf_gram), a plain
-    matrix by the dense scan.  For difference-set windows the report also
-    splits the Gram maximum into the within-block value (all equal by the
-    diagonal-block proposition) and the off-diagonal-block maximum, both read
-    from the same _tf_gram array, and carries the closed-form prediction.
-    The per-block tightness check is left to block_coherence_profile.
+    A GaborFrame is measured from the ambiguity function of its window
+    (_ambiguity), a plain matrix by the dense scan.  mu is the largest entry
+    off (tau, delta) = (0, 0), and argmax_pair the first within _TIE_TOL of it
+    (_ambiguity_coherence).  For difference-set windows the report also splits
+    mu into the within-block value max amb[0, 1:] (all equal by the
+    diagonal-block proposition) and the off-diagonal-block maximum
+    max amb[1:, :], and carries the closed-form prediction.  Checking each
+    block on its own is left to block_coherence_profile.
     """
     count = frame.N ** 2 if isinstance(frame, GaborFrame) else np.shape(frame)[-1]
     if count < 2:
@@ -296,15 +300,14 @@ def mutual_coherence(frame):
         mu, pair = _coherence_scan(columns)
         return CoherenceReport(mu, pair, None, None,
                                welch_bound(columns.shape[1], columns.shape[0]), None)
-    gram = _tf_gram(frame.generator.values)
-    mu, pair = _tf_coherence(gram)
+    amb = _ambiguity(frame.generator.values)
+    mu, pair = _ambiguity_coherence(amb)
     wb = welch_bound(frame.N * frame.N, frame.N)
     params = frame.generator.params
     diag_val = off_max = predicted = None
     if frame.generator.kind == "difference_set" and params is not None:
-        within, cross = _block_entries(gram)
-        diag_val = float(within.max())
-        off_max = float(cross.max())
+        diag_val = float(amb[0, 1:].max())
+        off_max = float(amb[1:, :].max())
         predicted = predicted_coherence(params)
     return CoherenceReport(mu, pair, diag_val, off_max, wb, predicted)
 
@@ -325,7 +328,8 @@ def block_coherence_profile(frame, params=None):
     # copied from block 0 by covariance, so each block is checked on its own
     N, K, lam = params.N, params.K, params.lam
     k = np.arange(N)
-    within, cross = _block_entries(_tf_gram(frame.generator.values))
+    gram = _tf_gram(frame.generator.values)
+    within, cross = gram[k, k, 1:], gram[~np.eye(N, dtype=bool)]
     norms2 = np.sum(np.abs(frame.columns) ** 2, axis=0)
     diag_unit_error = float(np.max(np.abs(norms2 - 1.0)))
 
@@ -354,7 +358,7 @@ def block_coherence_profile(frame, params=None):
 def is_etf(frame, tol=1e-10):
     """Check the three ETF axioms: equal norms, tightness, equiangularity.
 
-    Works on a GaborFrame (equiangularity read from _tf_gram) or any column
+    Works on a GaborFrame (equiangularity read from _ambiguity) or any column
     matrix (dense Gram, capped at desk scale).  Diagnostics report the three
     defects plus the measured coherence and the Welch bound it should meet.
     """
@@ -371,7 +375,7 @@ def is_etf(frame, tol=1e-10):
     H = unit @ unit.conj().T
     tight_err = float(np.max(np.abs(H - (M / rows) * np.eye(rows))))
     if gabor_frame:
-        vals = _tf_gram(frame.generator.values)[_off_diagonal_mask(frame.N)]
+        vals = _ambiguity(frame.generator.values).reshape(-1)[1:]
     else:
         G = np.abs(unit.conj().T @ unit)
         vals = G[~np.eye(M, dtype=bool)]
@@ -391,8 +395,8 @@ def _singer_family_mu2(q, d):
 def family_table_rows(quadratic=(), quartic=(), singer=(), catalog=None,
                       measure_limit=TABLE_MEASURE_LIMIT):
     """Rows of the difference-set family table: predicted mu^2 vs Welch, plus
-    a measurement from the block-circulant Gram whenever the catalog has the
-    set and N <= measure_limit.
+    a measurement from the window's ambiguity function (_ambiguity) whenever
+    the catalog has the set and N <= measure_limit.
 
     quadratic: primes q = 3 mod 4 -> (q, (q-1)/2, (q-3)/4), mu^2 = (q-3)^2/(4(q-1)^2).
     quartic:   primes p in {37, 101} (catalog-backed) -> (p, (p-1)/4, (p-5)/16),
@@ -429,8 +433,8 @@ def family_table_rows(quadratic=(), quartic=(), singer=(), catalog=None,
         }
         ds = catalog(N, K)
         if ds is not None and N <= measure_limit:
-            gram = _tf_gram(difference_set_generator(ds).values)
-            row["measured_mu_squared"] = _tf_coherence(gram)[0] ** 2
+            amb = _ambiguity(difference_set_generator(ds).values)
+            row["measured_mu_squared"] = _ambiguity_coherence(amb)[0] ** 2
         rows.append(row)
 
     for q, d in singer:

@@ -187,8 +187,6 @@ class AffineProjection:
     def __init__(self, matrix, y):
         tight = isinstance(matrix, GaborFrame)
         A = matrix.columns if tight else _as_operator(matrix)
-        if len(A.shape) != 2:
-            raise InvalidInputError("matrix must be 2-d")
         y = np.asarray(y, dtype=complex).reshape(-1)
         n, d = A.shape
         if y.shape[0] != n:
@@ -429,10 +427,14 @@ def block_soft_threshold(z, tau, blocks):
 
 
 def _as_operator(matrix):
-    """A Gabor frame or fusion measurement operator as is; else a dense complex array."""
+    """A Gabor frame or fusion measurement operator as is; else a dense complex
+    2-d array (InvalidInputError otherwise, before any solver reads its shape)."""
     if isinstance(matrix, (GaborFrame, FusionMeasurementOperator)):
         return matrix
-    return np.asarray(matrix, dtype=complex)
+    A = np.asarray(matrix, dtype=complex)
+    if A.ndim != 2:
+        raise InvalidInputError("matrix must be 2-d")
+    return A
 
 
 def _off_support(A, w, S):

@@ -566,6 +566,9 @@ def test_numeric_arguments_exit_zero_or_three(capsys, tmp_path, monkeypatch):
       "--rho", "1e-320", "--out", "x.csv"], "rho=1e-320"),
     (["gabor", "table", "--quadratic", "1"], "N=1"),
     (["gabor", "table", "--quartic", "1"], "N=1"),
+    (["diffset", "verify", "1180591620717411303424", "1,2,4"], "verification limit 1000000"),
+    (["diffset", "verify", str(diffsets.VERIFY_MODULUS_LIMIT + 1), "1,2,4"],
+     f"N={diffsets.VERIFY_MODULUS_LIMIT + 1}"),
 ])
 def test_degenerate_or_unallocatable_inputs_exit_code(capsys, tmp_path, monkeypatch, argv,
                                                       message):

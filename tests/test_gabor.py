@@ -50,6 +50,20 @@ def test_tf_gram_matches_dense_gram_random_windows(seed, N, sparse):
     _assert_tf_gram_is_dense_gram(gabor.build_gabor_frame(_random_window(seed, N, sparse)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 16), sparse=st.booleans())
+def test_ambiguity_is_every_block_of_tf_gram(seed, N, sparse):
+    # [r, q, delta] depends only on the offset (q - r, delta): every r reads row q - r
+    g = _random_window(seed, N, sparse)
+    amb = gabor._ambiguity(g)
+    assert amb.shape == (N, N)
+    gram = gabor._tf_gram(g)
+    tau = np.arange(N)
+    for r in range(N):
+        assert np.max(np.abs(gram[r, (r + tau) % N] - amb)) < 1e-12
+    _assert_tf_gram_is_dense_gram(gabor.build_gabor_frame(g))
+
+
 @pytest.mark.parametrize("ds", [ds for ds in diffsets.catalog_entries() if ds.N <= 64],
                          ids=lambda ds: f"{ds.N},{ds.params.K}")
 def test_tf_gram_matches_dense_gram_catalog(ds):
@@ -235,20 +249,82 @@ def test_coherence_block_split():
     assert rep.offdiag_block_max == pytest.approx(1 / 3, abs=1e-10)
     i, j = rep.argmax_pair
     assert 0 <= i < j < 49
-    # the first maximum in (r, q, delta) order: an off-block 1/3 loses to the
-    # within-block sqrt(4/18) = 0.471 at r = q = 0, delta = 1
+    # the first maximum in (tau, delta) order: an off-block 1/3 loses to the
+    # within-block sqrt(4/18) = 0.471 at tau = 0, delta = 1
     assert (i, j) == (0, 1)
 
 
 @pytest.mark.parametrize("ds", [ds for ds in diffsets.catalog_entries() if ds.N <= 64],
                          ids=lambda ds: f"{ds.N},{ds.params.K}")
 def test_coherence_split_is_the_block_profile(ds):
-    # the report reads both maxima from _tf_gram; the profile checks every block
+    # the report reads both maxima from one ambiguity function: the within-block
+    # value from row tau = 0, the off-block maximum from the rows tau != 0.  The
+    # profile checks every block of _tf_gram on its own, so it agrees up to rounding
     frame = gabor.build_gabor_frame(gabor.difference_set_generator(ds))
     rep = gabor.mutual_coherence(frame)
+    amb = gabor._ambiguity(frame.generator.values)
+    assert rep.diagonal_block_offdiag_value == np.max(amb[0, 1:])
+    assert rep.offdiag_block_max == np.max(amb[1:, :])
     prof = gabor.block_coherence_profile(frame)
-    assert rep.diagonal_block_offdiag_value == np.max(prof.within_block_offdiag_max)
-    assert rep.offdiag_block_max == prof.offdiag_block_max
+    assert abs(rep.diagonal_block_offdiag_value
+               - np.max(prof.within_block_offdiag_max)) <= gabor._TIE_TOL
+    assert abs(rep.offdiag_block_max - prof.offdiag_block_max) <= gabor._TIE_TOL
+
+
+def _first_maximum_3d(gram):
+    """The coherence rule on the whole (N, N, N) _tf_gram array, as a test oracle.
+
+    mu is the largest entry off the column norms [r, r, 0]; the pair is the
+    first (r, q, delta) within _TIE_TOL of mu, as columns (r N, q N + delta).
+    Also returns the largest off-diagonal entry of any B_k* B_k and the
+    largest entry of any B_r* B_q with r != q.
+    """
+    N = gram.shape[0]
+    k = np.arange(N)
+    masked = gram.copy()
+    masked[k, k, 0] = -1.0
+    mu = float(masked.max())
+    r, q, delta = np.unravel_index(int(np.argmax(masked >= mu - gabor._TIE_TOL)), masked.shape)
+    within = float(gram[k, k, 1:].max())
+    cross = float(gram[~np.eye(N, dtype=bool)].max())
+    return mu, (int(r) * N, int(q) * N + int(delta)), within, cross
+
+
+_TIE_RULE_GENERATORS = (
+    [gabor.difference_set_generator(ds) for ds in diffsets.catalog_entries() if ds.N <= 64]
+    + [gabor.alltop_generator(p) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)]
+    + [gabor.random_torus_generator(N, seed) for N in range(2, 42) for seed in (N, 1000 + N)])
+
+
+@pytest.mark.parametrize("generator", _TIE_RULE_GENERATORS,
+                         ids=lambda g: f"{g.kind}-{g.values.shape[0]}")
+def test_ambiguity_tie_rule_matches_the_3d_rule(generator):
+    frame = gabor.build_gabor_frame(generator)
+    rep = gabor.mutual_coherence(frame)
+    mu, pair, within, cross = _first_maximum_3d(gabor._tf_gram(generator.values))
+    assert rep.argmax_pair == pair
+    assert abs(rep.mutual_coherence - mu) <= gabor._TIE_TOL
+    if generator.kind == "difference_set":
+        assert abs(rep.diagonal_block_offdiag_value - within) <= gabor._TIE_TOL
+        assert abs(rep.offdiag_block_max - cross) <= gabor._TIE_TOL
+    else:
+        assert rep.diagonal_block_offdiag_value is None and rep.offdiag_block_max is None
+
+
+def test_coherence_of_the_smallest_windows():
+    # N = 1 has one column and no coherence; at N = 2 the four columns of
+    # g = (1, 0) hold one pair at magnitude 1, of g = (1, i/2) one at 0.8
+    with pytest.raises(InvalidInputError, match="at least two columns"):
+        gabor.mutual_coherence(gabor.build_gabor_frame([1.0]))
+    for g, mu, pair in (([1.0, 0.0], 1.0, (0, 1)), ([1.0, 0.5j], 0.8, (0, 3))):
+        frame = gabor.build_gabor_frame(g)
+        rep = gabor.mutual_coherence(frame)
+        assert rep.mutual_coherence == pytest.approx(mu, abs=1e-15)
+        assert rep.argmax_pair == pair
+        assert rep.welch_bound == pytest.approx(np.sqrt(1 / 3))
+        check = gabor.is_etf(frame)
+        assert not check.is_etf and check.coherence == rep.mutual_coherence
+        assert check.equiangularity_spread == pytest.approx(mu, abs=1e-15)
 
 
 def test_coherence_plain_matrix_input():

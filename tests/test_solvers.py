@@ -645,6 +645,18 @@ def test_block_basis_pursuit_dimension_check():
         )
 
 
+@pytest.mark.parametrize("matrix", [np.ones(3), np.ones((2, 3, 1)), np.float64(1.0)],
+                         ids=["1-d", "3-d", "0-d"])
+def test_solvers_reject_a_matrix_that_is_not_2d(matrix):
+    # refused before any solver reads A.shape[1]
+    with pytest.raises(InvalidInputError, match="matrix must be 2-d"):
+        solvers.basis_pursuit(matrix, np.ones(1))
+    with pytest.raises(InvalidInputError, match="matrix must be 2-d"):
+        solvers.block_basis_pursuit(matrix, np.ones(1), solvers.BlockStructure(1, 3))
+    with pytest.raises(InvalidInputError, match="matrix must be 2-d"):
+        solvers.AffineProjection(matrix, np.ones(1))
+
+
 def test_block_basis_pursuit_recovers_block_sparse():
     ds = diffsets.catalog_lookup(7, 3)
     ff = fusion.build_fusion_frame(ds)
