@@ -7,8 +7,9 @@ iteration cap (partial result still emitted).
 
 import argparse
 import functools
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -50,14 +51,74 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+_SCALAR_TEXT = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(value):
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _key_text(key):
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return _encode(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(value, newline):
+    """``value`` as json.dumps(indent=2, sort_keys=True, allow_nan=False,
+    default=_json_default) writes it at the depth whose line break is ``newline``."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or value is True or value is False:
+        return _SCALAR_TEXT[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if {*map(type, value)} == {float}:
+            # a matrix row repeats few values: format each distinct nonzero one
+            # once; 0.0 == -0.0, so zeros keep their own text
+            texts = {v: _float_text(v) for v in dict.fromkeys(value) if v}
+            items = [texts[v] if v else float.__repr__(v) for v in value]
+        else:
+            items = [_encode(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_encode_str(_key_text(k))}: {_encode(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    return _encode(_json_default(value), newline)
+
+
 def _emit(args, report):
+    """Print the command's JSON document: its version, its parsed arguments
+    and ``report``.
+
+    The bytes are those of json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False, default=_json_default), and so are the exception types
+    (ValueError for NaN or infinity).  That call is not used: with ``indent``
+    set it encodes item by item through the stdlib's pure-Python generators.
+    ``_encode`` builds each container with one str.join and formats each
+    distinct value of a float-only list once; the fusion report's N x N
+    chordal distance matrix holds only two values.
+    """
     config = {
         k: v
         for k, v in sorted(vars(args).items())
         if k != "handler" and not callable(v)
     }
     doc = {"version": __version__, "config": config, "report": report}
-    print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default))
+    print(_encode(doc, "\n"))
 
 
 def _ds_json(ds):
@@ -202,9 +263,7 @@ def _run_solve(args, blocks=None):
         result = solvers.basis_pursuit(A, y, cfg)
     else:
         result = solvers.block_basis_pursuit(A, y, blocks, cfg)
-    feasibility = float(
-        np.linalg.norm(A @ result.solution - y) / max(1.0, float(np.linalg.norm(y)))
-    )
+    feasibility = solvers.scaled_norm(A @ result.solution - y) / max(1.0, solvers.scaled_norm(y))
     report = {
         "status": result.status,
         "certified": result.certified,

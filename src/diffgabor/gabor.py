@@ -365,6 +365,8 @@ def is_etf(frame, tol=1e-10):
     gabor_frame = isinstance(frame, GaborFrame)
     columns = frame.columns if gabor_frame else np.asarray(frame, dtype=complex)
     rows, M = columns.shape
+    if M < 2:
+        raise InvalidInputError(f"an ETF check needs at least two columns, the frame has {M}")
     if not gabor_frame and M > DENSE_GRAM_LIMIT ** 2:
         raise UnsupportedParametersError("dense ETF check capped at desk scale")
     norms = np.linalg.norm(columns, axis=0)

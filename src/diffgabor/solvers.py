@@ -203,7 +203,7 @@ class AffineProjection:
             self._init_blockwise(A, y)
             return
         U, s, Vh = np.linalg.svd(A, full_matrices=False)
-        cutoff = s.max(initial=0.0) * max(n, d) * np.finfo(float).eps
+        cutoff = s.max(initial=0.0) * (max(n, d) * np.finfo(float).eps)
         r = int(np.sum(s > cutoff))
         if r == 0:
             raise FactorizationError("measurement matrix has rank zero")
@@ -623,6 +623,19 @@ class _Refutation:
         return value < bound - slack
 
 
+def scaled_norm(v):
+    """||v||_2 as np.linalg.norm gives it or, when the sum of squares
+    overflows (a norm above about 1.3e154), as m ||v / m|| with m the
+    largest real or imaginary part in magnitude."""
+    with np.errstate(over="ignore"):
+        value = float(np.linalg.norm(v))
+    if math.isinf(value):
+        v = np.asarray(v, dtype=complex)
+        scale = float(np.abs(v.view(float)).max())
+        value = scale * float(np.linalg.norm(v / scale))
+    return value
+
+
 def _admm(matrix, y, cfg, blocks, make_shrink, objective, certify_l1=False, refute=None):
     """ADMM for min objective(x) s.t. Ax = y, with ``make_shrink(v, out)``
     giving its proximal map of v into ``out`` as a function of tau alone, and
@@ -638,14 +651,13 @@ def _admm(matrix, y, cfg, blocks, make_shrink, objective, certify_l1=False, refu
     A = _as_operator(matrix)
     y = np.asarray(y, dtype=complex).reshape(-1)
     d = A.shape[1]
-    ynorm = float(np.linalg.norm(y))
+    ynorm = scaled_norm(y)
     if ynorm == 0.0:
         return SolveResult(np.zeros(d, dtype=complex), 0, 0.0, 0.0, STATUS_CONVERGED)
     project = AffineProjection(A, y / ynorm)
     if project.rank == d:
-        solution = project(np.zeros(d, dtype=complex)) * ynorm
-        return SolveResult(solution, 0, 0.0, 0.0, STATUS_CONVERGED,
-                           objective=float(objective(solution)))
+        solution, value = _rescale(project(np.zeros(d, dtype=complex)), ynorm, objective)
+        return SolveResult(solution, 0, 0.0, 0.0, STATUS_CONVERGED, objective=value)
     # f is positively homogeneous, so the bound is compared in the scale of y / ||y||
     refutation = None if refute is None else _Refutation(*refute, blocks, objective,
                                                          project, ynorm)
@@ -702,7 +714,7 @@ def _admm(matrix, y, cfg, blocks, make_shrink, objective, certify_l1=False, refu
             break
     history = np.sqrt(history)
     history[:, 1] *= rho
-    solution = x * ynorm
+    solution, value = _rescale(x, ynorm, objective)
     return SolveResult(
         solution=solution,
         iterations=it,
@@ -710,9 +722,27 @@ def _admm(matrix, y, cfg, blocks, make_shrink, objective, certify_l1=False, refu
         dual_residual=float(history[-1, 1]),
         status=status,
         residual_history=history,
-        objective=float(objective(solution)),
+        objective=value,
         certified=certified,
     )
+
+
+def _rescale(x, ynorm, objective):
+    """The solution x * ynorm of the problem in y's own scale, and its
+    objective; InvalidInputError when either is beyond double precision.
+    The objective is at least each |entry|, so a finite one proves every
+    entry of the solution finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        solution = x * ynorm
+        value = float(objective(solution))
+        if not math.isfinite(value):
+            # f is positively homogeneous, and a block norm of finite entries
+            # can overflow where the same norm of x does not
+            value = ynorm * float(objective(x))
+    if not math.isfinite(value):
+        raise InvalidInputError(
+            f"the solution or its objective ({value}) is beyond double precision")
+    return solution, value
 
 
 def basis_pursuit(matrix, y, cfg=None, *, _refute=None):

@@ -4,6 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diffgabor import cli, diffsets, experiments, gabor, solvers
 
@@ -207,6 +210,34 @@ def test_solve_bp_rejects_non_finite_input(capsys, tmp_path):
     rc = cli.main(["solve", "bp", "--matrix", str(A_path), "--y", str(y_path)])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == "" and str(A_path) in captured.err
+
+
+def _write_scalar_instance(tmp_path, a, y):
+    A_path, y_path = tmp_path / "A.csv", tmp_path / "y.csv"
+    A_path.write_text(f"1,2\n{a},0\n{a},0\n")
+    y_path.write_text(f"1,1\n{y},0\n")
+    return ["--matrix", str(A_path), "--y", str(y_path)]
+
+
+@pytest.mark.parametrize("command", [["bp"], ["block-bp", "--blocks", "2,1"]])
+def test_solve_rhs_whose_squared_norm_overflows(capsys, tmp_path, command):
+    # ||y||^2 = 1e400 overflows; the minimiser [5e199, 5e199] does not
+    rc, doc = _run_json(capsys, "solve", *command, *_write_scalar_instance(tmp_path, 1, 1e200))
+    report = doc["report"]
+    assert rc == 0 and report["status"] == "converged"
+    assert report["objective"] == pytest.approx(1e200, rel=1e-12)
+    assert report["feasibility_gap"] < 1e-12
+    np.testing.assert_allclose(report["solution"], [[5e199, 0.0]] * 2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("command", [["bp"], ["block-bp", "--blocks", "2,1"]])
+@pytest.mark.parametrize("a, y", [(1e-308, 1e300), (0.5, 1e308)],
+                         ids=["minimiser", "objective"])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_solve_beyond_double_precision_exit_code(capsys, tmp_path, command, a, y):
+    rc = cli.main(["solve", *command, *_write_scalar_instance(tmp_path, a, y)])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and "beyond double precision" in captured.err
 
 
 def test_solve_block_bp(capsys, tmp_path):
@@ -419,6 +450,119 @@ def test_negative_seed_exit_code(capsys, tmp_path, experiment):
     rc, doc = _run_json(capsys, "experiment", experiment, *grid, "--ks", "1", "--trials", "2",
                         "--seed", "-1", "--out", str(tmp_path / "out.csv"))
     assert rc == 0 and doc["config"]["seed"] == -1
+
+
+def _stock_encode(doc, newline="\n"):
+    """The stdlib encoder that cli._encode must match byte for byte."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+                      default=cli._json_default)
+
+
+def _outcome(encode, doc):
+    try:
+        return encode(doc)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
+                   1e-7, 1e22, 0.1, 1.7976931348623157e308]
+
+
+def _json_values(floats):
+    """Nested dicts, lists and tuples of str, int, float, bool, None and NumPy
+    values, with repeated and signed-zero floats in float-only lists."""
+    float_values = st.one_of(floats, st.sampled_from(_SPECIAL_FLOATS))
+    scalars = st.one_of(
+        st.text(),
+        st.integers(),
+        st.integers(min_value=-(10 ** 400), max_value=10 ** 400),
+        float_values,
+        st.booleans(),
+        st.none(),
+        float_values.map(np.float64),
+        st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1).map(np.int64),
+        st.booleans().map(np.bool_),
+        arrays(np.float64, st.sampled_from([(3,), (2, 3), (0,)]), elements=float_values),
+    )
+    rows = st.lists(st.sampled_from([0.0, -0.0, 1.5, 1e16, 5e-324, -2.5]), max_size=12)
+    keys = st.one_of(st.text(), st.integers(), float_values, st.booleans(), st.none())
+    return st.recursive(
+        st.one_of(scalars, rows, st.lists(float_values, max_size=8)),
+        lambda children: st.one_of(
+            st.lists(children, max_size=5),
+            st.lists(children, max_size=5).map(tuple),
+            st.dictionaries(st.text(), children, max_size=5),
+            st.dictionaries(keys, children, max_size=4),
+        ),
+        max_leaves=30,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values(st.floats(allow_nan=False, allow_infinity=False)))
+@example({"row": [0.0, -0.0, 0.0, 1.5, 1.5, -0.0]})
+@example({1.5: [[]], True: {}, None: (), 2: "\u00e9\x00\n\"", "k": [[[1, 2.5]]]})
+@example({"big": 10 ** 4300})  # int's string conversion limit: ValueError both ways
+def test_encoder_matches_json_dumps(value):
+    assert _outcome(lambda v: cli._encode(v, "\n"), value) == _outcome(_stock_encode, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values(st.floats()))
+@example([1.0, float("nan"), float("inf")])
+@example({"a": [[2.0, 2.0], [2.0, float("-inf")]]})
+@example({float("nan"): 1})
+@example({"b": np.array([1.0, np.inf])})
+def test_encoder_rejects_what_json_dumps_rejects(value):
+    # NaN and infinity included: the same exception, at the same value
+    assert _outcome(lambda v: cli._encode(v, "\n"), value) == _outcome(_stock_encode, value)
+
+
+def _analytics_commands(tmp_path):
+    """Every command of the benchmark's cli-analytics mix, with experiment
+    and solve commands that write their report inline."""
+    entries = diffsets.catalog_entries()
+    commands = [["gabor", "coherence", "--set", f"{ds.N},{ds.params.K}"]
+                for ds in entries if ds.N <= 64]
+    commands += [["gabor", "coherence", "--alltop", "43"],
+                 ["gabor", "coherence", "--random", "43", "--seed", "12345"],
+                 ["gabor", "table"], ["diffset", "search", "16", "6"], ["diffset", "catalog"],
+                 ["diffset", "catalog", "--set", "13,4"], ["diffset", "verify", "13", "1,3,4,10"]]
+    for ds in entries:
+        commands += [["fusion", "report", "--set", f"{ds.N},{ds.params.K}"],
+                     ["fusion", "distances", "--set", f"{ds.N},{ds.params.K}"]]
+    rng = np.random.default_rng(3)
+    tight = gabor.build_gabor_frame(gabor.difference_set_generator(
+        diffsets.catalog_lookup(13, 4))).columns
+    generic = rng.standard_normal((24, 64)) + 1j * rng.standard_normal((24, 64))
+    for label, A, blocks in (("tight", tight, "13,13"), ("generic", generic, "16,4")):
+        x = np.zeros(A.shape[1], dtype=complex)
+        x[[3, 40]] = [1.0 - 0.5j, 2.0]
+        paths = [str(tmp_path / f"{label}-{name}.csv") for name in ("A", "y", "out")]
+        solvers.write_complex_matrix_csv(paths[0], A)
+        solvers.write_complex_matrix_csv(paths[1], A @ x)
+        common = ["--matrix", paths[0], "--y", paths[1]]
+        commands += [["solve", "bp", *common], ["solve", "bp", *common, "--out", paths[2]],
+                     ["solve", "block-bp", *common, "--blocks", blocks]]
+    out = str(tmp_path / "curves.csv")
+    commands += [["experiment", "classic", "--n", "7", "--set", "7,3", "--ks", "1,3",
+                  "--trials", "2", "--out", out],
+                 ["experiment", "fusion", "--set", "7,3", "--measurements", "2,4",
+                  "--ks", "1,2", "--trials", "2", "--out", out]]
+    return commands
+
+
+def test_commands_print_the_bytes_of_json_dumps(capsys, tmp_path, monkeypatch):
+    commands = _analytics_commands(tmp_path)
+    outputs = {}
+    for encode in (cli._encode, _stock_encode):
+        monkeypatch.setattr(cli, "_encode", encode)
+        for argv in commands:
+            rc = cli.main(argv)
+            outputs.setdefault(" ".join(argv), []).append((rc, capsys.readouterr().out))
+    assert all(rc == 0 and out for (rc, out), _ in outputs.values())
+    assert {k: v for k, v in outputs.items() if v[0] != v[1]} == {}
 
 
 def test_emit_rejects_non_finite_values(capsys):

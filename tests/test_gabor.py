@@ -378,6 +378,14 @@ def test_is_etf_three_dim_exception():
     assert check.coherence == pytest.approx(check.welch_bound_value, abs=1e-12)
 
 
+@pytest.mark.parametrize("frame", [gabor.build_gabor_frame([1.0]), np.ones((3, 1)),
+                                   np.ones((2, 0))], ids=["gabor1", "column", "empty"])
+def test_is_etf_needs_two_columns(frame):
+    # one column has no pair to be equiangular, as for mutual_coherence
+    with pytest.raises(InvalidInputError, match="at least two columns"):
+        gabor.is_etf(frame)
+
+
 def test_is_etf_rejects_larger_sets():
     for N, K in [(7, 3), (13, 4)]:
         assert not gabor.is_etf(_ds_frame(N, K)).is_etf

@@ -157,6 +157,54 @@ def test_basis_pursuit_zero_rhs():
     assert np.all(res.solution == 0)
 
 
+def test_scaled_norm():
+    for v in (np.arange(5.0), np.array([3 + 4j, -1e-300]), np.zeros(3), np.array([1e150])):
+        assert solvers.scaled_norm(v) == np.linalg.norm(v)
+    # the sum of squares overflows although the norm does not
+    assert solvers.scaled_norm(np.array([3e300, 4e300])) == pytest.approx(5e300, rel=1e-15)
+    assert solvers.scaled_norm(np.array([1e308 + 1e308j])) == pytest.approx(
+        np.sqrt(2) * 1e308, rel=1e-15)
+
+
+def test_solvers_on_a_rhs_whose_squared_norm_overflows():
+    # ||y||^2 overflows past about 1.3e154, but the minimiser is representable
+    A = np.array([[1.0, 1.0]])
+    for solve in (lambda y: solvers.basis_pursuit(A, y),
+                  lambda y: solvers.block_basis_pursuit(A, y, solvers.BlockStructure(2, 1))):
+        res = solve(np.array([1e200]))
+        assert res.status == solvers.STATUS_CONVERGED
+        np.testing.assert_allclose(res.solution, [5e199, 5e199], rtol=1e-12)
+        assert res.objective == pytest.approx(1e200, rel=1e-12)
+    # and a 2-sparse signal on the Gabor frame, as at the scales of
+    # test_basis_pursuit_scale_invariance
+    frame = _frame()
+    x = np.zeros(49, dtype=complex)
+    x[[4, 22]] = [1.0 + 0.5j, -0.75]
+    res = solvers.basis_pursuit(frame.columns, frame.columns @ (1e200 * x))
+    assert res.status == solvers.STATUS_CONVERGED
+    assert np.linalg.norm(res.solution / 1e200 - x) < 1e-6 * np.linalg.norm(x)
+
+
+def test_rank_cutoff_does_not_overflow():
+    # s_max * size * eps overflowed to inf here and the matrix read as rank zero
+    res = solvers.basis_pursuit(np.array([[1e308, 1e308]]), np.array([1e308]))
+    assert res.status == solvers.STATUS_CONVERGED
+    np.testing.assert_allclose(res.solution, [0.5, 0.5], rtol=1e-12)
+
+
+@pytest.mark.parametrize("A, y", [([[1e-308, 1e-308]], [1e300]), ([[0.5, 0.5]], [1e308])],
+                         ids=["minimiser", "objective"])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_solution_beyond_double_precision_is_invalid_input(A, y):
+    # the minimiser [5e607, 5e607] overflows; [1e308, 1e308] does not, but
+    # its l1 norm does
+    A, y = np.array(A), np.array(y)
+    with pytest.raises(InvalidInputError, match="beyond double precision"):
+        solvers.basis_pursuit(A, y)
+    with pytest.raises(InvalidInputError, match="beyond double precision"):
+        solvers.block_basis_pursuit(A, y, solvers.BlockStructure(2, 1))
+
+
 def _reference_history(A, y, cfg, shrink):
     """(primal, dual) residual norms of a plain ADMM loop, by np.linalg.norm,
     up to the iteration where both meet their tolerances."""
