@@ -4,7 +4,8 @@ Every trial derives its own 64-bit seed from the master seed and the trial
 coordinates through SHA-256, so runs are reproducible bit-for-bit for a fixed
 configuration, independent of evaluation order.  The RNG is numpy's
 default PCG64.  Trials run serially: a thread pool measured slower than one
-thread, and a certified basis-pursuit trial at N=43 takes about 10 ms.
+thread, and the solve of a certified basis-pursuit trial at N=43 takes
+about 2 ms.
 
 A trial succeeds when NSE(x_hat, x) < tau, the success threshold.  Each
 trial hands its solver the planted x and tau, and the solver bounds the

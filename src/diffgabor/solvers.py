@@ -19,15 +19,18 @@ through its (re, im) view.  The iteration itself updates preallocated
 buffers and takes its five stopping norms from one reduction.
 
 Basis pursuit on a dense matrix also stops as soon as its answer is proved:
-every few iterations the support S of the shrunk iterate is fitted by least
-squares, and the fit is returned when a strict dual certificate shows it is
-the unique l1 minimiser (Fuchs 2004; Tropp 2004), in the manner of OSQP's
-solution polishing.  The certificate is the minimum-norm dual when that
-suffices; once the support has held still for a whole period, a Lawson
+every few iterations the support of the shrunk iterate is repaired into a
+support S, by dropping the columns its least-squares fit does not use and
+adding, one by one, the columns that fit misses, and the fit on S is
+returned when a strict dual certificate shows it is the unique l1
+minimiser (Fuchs 2004; Tropp 2004), in the manner of OSQP's solution
+polishing.  The certificate is the minimum-norm dual when that suffices;
+once the iterate's support has held still for a whole period, a Lawson
 search for the dual with the smallest off-support correlation follows,
-once per such support (a unique minimiser always has a strict certificate:
-Zhang, Yin & Cheng 2015).  Otherwise the iteration runs on unchanged until
-the residual tolerances or the iteration cap stop it.
+once per such support and at most once per repaired S in a solve (a
+unique minimiser always has a strict certificate: Zhang, Yin & Cheng
+2015).  Otherwise the iteration runs on unchanged until the residual
+tolerances or the iteration cap stop it.
 
 A recovery trial may also stop a solve once it is proved a failure.  The
 trial passes its planted signal x, with k nonzero entries (or blocks), and
@@ -81,8 +84,9 @@ _CERTIFY_PERIOD = 10
 _CERTIFY_MARGIN = 1e-9
 # relative residual within which the least-squares fit on S must meet y
 _CERTIFY_FIT_TOL = 1e-12
-# columns the certificate may add to supp(z) when the fit on it misses y
-_COMPLETION_STEPS = 2
+# the certificate drops a column of S whose fitted coefficient is at most
+# this fraction of the largest, and never adds it back
+_PRUNE_TOL = 1e-6
 # reweighting steps of the Lawson search for a strict dual certificate
 _LAWSON_STEPS = 30
 # columns of A per chunk when the search accumulates A diag(omega) A^H: a
@@ -483,45 +487,85 @@ def _lawson_dual(A, S, Q, w, weights):
     return None
 
 
-def _l1_certificate(A, y, z, search=True):
-    """The unique minimiser of ||x||_1 s.t. Ax = y on S = supp(z), or None.
+def _append_column(Q, R, a):
+    """The QR factors of [A_S, a] from those of A_S = QR: classical
+    Gram-Schmidt with one reorthogonalisation, which keeps Q orthonormal to
+    working precision ("twice is enough": Giraud et al. 2005).  The new
+    diagonal entry of R is the distance of a from range(A_S), as in the
+    Householder factors, so the rank test reads it the same way."""
+    m = R.shape[0]
+    h = Q.conj().T @ a
+    v = a - Q @ h
+    again = Q.conj().T @ v
+    v -= Q @ again
+    h += again
+    norm = np.linalg.norm(v)
+    grown = np.zeros((m + 1, m + 1), dtype=np.result_type(R, h))
+    grown[:m, :m] = R
+    grown[:m, m] = h
+    grown[m, m] = norm
+    return np.column_stack((Q, v / norm if norm else v)), grown
 
-    x_S is the least-squares fit of y on the columns A_S.  While that fit
-    misses y, S gains the outside column with the largest |A_j^H r| for the
-    residual r, at most _COMPLETION_STEPS times.  The fit is returned
-    (scattered into a length-d vector) only when it is proved optimal:
-    0 < |S| <= n, A_S has full column rank, A_S x_S = y to a relative
-    _CERTIFY_FIT_TOL, and some w has A_S^H w = sgn(x_S) and
+
+def _l1_certificate(A, y, z, search=True, searched=None):
+    """The unique minimiser of ||x||_1 s.t. Ax = y on a support S repaired
+    from supp(z), or None.
+
+    S starts as supp(z), and x_S is the least-squares fit of y on the
+    columns A_S.  S is repaired until that fit meets y with every column in
+    use: once it meets y, the columns whose coefficient is at most
+    _PRUNE_TOL times the largest are dropped, for good, and S is refitted;
+    while it misses y, S gains the column, never a dropped one, with the
+    largest |A_j^H r| for the residual r, up to |S| = n.  An added column
+    extends the QR factors of A_S (_append_column); a drop refactors them.
+    The fit is returned (scattered into a length-d vector) only when it is
+    proved optimal: 0 < |S| <= n, A_S has full column rank, A_S x_S = y to
+    a relative _CERTIFY_FIT_TOL, and some w has A_S^H w = sgn(x_S) and
     |A_j^H w| < 1 - _CERTIFY_MARGIN for every j outside S.  Such a w is a
     strict dual certificate, and it makes x_S the unique minimiser (Fuchs
     2004; Tropp 2004); a unique minimiser always has one (Zhang, Yin & Cheng
     2015).  The minimum-norm w is tried first; failing that, and when
-    ``search`` is set, the Lawson search of _lawson_dual.  Reads z, writes
-    nothing.
+    ``search`` is set, the Lawson search of _lawson_dual.  ``searched``, if
+    given, is the set of supports (sorted, as bytes) searched before; S is
+    searched only if it is not in it, and then added.  Reads z, writes
+    nothing else.
     """
     n, d = A.shape
     S = np.flatnonzero(z)
-    for added in range(_COMPLETION_STEPS + 1):
+    dropped = np.zeros(d, dtype=bool)
+    fit_tol = _CERTIFY_FIT_TOL * np.linalg.norm(y)
+    Q = None  # with R, the QR factors of A_S; None when S must be refactored
+    while True:
         if not 0 < S.size <= n:
             return None
-        A_S = A[:, S]
-        Q, R = np.linalg.qr(A_S)
+        if Q is None:
+            Q, R = np.linalg.qr(A[:, S])
+        else:
+            Q, R = _append_column(Q, R, A[:, S[-1]])
         diag = np.abs(np.diagonal(R))
         if diag.min() <= diag.max() * max(n, S.size) * np.finfo(float).eps:
             return None
-        x_S = np.linalg.solve(R, Q.conj().T @ y)
-        residual = y - A_S @ x_S
-        if np.linalg.norm(residual) <= _CERTIFY_FIT_TOL * np.linalg.norm(y):
-            break
-        if added == _COMPLETION_STEPS:
+        coeffs = Q.conj().T @ y
+        # what the least-squares fit on S leaves over, y - Q Q^H y
+        residual = y - Q @ coeffs
+        if np.linalg.norm(residual) <= fit_tol:
+            x_S = np.linalg.solve(R, coeffs)
+            mag = np.abs(x_S)
+            negligible = mag <= _PRUNE_TOL * mag.max()
+            if not negligible.any():
+                break
+            # S holds columns the fit does not use: drop them for good
+            dropped[S[negligible]] = True
+            S, Q = S[~negligible], None
+        elif S.size == n:
             return None
-        # support completion: z may still miss a small coefficient, so add the
-        # column that best explains what the fit leaves over (r is orthogonal
-        # to A_S, so that column lies outside S)
-        S = np.append(S, np.argmax(np.abs(residual.conj() @ A)))
-    mag = np.abs(x_S)
-    # an exact zero in x_S (it happens at N=43) means S is not its support
-    if mag.min() == 0.0:
+        else:
+            # S misses columns: add the one that best explains what the fit
+            # leaves over (r is orthogonal to A_S, so it lies outside S)
+            correlation = np.abs(residual.conj() @ A)
+            correlation[dropped] = -1.0
+            S = np.append(S, np.argmax(correlation))
+    if np.linalg.norm(y - A[:, S] @ x_S) > fit_tol:
         return None
     # minimum-norm dual A_S (A_S^H A_S)^{-1} sgn(x_S), with A_S = QR
     w = Q @ np.linalg.solve(R.conj().T, x_S / mag)
@@ -529,6 +573,10 @@ def _l1_certificate(A, y, z, search=True):
     if off.max() >= 1.0 - _CERTIFY_MARGIN:
         # on a tight frame this w is Lawson's first step from uniform weights,
         # so the search starts at the second: weights proportional to |A_j^H w|
+        if search and searched is not None:
+            key = np.sort(S).tobytes()
+            search = key not in searched
+            searched.add(key)
         if not search or _lawson_dual(A, S, Q, w, off / off.sum()) is None:
             return None
     x = np.zeros(d, dtype=complex)
@@ -679,39 +727,45 @@ def _admm(matrix, y, cfg, blocks, make_shrink, objective, certify_l1=False, refu
     certified = False
     last_support = None
     searched = False
+    searched_supports = set()
     it = 0
-    for it in range(1, cfg.max_iters + 1):
-        project(np.subtract(z, u, out=w), out=x)
-        np.negative(z, out=step)
-        np.add(x, u, out=w)
-        shrink(tau)
-        step += z
-        np.subtract(x, z, out=primal)
-        u += primal
-        r2, s2, x2, z2, u2 = _row_squares(parts, squares).tolist()
-        history.append((r2, s2))
-        if (math.sqrt(r2) <= tol_primal * max(1.0, math.sqrt(max(x2, z2)))
-                and rho * math.sqrt(s2) <= tol_dual * max(1.0, rho * math.sqrt(u2))):
-            status = STATUS_CONVERGED
-            break
-        if it % _CERTIFY_PERIOD:
-            continue
-        if certify_l1:
-            # each new supp(z) gets the min-norm dual; one that holds still
-            # for a whole period gets the search, once, since the outcome
-            # depends on nothing but the support
-            support = np.flatnonzero(z)
-            repeat = np.array_equal(support, last_support)
-            exact = None
-            if not (repeat and searched):
-                exact = _l1_certificate(project.matrix, project.y, z, search=repeat)
-            searched, last_support = repeat, support
-            if exact is not None:
-                x, status, certified = exact, STATUS_CONVERGED, True
+    # an iterate of finite entries can have squares beyond double precision;
+    # the stopping test then reads inf, and _rescale reports what follows
+    with np.errstate(over="ignore"):
+        for it in range(1, cfg.max_iters + 1):
+            project(np.subtract(z, u, out=w), out=x)
+            np.negative(z, out=step)
+            np.add(x, u, out=w)
+            shrink(tau)
+            step += z
+            np.subtract(x, z, out=primal)
+            u += primal
+            r2, s2, x2, z2, u2 = _row_squares(parts, squares).tolist()
+            history.append((r2, s2))
+            if (math.sqrt(r2) <= tol_primal * max(1.0, math.sqrt(max(x2, z2)))
+                    and rho * math.sqrt(s2) <= tol_dual * max(1.0, rho * math.sqrt(u2))):
+                status = STATUS_CONVERGED
                 break
-        if refutation is not None and refutation.refutes(x, it):
-            status = STATUS_REFUTED
-            break
+            if it % _CERTIFY_PERIOD:
+                continue
+            if certify_l1:
+                # each new supp(z) gets the min-norm dual; one that holds still
+                # for a whole period gets the search, once, since the outcome
+                # depends on nothing but the support; and since many supp(z)
+                # repair to one S, the certificate searches each S once
+                support = np.flatnonzero(z)
+                repeat = np.array_equal(support, last_support)
+                exact = None
+                if not (repeat and searched):
+                    exact = _l1_certificate(project.matrix, project.y, z, search=repeat,
+                                            searched=searched_supports)
+                searched, last_support = repeat, support
+                if exact is not None:
+                    x, status, certified = exact, STATUS_CONVERGED, True
+                    break
+            if refutation is not None and refutation.refutes(x, it):
+                status = STATUS_REFUTED
+                break
     history = np.sqrt(history)
     history[:, 1] *= rho
     solution, value = _rescale(x, ynorm, objective)
@@ -735,10 +789,16 @@ def _rescale(x, ynorm, objective):
     with np.errstate(over="ignore", invalid="ignore"):
         solution = x * ynorm
         value = float(objective(solution))
+        # f is positively homogeneous, so it is recomputed at a scale where
+        # its block norms neither overflow nor underflow: x's, or that of
+        # the solution's largest real or imaginary part
         if not math.isfinite(value):
-            # f is positively homogeneous, and a block norm of finite entries
-            # can overflow where the same norm of x does not
             value = ynorm * float(objective(x))
+        elif value == 0.0 and solution.any():
+            # divided as reals: a complex quotient squares the scale
+            parts = solution.view(float)
+            scale = float(np.abs(parts).max())
+            value = scale * float(objective((parts / scale).view(complex)))
     if not math.isfinite(value):
         raise InvalidInputError(
             f"the solution or its objective ({value}) is beyond double precision")

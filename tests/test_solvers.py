@@ -194,15 +194,29 @@ def test_rank_cutoff_does_not_overflow():
 
 @pytest.mark.parametrize("A, y", [([[1e-308, 1e-308]], [1e300]), ([[0.5, 0.5]], [1e308])],
                          ids=["minimiser", "objective"])
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 def test_solution_beyond_double_precision_is_invalid_input(A, y):
     # the minimiser [5e607, 5e607] overflows; [1e308, 1e308] does not, but
-    # its l1 norm does
+    # its l1 norm does.  Neither warns: the squares of the normalised
+    # iterate [5e307, 5e307] overflow in the stopping test, which ignores it
     A, y = np.array(A), np.array(y)
     with pytest.raises(InvalidInputError, match="beyond double precision"):
         solvers.basis_pursuit(A, y)
     with pytest.raises(InvalidInputError, match="beyond double precision"):
         solvers.block_basis_pursuit(A, y, solvers.BlockStructure(2, 1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_objective_of_a_subnormal_solution_does_not_underflow():
+    # the minimiser [5e-309, 5e-309] has block norms whose squares underflow
+    # to 0; the objective is recomputed at the scale of its largest entry
+    A, y = np.array([[1e308, 1e308]]), np.array([1.0])
+    l1 = solvers.basis_pursuit(A, y)
+    for blocks, expected in [((2, 1), l1.objective), ((1, 2), np.sqrt(2) * 5e-309)]:
+        res = solvers.block_basis_pursuit(A, y, solvers.BlockStructure(*blocks))
+        np.testing.assert_allclose(res.solution, [5e-309, 5e-309], rtol=1e-12)
+        assert res.objective == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert l1.objective == pytest.approx(1e-308, rel=1e-12, abs=0.0)
 
 
 def _reference_history(A, y, cfg, shrink):
@@ -359,11 +373,13 @@ def test_l1_certificate_rejections():
     z = np.zeros(8)
     z[2] = 1.0
     assert solvers._l1_certificate(B, rng.standard_normal(4), z) is None
-    # the fit on supp(z) has an exact zero, so S is not its support
+    # the fit on supp(z) puts an exact zero on column 1: the column is
+    # dropped, and the fit on what is left, e_0, is the unique minimiser
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert solvers._l1_certificate(np.eye(2, 3), np.array([1.0, 0.0]),
-                                       np.array([1.0, 1.0, 0.0])) is None
+        x = solvers._l1_certificate(np.eye(2, 3), np.array([1.0, 0.0]),
+                                    np.array([1.0, 1.0, 0.0]))
+    assert x is not None and x.tolist() == [1.0, 0.0, 0.0]
     # the same B with a consistent 1-sparse y is certified on z's support
     x = solvers._l1_certificate(B, 2.0 * B[:, 2], z)
     assert x is not None and np.flatnonzero(x).tolist() == [2]
@@ -371,23 +387,85 @@ def test_l1_certificate_rejections():
 
 
 def test_l1_certificate_completes_a_missed_support():
-    # z has found some of the 4 entries of the planted x0; the certificate
-    # adds the missing columns by |A_j^H r| and certifies x0 itself
+    # z has found some of the 4 entries of the planted x0, or all of them
+    # and columns x0 does not use; the certificate adds the missing columns
+    # by |A_j^H r|, drops the unused ones, and certifies x0 itself
     A = _frame(13, 4).columns
     x0 = np.zeros(A.shape[1], dtype=complex)
     x0[[5, 40, 101, 120]] = [1.0, 0.05 - 0.02j, -0.03j, 0.02]
     y = A @ x0
-    for found in ([5, 40, 101, 120], [5, 40, 101], [5, 40]):
+    for found in ([5, 40, 101, 120], [5, 40, 101], [5, 40], [5],
+                  [5, 40, 101, 120, 7, 60], [5, 7, 60]):
         z = np.zeros_like(x0)
-        z[found] = x0[found]
+        z[found] = 1.0
         x = solvers._l1_certificate(A, y, z)
         assert x is not None
         assert np.flatnonzero(x).tolist() == [5, 40, 101, 120]
         assert np.allclose(x, x0, rtol=0, atol=1e-12)
-    # three missing columns are one more than the completion adds
+    # ten independent columns x0 does not use leave room for two of the
+    # three it misses: the fit on the n = 13 columns the completion reaches
+    # meets y with every column in use, and no certificate holds there,
+    # since x0 is the unique minimiser
+    found = [5, 20, 33, 47, 61, 75, 88, 99, 130, 150, 160]
+    assert np.linalg.matrix_rank(A[:, found]) == len(found)
     z = np.zeros_like(x0)
-    z[5] = x0[5]
+    z[found] = 1.0
     assert solvers._l1_certificate(A, y, z) is None
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_append_column_extends_the_qr_factors(complex_valued):
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((8, 6))
+    if complex_valued:
+        A = A + 1j * rng.standard_normal((8, 6))
+    Q, R = np.linalg.qr(A[:, :2])
+    for m in range(3, 7):
+        Q, R = solvers._append_column(Q, R, A[:, m - 1])
+        assert np.allclose(Q @ R, A[:, :m], rtol=0, atol=1e-14)
+        assert np.allclose(Q.conj().T @ Q, np.eye(m), rtol=0, atol=1e-14)
+        assert np.allclose(R, np.triu(R), rtol=0, atol=0)
+        # the diagonal the rank test reads is the Householder one up to phase
+        assert np.allclose(np.abs(np.diagonal(R)),
+                           np.abs(np.diagonal(np.linalg.qr(A[:, :m])[1])), rtol=1e-12)
+    # a column in the span of the others gets a diagonal entry of rounding size
+    _, R = solvers._append_column(Q, R, A[:, :2] @ [1.0, -2.0])
+    assert abs(R[-1, -1]) <= 1e-14 * np.abs(np.diagonal(R)).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), extra=st.integers(1, 3),
+       k=st.integers(1, 5), guess=st.sampled_from(["planted", "superset", "subset", "random"]))
+def test_l1_certificate_from_any_guess_is_the_optimum(seed, n, extra, k, guess):
+    # criterion 7's setting (small real A, the support-enumeration oracle),
+    # with a planted k-sparse x0 and z that guesses its support: exactly, with
+    # columns x0 does not use (their fitted weight is zero), without three or
+    # more of its columns, or at random.  Whatever S the repair reaches, a
+    # returned x must be feasible and as cheap as the oracle's optimum.
+    rng = np.random.default_rng(seed)
+    d = n + extra
+    k = min(k + (3 if guess == "subset" else 0), d)
+    A = rng.standard_normal((n, d))
+    planted = rng.choice(d, size=k, replace=False)
+    x0 = np.zeros(d)
+    x0[planted] = rng.standard_normal(k)
+    y = A @ x0
+    z = np.zeros(d)
+    if guess == "planted":
+        z[planted] = 1.0
+    elif guess == "superset":
+        z[planted] = 1.0
+        z[rng.choice(d, size=extra, replace=False)] = 1.0
+    elif guess == "subset":
+        z[rng.choice(planted, size=max(k - 3, 0), replace=False)] = 1.0
+    else:
+        z[rng.choice(d, size=rng.integers(1, d + 1), replace=False)] = 1.0
+    x = solvers._l1_certificate(A, y, z)
+    if x is None:
+        return
+    best = _support_enumeration_optimum(A, y)
+    assert np.linalg.norm(A @ x - y) <= 1e-10 * np.linalg.norm(y)
+    assert np.abs(x).sum() == pytest.approx(np.abs(best).sum(), rel=1e-9)
 
 
 def test_l1_certificate_searches_past_the_min_norm_dual():
@@ -448,9 +526,9 @@ def _record_certificate_calls(monkeypatch):
     calls = []
     certificate = solvers._l1_certificate
 
-    def recording(A, y, z, search=True):
+    def recording(A, y, z, search=True, searched=None):
         calls.append((np.flatnonzero(z), search))
-        return certificate(A, y, z, search)
+        return certificate(A, y, z, search, searched)
 
     monkeypatch.setattr(solvers, "_l1_certificate", recording)
     return calls
@@ -478,11 +556,60 @@ def test_search_certifies_the_planted_support(master, kind, k, monkeypatch):
     assert calls[-1][1]  # the min-norm dual alone cannot certify this support
 
 
+def test_a_superset_with_unused_columns_is_certified_at_the_first_check(monkeypatch):
+    # a 1-sparse trial on the (43, 21) difference-set frame: at iteration 10
+    # supp(z) holds 43 columns, and the fit on them weights all but the
+    # planted one at rounding size; they are dropped, and x is certified
+    A, x, y = _classic_trial(0, "difference_set", 1)
+    calls = _record_certificate_calls(monkeypatch)
+    res = solvers.basis_pursuit(A, y)
+    assert res.certified and res.iterations == solvers._CERTIFY_PERIOD
+    assert np.linalg.norm(res.solution - x) <= 1e-10 * np.linalg.norm(x)
+    (support, _), = calls
+    assert support.size == 43 and set(np.flatnonzero(x)) < set(support)
+    z = np.zeros_like(x)
+    z[support] = 1.0
+    S = np.flatnonzero(z)
+    Q, R = np.linalg.qr(A[:, S])
+    weights = np.abs(np.linalg.solve(R, Q.conj().T @ y))
+    assert np.sort(weights)[-2] <= 1e-12 * weights.max()
+    assert np.linalg.norm(solvers._l1_certificate(A, y, z) - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_a_repaired_support_is_searched_once_per_solve(monkeypatch):
+    # an 8-sparse trial at N = 43 whose planted support no certificate
+    # proves: ADMM reaches x by tolerance only, after thousands of
+    # iterations, while its supports come and go and the repair maps many of
+    # them to the planted one.  The search on that S runs once per solve.
+    A, x, y = _classic_trial(0, "difference_set", 8, t=1)
+    planted = tuple(np.flatnonzero(x))
+    searched = []
+    lawson = solvers._lawson_dual
+
+    def recording(A, S, *rest):
+        searched.append(tuple(np.sort(S)))
+        return lawson(A, S, *rest)
+
+    monkeypatch.setattr(solvers, "_lawson_dual", recording)
+    certificate = solvers._l1_certificate
+    calls = _record_certificate_calls(monkeypatch)
+    res = solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
+    assert not res.certified and res.status == solvers.STATUS_CONVERGED
+    _assert_search_schedule(calls)
+    assert searched == [planted]
+    # without the set of searched supports, the same solve searches it again
+    searched.clear()
+    monkeypatch.setattr(solvers, "_l1_certificate",
+                        lambda A, y, z, search=True, searched=None: certificate(A, y, z, search))
+    solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
+    assert len(searched) > 1 and set(searched) == {planted}
+
+
 def test_a_stalled_support_is_searched_once(monkeypatch):
-    # 4-sparse at (13, 4) is beyond what this frame recovers: ADMM sits on
+    # 6-sparse at (13, 4) is beyond what this frame recovers: ADMM sits on
     # supports that no certificate proves, for many periods in a row
     A = _frame(13, 4).columns
-    x = experiments.random_k_sparse_signal(A.shape[1], 4, 4000)
+    x = experiments.random_k_sparse_signal(A.shape[1], 6, 4000)
     calls = _record_certificate_calls(monkeypatch)
     res = solvers.basis_pursuit(A, A @ x, solvers.SolverConfig(max_iters=700))
     assert not res.certified
