@@ -25,12 +25,12 @@ adding, one by one, the columns that fit misses, and the fit on S is
 returned when a strict dual certificate shows it is the unique l1
 minimiser (Fuchs 2004; Tropp 2004), in the manner of OSQP's solution
 polishing.  The certificate is the minimum-norm dual when that suffices;
-once the iterate's support has held still for a whole period, a Lawson
-search for the dual with the smallest off-support correlation follows,
-once per such support and at most once per repaired S in a solve (a
-unique minimiser always has a strict certificate: Zhang, Yin & Cheng
-2015).  Otherwise the iteration runs on unchanged until the residual
-tolerances or the iteration cap stop it.
+once the iterate's support has held still for a whole period, a dual
+search follows (_dual_search, the refutation's below, inside balls of
+radius _DUAL_RADIUS), once per such support and at most once per repaired
+S with |S| < n in a solve (a unique minimiser always has a strict
+certificate: Zhang, Yin & Cheng 2015).  Otherwise the iteration runs on
+unchanged until the residual tolerances or the iteration cap stop it.
 
 A recovery trial may also stop a solve once it is proved a failure.  The
 trial passes its planted signal x, with k nonzero entries (or blocks), and
@@ -51,8 +51,9 @@ f(x_k), for B blocks.  The solve then returns x_k with status "refuted"
 (checked every _CERTIFY_PERIOD iterations; see _admm).  Until iteration
 _TIGHTEN_AT the bound takes g = 0 off the support, so ||P g|| <= ||g|| =
 sqrt(k) and no projection is needed; from there on g off the support is
-chosen, once, to make ||P g|| small, by a few projected-gradient steps with
-the solve's own null projector (N batched K x K blocks on the fusion path).
+chosen, once, to make ||P g|| small, by a few accelerated projected-gradient
+steps with the solve's own null projector (N batched K x K blocks on the
+fusion path): _dual_search, inside the unit balls.
 The margin, the residuals and sigma enter with bounds on their rounding,
 so the stop is proved, not estimated (_Refutation).  The public solve
 commands never pass a trial.
@@ -87,18 +88,16 @@ _CERTIFY_FIT_TOL = 1e-12
 # the certificate drops a column of S whose fitted coefficient is at most
 # this fraction of the largest, and never adds it back
 _PRUNE_TOL = 1e-6
-# reweighting steps of the Lawson search for a strict dual certificate
-_LAWSON_STEPS = 30
-# columns of A per chunk when the search accumulates A diag(omega) A^H: a
-# chunk and its conjugate are the search's largest arrays; at N=43, 64
-# columns raise peak RSS least, for about 0.5 ms more per step than 256
-_LAWSON_CHUNK = 64
 # a recovery trial's refutation bound is tightened once, at the first check at
 # or past this iteration (_Refutation): fewer than 50 of the 512 fusion-40-13
 # reference trials get that far, and most of those are headed for the cap
 _TIGHTEN_AT = 200
-# projected-gradient steps of that tightening
+# steps of _dual_search, in that tightening and in the l1 certificate
 _TIGHTEN_STEPS = 30
+# the certificate's search keeps |g_j| <= this off the support: at 30 steps,
+# radii 0.7 to 0.85 certify all 32 searches of the 480 classic-n43 reference
+# trials at their first try; 0.6 misses 1, 0.9 misses 2 and 0.5 misses 6
+_DUAL_RADIUS = 0.8
 
 
 @dataclass
@@ -215,6 +214,7 @@ class AffineProjection:
         self._sigma = (float(s[r - 1]), float(s[0]))
         Ur, sr, self._Vr = U[:, :r], s[:r], Vh[:r, :]
         self._VrH = self._Vr.conj().T
+        self._Ur_over_s = Ur / sr
         coeffs = Ur.conj().T @ y
         _require_consistent(y - Ur @ coeffs, y)
         self._particular = self._VrH @ (coeffs / sr)
@@ -277,6 +277,12 @@ class AffineProjection:
         else:
             np.subtract(w, self._VrH @ (self._Vr @ w), out=out)
         return out
+
+    def row_preimage(self, g):
+        """w with A^H w = g - P g; the closed-form and dense SVD paths only."""
+        if self.scalar is not None:
+            return self.matrix @ g / self.scalar
+        return self._Ur_over_s @ (self._Vr @ g)
 
 
 def _require_consistent(residual, y):
@@ -448,43 +454,31 @@ def _off_support(A, w, S):
     return off
 
 
-def _lawson_dual(A, S, Q, w, weights):
-    """A strict dual certificate on the affine set w + null(A_S^H), or None.
+def _dual_search(project, g, fixed, radius):
+    """FISTA (Beck & Teboulle 2009) on ||P g||^2 / 2, P = ``project.null_part``,
+    over the 2-d complex g (one row per block) whose rows in the mask
+    ``fixed`` keep g's values and whose other rows lie in the ball of
+    ``radius``: the gradient is P g, so the step is 1, and P of the
+    extrapolated point combines the last two images, as P is linear.  Each
+    step projects the whole array and writes the fixed rows back.  Yields
+    the _TIGHTEN_STEPS projected iterates and their images; reads g only."""
+    def image_of(v):
+        return project.null_part(v.reshape(-1), np.empty(v.size, complex)).reshape(v.shape)
 
-    Lawson's reweighted least squares for the complex Chebyshev problem
-    min max_{j outside S} |A_j^H w| over that set (Lawson 1961).  Each step
-    minimises sum_j omega_j |A_j^H w|^2 over the set, through the n x n
-    matrix M = A diag(omega) A^H, then sets omega_j <- omega_j |A_j^H w| and
-    renormalises.  With sum(omega) = 1 the weighted value is a lower bound
-    on the best achievable max, so the search gives up (None) as soon as it
-    reaches 1 - _CERTIFY_MARGIN, or after _LAWSON_STEPS steps.  A w is
-    returned only when max_{j outside S} |A_j^H w| < 1 - _CERTIFY_MARGIN.
-    Q is an orthonormal basis of range(A_S); ``weights`` are nonnegative,
-    sum to 1 and vanish on S.
-    """
-    n, d = A.shape
-    # w + N c sweeps the set, N an orthonormal basis of range(A_S)'s complement
-    N = np.linalg.qr(Q, mode="complete")[0][:, S.size:]
-    for _ in range(_LAWSON_STEPS):
-        M = np.zeros((n, n), dtype=complex)
-        root = np.sqrt(weights)
-        for lo in range(0, d, _LAWSON_CHUNK):
-            B = A[:, lo:lo + _LAWSON_CHUNK] * root[lo:lo + _LAWSON_CHUNK]
-            M += B @ B.conj().T
-        MN = M @ N
-        try:
-            c = np.linalg.solve(N.conj().T @ MN, -(MN.conj().T @ w))
-        except np.linalg.LinAlgError:  # the weighted columns miss a direction of the set
-            return None
-        w = w + N @ c
-        off = _off_support(A, w, S)
-        if off.max() < 1.0 - _CERTIFY_MARGIN:
-            return w
-        if np.sqrt(weights @ off ** 2) >= 1.0 - _CERTIFY_MARGIN:
-            return None
-        weights = weights * off
-        weights /= weights.sum()
-    return None
+    start = np.array(g, dtype=complex)
+    x = x_old = start
+    image = image_old = image_of(x)
+    t, beta = 1.0, 0.0
+    for _ in range(_TIGHTEN_STEPS):
+        point = x + beta * (x - x_old) - (image + beta * (image - image_old))
+        norms = np.sqrt(_row_squares(point.view(float).reshape(len(point), -1)))
+        point *= (radius / np.maximum(norms, radius))[:, None]
+        np.copyto(point, start, where=fixed[:, None])
+        x_old, image_old, x = x, image, point
+        image = image_of(x)
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        t, beta = t_next, (t - 1.0) / t_next
+        yield x, image
 
 
 def _append_column(Q, R, a):
@@ -507,9 +501,10 @@ def _append_column(Q, R, a):
     return np.column_stack((Q, v / norm if norm else v)), grown
 
 
-def _l1_certificate(A, y, z, search=True, searched=None):
+def _l1_certificate(project, z, search=True, searched=None):
     """The unique minimiser of ||x||_1 s.t. Ax = y on a support S repaired
-    from supp(z), or None.
+    from supp(z), or None; A and y are those of the solve's AffineProjection
+    ``project``.
 
     S starts as supp(z), and x_S is the least-squares fit of y on the
     columns A_S.  S is repaired until that fit meets y with every column in
@@ -524,12 +519,14 @@ def _l1_certificate(A, y, z, search=True, searched=None):
     |A_j^H w| < 1 - _CERTIFY_MARGIN for every j outside S.  Such a w is a
     strict dual certificate, and it makes x_S the unique minimiser (Fuchs
     2004; Tropp 2004); a unique minimiser always has one (Zhang, Yin & Cheng
-    2015).  The minimum-norm w is tried first; failing that, and when
-    ``search`` is set, the Lawson search of _lawson_dual.  ``searched``, if
+    2015).  The minimum-norm w is tried first; failing that, when ``search``
+    is set and |S| < n (else it is the only w), _dual_search runs until the
+    w that meets its g's row-space part on S passes.  ``searched``, if
     given, is the set of supports (sorted, as bytes) searched before; S is
     searched only if it is not in it, and then added.  Reads z, writes
     nothing else.
     """
+    A, y = project.matrix, project.y
     n, d = A.shape
     S = np.flatnonzero(z)
     dropped = np.zeros(d, dtype=bool)
@@ -568,16 +565,25 @@ def _l1_certificate(A, y, z, search=True, searched=None):
     if np.linalg.norm(y - A[:, S] @ x_S) > fit_tol:
         return None
     # minimum-norm dual A_S (A_S^H A_S)^{-1} sgn(x_S), with A_S = QR
-    w = Q @ np.linalg.solve(R.conj().T, x_S / mag)
-    off = _off_support(A, w, S)
-    if off.max() >= 1.0 - _CERTIFY_MARGIN:
-        # on a tight frame this w is Lawson's first step from uniform weights,
-        # so the search starts at the second: weights proportional to |A_j^H w|
+    sign = x_S / mag
+    w = Q @ np.linalg.solve(R.conj().T, sign)
+    if _off_support(A, w, S).max() >= 1.0 - _CERTIFY_MARGIN:
         if search and searched is not None:
             key = np.sort(S).tobytes()
             search = key not in searched
             searched.add(key)
-        if not search or _lawson_dual(A, S, Q, w, off / off.sum()) is None:
+        if not search or S.size == n:
+            return None
+        # from the min-norm dual's g = A^H w, with sgn(x_S) exactly on S
+        g = (w.conj() @ A).conj()
+        g[S] = sign
+        for g, _ in _dual_search(project, g[:, None], np.isin(np.arange(d), S), _DUAL_RADIUS):
+            # w0 has A^H w0 = g - P g; A_S^H (w0 - Q Q^H w0) = 0, so w + that
+            # meets A_S^H w = sgn(x_S)
+            w0 = project.row_preimage(g[:, 0])
+            if _off_support(A, w + w0 - Q @ (Q.conj().T @ w0), S).max() < 1.0 - _CERTIFY_MARGIN:
+                break
+        else:
             return None
     x = np.zeros(d, dtype=complex)
     x[S] = x_S
@@ -591,10 +597,10 @@ class _Refutation:
     ``refutes(x_k, it)`` is True when f(x_k) < f(x) - m sqrt(tau) ||x|| -
     slack.  The margin factor m is ||g|| = sqrt(k) for the subgradient g that
     is 0 off the support, until the first check at or past _TIGHTEN_AT.
-    There g off the support is chosen once, by _TIGHTEN_STEPS projected-
-    gradient steps on ||P g||^2 / 2 over the unit block balls (step 1, the
-    gradient's Lipschitz constant; each step only lowers ||P g||), and
-    m = ||P g|| as computed plus ||g|| (delta/sigma + size^1.5 eps).  Here
+    There g off the support is chosen once, as the last iterate of
+    _dual_search over the unit block balls; the bound holds for any g in
+    them, however small ||P g|| came out, and m = ||P g|| as computed plus
+    ||g|| (delta/sigma + size^1.5 eps).  Here
     size = max(n, d), the factors of the projection are exact for a matrix
     within delta = s_max size eps of A (s_max an upper bound on its largest
     singular value; the SVD paths drop singular values below the same
@@ -640,19 +646,11 @@ class _Refutation:
         self._tightened = True
         norms = np.linalg.norm(self._parts, axis=1)
         on = norms > 0
-        g_blocks = np.zeros_like(self._parts)
-        np.divide(self._parts, norms[:, None], out=g_blocks, where=on[:, None])
-        g = g_blocks.reshape(-1)
-        image = np.empty_like(g)
-        image_blocks = image.reshape(g_blocks.shape)
-        off = ~on
-        if off.any():
-            for _ in range(_TIGHTEN_STEPS):
-                self._project.null_part(g, image)
-                step = g_blocks[off] - image_blocks[off]
-                step /= np.maximum(np.linalg.norm(step, axis=1), 1.0)[:, None]
-                g_blocks[off] = step
-        self._project.null_part(g, image)
+        g = np.zeros_like(self._parts)
+        np.divide(self._parts, norms[:, None], out=g, where=on[:, None])
+        # radius 1 keeps every iterate a subgradient; the bound takes the last
+        for g, image in _dual_search(self._project, g, on, 1.0):
+            pass
         size, unit, upper, sigma = self._scales()
         rounding = upper * unit / sigma + math.sqrt(size) * unit
         self._margin = float(np.linalg.norm(image)) + float(np.linalg.norm(g)) * rounding
@@ -757,8 +755,7 @@ def _admm(matrix, y, cfg, blocks, make_shrink, objective, certify_l1=False, refu
                 repeat = np.array_equal(support, last_support)
                 exact = None
                 if not (repeat and searched):
-                    exact = _l1_certificate(project.matrix, project.y, z, search=repeat,
-                                            searched=searched_supports)
+                    exact = _l1_certificate(project, z, repeat, searched_supports)
                 searched, last_support = repeat, support
                 if exact is not None:
                     x, status, certified = exact, STATUS_CONVERGED, True

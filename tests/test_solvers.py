@@ -16,6 +16,11 @@ def _frame(N=7, K=3):
     return gabor.build_gabor_frame(gabor.difference_set_generator(ds))
 
 
+def _certificate(A, y, z, **options):
+    """_l1_certificate on the AffineProjection of A and y."""
+    return solvers._l1_certificate(solvers.AffineProjection(A, y), z, **options)
+
+
 def test_solver_config_validation():
     cfg = solvers.SolverConfig()
     assert cfg.rho > 0 and cfg.max_iters >= 1
@@ -361,27 +366,26 @@ def test_l1_certificate_rejections():
     # duplicated column: every split of x0 between columns 0 and 1 is optimal
     A, x0 = _duplicated_column_instance()
     y = A @ x0
-    assert solvers._l1_certificate(A, y, x0) is None
+    assert _certificate(A, y, x0) is None
     both = np.zeros(8, dtype=complex)
     both[[0, 1]] = x0[0] / 2
-    assert solvers._l1_certificate(A, y, both) is None  # A_S rank deficient
+    assert _certificate(A, y, both) is None  # A_S rank deficient
     # |S| > n
-    assert solvers._l1_certificate(A, y, np.ones(8)) is None
+    assert _certificate(A, y, np.ones(8)) is None
     # the fit on supp(z) cannot meet y
     rng = np.random.default_rng(4)
     B = rng.standard_normal((4, 8))
     z = np.zeros(8)
     z[2] = 1.0
-    assert solvers._l1_certificate(B, rng.standard_normal(4), z) is None
+    assert _certificate(B, rng.standard_normal(4), z) is None
     # the fit on supp(z) puts an exact zero on column 1: the column is
     # dropped, and the fit on what is left, e_0, is the unique minimiser
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = solvers._l1_certificate(np.eye(2, 3), np.array([1.0, 0.0]),
-                                    np.array([1.0, 1.0, 0.0]))
+        x = _certificate(np.eye(2, 3), np.array([1.0, 0.0]), np.array([1.0, 1.0, 0.0]))
     assert x is not None and x.tolist() == [1.0, 0.0, 0.0]
     # the same B with a consistent 1-sparse y is certified on z's support
-    x = solvers._l1_certificate(B, 2.0 * B[:, 2], z)
+    x = _certificate(B, 2.0 * B[:, 2], z)
     assert x is not None and np.flatnonzero(x).tolist() == [2]
     assert x[2] == pytest.approx(2.0, rel=1e-12)
 
@@ -398,7 +402,7 @@ def test_l1_certificate_completes_a_missed_support():
                   [5, 40, 101, 120, 7, 60], [5, 7, 60]):
         z = np.zeros_like(x0)
         z[found] = 1.0
-        x = solvers._l1_certificate(A, y, z)
+        x = _certificate(A, y, z)
         assert x is not None
         assert np.flatnonzero(x).tolist() == [5, 40, 101, 120]
         assert np.allclose(x, x0, rtol=0, atol=1e-12)
@@ -410,7 +414,7 @@ def test_l1_certificate_completes_a_missed_support():
     assert np.linalg.matrix_rank(A[:, found]) == len(found)
     z = np.zeros_like(x0)
     z[found] = 1.0
-    assert solvers._l1_certificate(A, y, z) is None
+    assert _certificate(A, y, z) is None
 
 
 @pytest.mark.parametrize("complex_valued", [False, True])
@@ -460,7 +464,7 @@ def test_l1_certificate_from_any_guess_is_the_optimum(seed, n, extra, k, guess):
         z[rng.choice(planted, size=max(k - 3, 0), replace=False)] = 1.0
     else:
         z[rng.choice(d, size=rng.integers(1, d + 1), replace=False)] = 1.0
-    x = solvers._l1_certificate(A, y, z)
+    x = _certificate(A, y, z)
     if x is None:
         return
     best = _support_enumeration_optimum(A, y)
@@ -468,23 +472,25 @@ def test_l1_certificate_from_any_guess_is_the_optimum(seed, n, extra, k, guess):
     assert np.abs(x).sum() == pytest.approx(np.abs(best).sum(), rel=1e-9)
 
 
-def test_l1_certificate_searches_past_the_min_norm_dual():
+def test_l1_certificate_searches_past_the_min_norm_dual(monkeypatch):
     # x = e_0 is the unique minimiser (the other exact fits cost >= 2), but
     # the min-norm dual w = (1, 0) gives |a_1^H w| = 1.5; the search must
     # find a w = (1, t) with max(|1.5 - 2t|, |t|) < 1
     A = np.array([[1.0, 1.5, 0.0], [0.0, -2.0, 1.0]])
     y = A[:, 0]
     z = np.array([1.0, 0.0, 0.0])
-    assert solvers._l1_certificate(A, y, z, search=False) is None
-    x = solvers._l1_certificate(A, y, z)
+    assert _certificate(A, y, z, search=False) is None
+    duals = []
+    off_support = solvers._off_support
+    monkeypatch.setattr(solvers, "_off_support",
+                        lambda A, w, S: duals.append(w) or off_support(A, w, S))
+    x = _certificate(A, y, z)
     assert x is not None and np.allclose(x, z, rtol=0, atol=1e-15)
-    # the dual it finds stays on the affine set A_S^H w = sgn(x_S)
-    S = np.array([0])
-    Q = np.linalg.qr(A[:, S])[0]
-    w0 = np.array([1.0, 0.0], dtype=complex)
-    weights = np.array([0.0, 1.0, 0.0])
-    w = solvers._lawson_dual(A, S, Q, w0, weights)
-    assert w is not None and abs(A[:, 0] @ w - 1.0) <= 1e-12
+    # the dual it finds, the last one tested, stays on the affine set
+    # A_S^H w = sgn(x_S)
+    assert len(duals) > 1
+    w = duals[-1]
+    assert abs(A[:, 0] @ w - 1.0) <= 1e-12
     assert np.max(np.abs(A[:, 1:].T @ w)) < 1.0 - solvers._CERTIFY_MARGIN
 
 
@@ -495,11 +501,11 @@ def test_l1_certificate_search_rejects_without_a_strict_certificate():
     for scale in (2.0, 1.0):
         B = A.copy()
         B[:, 1] = scale * A[:, 0]
-        assert solvers._l1_certificate(B, B @ x0, x0) is None
+        assert _certificate(B, B @ x0, x0) is None
     # the same with the other column orthogonal to the support: the only
     # weighted column lies in range(A_S), so a search step has no unique solution
     B = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    assert solvers._l1_certificate(B, B[:, 0], np.array([1.0, 0.0, 0.0])) is None
+    assert _certificate(B, B[:, 0], np.array([1.0, 0.0, 0.0])) is None
 
 
 # master seed, generator kind, k: the reference trials of the classic-n43
@@ -507,6 +513,9 @@ def test_l1_certificate_search_rejects_without_a_strict_certificate():
 _SEARCH_TRIALS = [(4, "random_torus", 5), (9, "random_torus", 5), (16, "difference_set", 5),
                   (21, "difference_set", 5), (22, "difference_set", 5),
                   (22, "random_torus", 5), (30, "difference_set", 5)]
+# the check at which a dense solve of each certifies it: a weaker search
+# would certify later
+_SEARCH_CERTIFIED_AT = dict(zip(_SEARCH_TRIALS, [40, 50, 50, 40, 50, 40, 40]))
 
 
 def _classic_trial(master, kind, k, t=0):
@@ -526,9 +535,9 @@ def _record_certificate_calls(monkeypatch):
     calls = []
     certificate = solvers._l1_certificate
 
-    def recording(A, y, z, search=True, searched=None):
+    def recording(project, z, search=True, searched=None):
         calls.append((np.flatnonzero(z), search))
-        return certificate(A, y, z, search, searched)
+        return certificate(project, z, search, searched)
 
     monkeypatch.setattr(solvers, "_l1_certificate", recording)
     return calls
@@ -546,11 +555,12 @@ def _assert_search_schedule(calls):
 @pytest.mark.parametrize("master, kind, k", _SEARCH_TRIALS)
 def test_search_certifies_the_planted_support(master, kind, k, monkeypatch):
     A, x, y = _classic_trial(master, kind, k)
-    assert solvers._l1_certificate(A, y, x, search=False) is None
-    assert np.linalg.norm(solvers._l1_certificate(A, y, x) - x) <= 1e-10 * np.linalg.norm(x)
+    assert _certificate(A, y, x, search=False) is None
+    assert np.linalg.norm(_certificate(A, y, x) - x) <= 1e-10 * np.linalg.norm(x)
     calls = _record_certificate_calls(monkeypatch)
     res = solvers.basis_pursuit(A, y)
     assert res.certified and res.status == solvers.STATUS_CONVERGED
+    assert res.iterations == _SEARCH_CERTIFIED_AT[master, kind, k]
     assert np.linalg.norm(res.solution - x) <= 1e-10 * np.linalg.norm(x)
     _assert_search_schedule(calls)
     assert calls[-1][1]  # the min-norm dual alone cannot certify this support
@@ -573,7 +583,7 @@ def test_a_superset_with_unused_columns_is_certified_at_the_first_check(monkeypa
     Q, R = np.linalg.qr(A[:, S])
     weights = np.abs(np.linalg.solve(R, Q.conj().T @ y))
     assert np.sort(weights)[-2] <= 1e-12 * weights.max()
-    assert np.linalg.norm(solvers._l1_certificate(A, y, z) - x) <= 1e-10 * np.linalg.norm(x)
+    assert np.linalg.norm(_certificate(A, y, z) - x) <= 1e-10 * np.linalg.norm(x)
 
 
 def test_a_repaired_support_is_searched_once_per_solve(monkeypatch):
@@ -584,13 +594,14 @@ def test_a_repaired_support_is_searched_once_per_solve(monkeypatch):
     A, x, y = _classic_trial(0, "difference_set", 8, t=1)
     planted = tuple(np.flatnonzero(x))
     searched = []
-    lawson = solvers._lawson_dual
+    search = solvers._dual_search
 
-    def recording(A, S, *rest):
-        searched.append(tuple(np.sort(S)))
-        return lawson(A, S, *rest)
+    def recording(project, g, fixed, radius):
+        if radius == solvers._DUAL_RADIUS:  # the certificate's, not the refutation's
+            searched.append(tuple(np.flatnonzero(fixed)))
+        return search(project, g, fixed, radius)
 
-    monkeypatch.setattr(solvers, "_lawson_dual", recording)
+    monkeypatch.setattr(solvers, "_dual_search", recording)
     certificate = solvers._l1_certificate
     calls = _record_certificate_calls(monkeypatch)
     res = solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
@@ -600,7 +611,8 @@ def test_a_repaired_support_is_searched_once_per_solve(monkeypatch):
     # without the set of searched supports, the same solve searches it again
     searched.clear()
     monkeypatch.setattr(solvers, "_l1_certificate",
-                        lambda A, y, z, search=True, searched=None: certificate(A, y, z, search))
+                        lambda project, z, search=True, searched=None:
+                        certificate(project, z, search))
     solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
     assert len(searched) > 1 and set(searched) == {planted}
 
@@ -617,6 +629,72 @@ def test_a_stalled_support_is_searched_once(monkeypatch):
     assert any(search for _, search in calls)
     # checks on a support already searched are skipped, not repeated
     assert len(calls) < res.iterations // solvers._CERTIFY_PERIOD
+
+
+def test_a_square_support_is_not_searched(monkeypatch):
+    # a 12-sparse trial at N = 43 that the frame does not recover: the repair
+    # fills S up to n = 43 columns, where A_S is square, so the min-norm dual
+    # is the only dual and a search could not succeed
+    A, x, y = _classic_trial(2, "random_torus", 12, t=1)
+    tested, searched = [], []  # (search, |S|) of each dual test; |S| of each search
+    certificate, off_support, search = (solvers._l1_certificate, solvers._off_support,
+                                        solvers._dual_search)
+
+    def recording_certificate(project, z, search=True, searched=None):
+        tested.append((search, None))
+        return certificate(project, z, search, searched)
+
+    def recording_test(A, w, S):
+        tested[-1] = (tested[-1][0], S.size)
+        return off_support(A, w, S)
+
+    def recording_search(project, g, fixed, radius):
+        if radius == solvers._DUAL_RADIUS:  # the certificate's, not the refutation's
+            searched.append(int(fixed.sum()))
+        return search(project, g, fixed, radius)
+
+    monkeypatch.setattr(solvers, "_l1_certificate", recording_certificate)
+    monkeypatch.setattr(solvers, "_off_support", recording_test)
+    monkeypatch.setattr(solvers, "_dual_search", recording_search)
+    res = solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
+    assert not res.certified
+    assert (True, 43) in tested
+    assert 43 not in searched
+
+
+@pytest.mark.parametrize("kind", ["gabor", "dense", "fusion-qr", "fusion-svd"])
+def test_dual_search_keeps_its_constraints(kind):
+    # the refutation bound needs every iterate to be a subgradient: fixed rows
+    # bit-unchanged, every other row within the radius; and the image the
+    # bound reads must be null_part of the iterate itself
+    rng = np.random.default_rng(60)
+    if kind in ("gabor", "dense"):
+        op = _frame() if kind == "gabor" else _complex_normal(rng, (4, 9))
+        A = op.columns if kind == "gabor" else op
+        g = _complex_normal(rng, (A.shape[1], 1))
+    else:
+        op = A = _fusion_instance(7, 3, 2, seed=31)
+        if kind == "fusion-svd":  # two equal columns of a: rank-deficient 3 x 3 blocks
+            a = solvers.gaussian_measurement_coefficients(3, 7, seed=31)
+            a[:, 4] = a[:, 1]
+            op = A = solvers.assemble_fusion_operator(a, op.fusion_frame)
+        g = _complex_normal(rng, (7, 3))
+    project = solvers.AffineProjection(op, A @ _complex_normal(rng, g.size))
+    assert (project.scalar is not None) == (kind == "gabor")
+    assert (project.rank < min(A.shape)) == (kind == "fusion-svd")  # only it lacks full rank
+    fixed = np.zeros(len(g), dtype=bool)
+    fixed[[0, 2]] = True
+    start = g.copy()
+    for radius in (0.8, 1.0):
+        norms = []
+        for x, image in solvers._dual_search(project, g, fixed, radius):
+            assert np.array_equal(x[fixed], start[fixed])
+            norms.append(np.linalg.norm(x, axis=1)[~fixed].max())
+            expected = project.null_part(x.reshape(-1), np.empty(x.size, complex))
+            assert np.array_equal(image.reshape(-1), expected)
+        assert len(norms) == solvers._TIGHTEN_STEPS
+        assert max(norms) <= radius * (1 + 1e-15)
+        assert np.array_equal(g, start)  # the start is read, not written
 
 
 def test_basis_pursuit_uncertified_cases():
@@ -809,7 +887,7 @@ def test_refuted_solve_is_feasible_and_outside_the_nse_ball(seed, block_size, bl
     assert experiments.normalized_squared_error(res.solution, x) >= tau
     if fusion_set is None and block_size == 1:
         # a refuted planted signal is no minimiser, so it has no certificate
-        assert solvers._l1_certificate(A, y, x) is None
+        assert _certificate(A, y, x) is None
 
 
 def test_block_basis_pursuit_dimension_check():
