@@ -25,12 +25,12 @@ adding, one by one, the columns that fit misses, and the fit on S is
 returned when a strict dual certificate shows it is the unique l1
 minimiser (Fuchs 2004; Tropp 2004), in the manner of OSQP's solution
 polishing.  The certificate is the minimum-norm dual when that suffices;
-once the iterate's support has held still for a whole period, a dual
-search follows (_dual_search, the refutation's below, inside balls of
-radius _DUAL_RADIUS), once per such support and at most once per repaired
-S with |S| < n in a solve (a unique minimiser always has a strict
-certificate: Zhang, Yin & Cheng 2015).  Otherwise the iteration runs on
-unchanged until the residual tolerances or the iteration cap stop it.
+else a dual search follows (_dual_search, the refutation's below, inside
+balls of radius _DUAL_RADIUS), once per repaired S with |S| < n in a
+solve, at the first check that reaches S (a unique minimiser always has a
+strict certificate: Zhang, Yin & Cheng 2015).  Otherwise the iteration
+runs on unchanged until the residual tolerances or the iteration cap stop
+it.
 
 A recovery trial may also stop a solve once it is proved a failure.  The
 trial passes its planted signal x, with k nonzero entries (or blocks), and
@@ -389,20 +389,11 @@ def _entry_shrink(v, out):
     return shrink
 
 
-def _shrink_blocks(v, tau, count, out):
-    """Block soft threshold of v, split into ``count`` equal blocks, into ``out``, unchecked."""
-    parts = v.view(float).reshape(count, -1)  # per block: real and imaginary parts
-    scale = _shrinkage(np.sqrt(_row_squares(parts)), tau)
-    np.multiply(parts, scale[:, None], out=out.view(float).reshape(count, -1))
-    return out
-
-
 def _block_shrink(v, out, count):
-    """_shrink_blocks(v, tau, count, out) as a function of tau alone (the ADMM
-    z-update): its real views, norm buffer and (count, 1, 1) matmul target
-    are bound once, and the same ufuncs and matmul run in the same order, so
-    the result is the same to the bit."""
-    parts = v.view(float).reshape(count, -1)
+    """The block soft threshold of v, split into ``count`` equal blocks, into
+    ``out``, unchecked, as a function of tau alone (the ADMM z-update): its
+    real views, norm buffer and (count, 1, 1) matmul target are bound once."""
+    parts = v.view(float).reshape(count, -1)  # per block: real and imaginary parts
     target = out.view(float).reshape(count, -1)
     norms = np.empty(count)
     squares, scale = norms.reshape(count, 1, 1), norms[:, None]
@@ -433,17 +424,22 @@ def block_soft_threshold(z, tau, blocks):
     if tau < 0:
         raise InvalidInputError(f"threshold tau={tau} must be nonnegative")
     arr = np.ascontiguousarray(z, dtype=complex).reshape(blocks.dimension)
-    return _shrink_blocks(arr, tau, blocks.block_count, np.empty_like(arr))
+    out = np.empty_like(arr)
+    _block_shrink(arr, out, blocks.block_count)(tau)
+    return out
 
 
 def _as_operator(matrix):
     """A Gabor frame or fusion measurement operator as is; else a dense complex
-    2-d array (InvalidInputError otherwise, before any solver reads its shape)."""
+    2-d array with at least one column (InvalidInputError otherwise, before
+    any solver reads its shape)."""
     if isinstance(matrix, (GaborFrame, FusionMeasurementOperator)):
         return matrix
     A = np.asarray(matrix, dtype=complex)
     if A.ndim != 2:
         raise InvalidInputError("matrix must be 2-d")
+    if A.shape[1] == 0:
+        raise InvalidInputError("matrix has no columns: there is no x to solve for")
     return A
 
 
@@ -501,7 +497,7 @@ def _append_column(Q, R, a):
     return np.column_stack((Q, v / norm if norm else v)), grown
 
 
-def _l1_certificate(project, z, search=True, searched=None):
+def _l1_certificate(project, z, searched):
     """The unique minimiser of ||x||_1 s.t. Ax = y on a support S repaired
     from supp(z), or None; A and y are those of the solve's AffineProjection
     ``project``.
@@ -519,12 +515,11 @@ def _l1_certificate(project, z, search=True, searched=None):
     |A_j^H w| < 1 - _CERTIFY_MARGIN for every j outside S.  Such a w is a
     strict dual certificate, and it makes x_S the unique minimiser (Fuchs
     2004; Tropp 2004); a unique minimiser always has one (Zhang, Yin & Cheng
-    2015).  The minimum-norm w is tried first; failing that, when ``search``
-    is set and |S| < n (else it is the only w), _dual_search runs until the
-    w that meets its g's row-space part on S passes.  ``searched``, if
-    given, is the set of supports (sorted, as bytes) searched before; S is
-    searched only if it is not in it, and then added.  Reads z, writes
-    nothing else.
+    2015).  The minimum-norm w is tried first; failing that, when |S| < n
+    (else it is the only w) and S is not in ``searched``, the set of
+    supports (sorted, as bytes) searched before in the solve, S is added to
+    it and _dual_search runs until the w that meets its g's row-space part
+    on S passes.  Reads z, writes nothing but ``searched``.
     """
     A, y = project.matrix, project.y
     n, d = A.shape
@@ -568,12 +563,10 @@ def _l1_certificate(project, z, search=True, searched=None):
     sign = x_S / mag
     w = Q @ np.linalg.solve(R.conj().T, sign)
     if _off_support(A, w, S).max() >= 1.0 - _CERTIFY_MARGIN:
-        if search and searched is not None:
-            key = np.sort(S).tobytes()
-            search = key not in searched
-            searched.add(key)
-        if not search or S.size == n:
+        key = np.sort(S).tobytes()
+        if S.size == n or key in searched:
             return None
+        searched.add(key)
         # from the min-norm dual's g = A^H w, with sgn(x_S) exactly on S
         g = (w.conj() @ A).conj()
         g[S] = sign
@@ -724,7 +717,6 @@ def _admm(matrix, y, cfg, blocks, make_shrink, objective, certify_l1=False, refu
     status = STATUS_MAX_ITERS
     certified = False
     last_support = None
-    searched = False
     searched_supports = set()
     it = 0
     # an iterate of finite entries can have squares beyond double precision;
@@ -747,19 +739,15 @@ def _admm(matrix, y, cfg, blocks, make_shrink, objective, certify_l1=False, refu
             if it % _CERTIFY_PERIOD:
                 continue
             if certify_l1:
-                # each new supp(z) gets the min-norm dual; one that holds still
-                # for a whole period gets the search, once, since the outcome
-                # depends on nothing but the support; and since many supp(z)
-                # repair to one S, the certificate searches each S once
+                # a repeated supp(z) repairs to the same S, whose search, if
+                # any, ran at its first check: nothing new to test
                 support = np.flatnonzero(z)
-                repeat = np.array_equal(support, last_support)
-                exact = None
-                if not (repeat and searched):
-                    exact = _l1_certificate(project, z, repeat, searched_supports)
-                searched, last_support = repeat, support
-                if exact is not None:
-                    x, status, certified = exact, STATUS_CONVERGED, True
-                    break
+                if not np.array_equal(support, last_support):
+                    last_support = support
+                    exact = _l1_certificate(project, z, searched_supports)
+                    if exact is not None:
+                        x, status, certified = exact, STATUS_CONVERGED, True
+                        break
             if refutation is not None and refutation.refutes(x, it):
                 status = STATUS_REFUTED
                 break

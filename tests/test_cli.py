@@ -240,6 +240,16 @@ def test_solve_beyond_double_precision_exit_code(capsys, tmp_path, command, a, y
     assert rc == 3 and captured.out == "" and "beyond double precision" in captured.err
 
 
+@pytest.mark.parametrize("rows", [0, 2])
+def test_solve_bp_rejects_a_matrix_with_no_columns(capsys, tmp_path, rows):
+    A_path, y_path = tmp_path / "A.csv", tmp_path / "y.csv"
+    A_path.write_text(f"{rows},0\n")
+    y_path.write_text(f"{rows},1\n" + "1,0\n" * rows)
+    rc = cli.main(["solve", "bp", "--matrix", str(A_path), "--y", str(y_path)])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and "matrix has no columns" in captured.err
+
+
 def test_solve_block_bp(capsys, tmp_path):
     from diffgabor import fusion as fu
     ff = fu.build_fusion_frame(diffsets.catalog_lookup(7, 3))

@@ -16,9 +16,16 @@ def _frame(N=7, K=3):
     return gabor.build_gabor_frame(gabor.difference_set_generator(ds))
 
 
-def _certificate(A, y, z, **options):
-    """_l1_certificate on the AffineProjection of A and y."""
-    return solvers._l1_certificate(solvers.AffineProjection(A, y), z, **options)
+def _certificate(A, y, z):
+    """_l1_certificate on the AffineProjection of A and y, with no support searched before."""
+    return solvers._l1_certificate(solvers.AffineProjection(A, y), z, set())
+
+
+def _min_norm_certificate(A, y, z, monkeypatch):
+    """_certificate with a dual search that yields nothing: the minimum-norm dual alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_dual_search", lambda *args: iter(()))
+        return _certificate(A, y, z)
 
 
 def test_solver_config_validation():
@@ -479,7 +486,7 @@ def test_l1_certificate_searches_past_the_min_norm_dual(monkeypatch):
     A = np.array([[1.0, 1.5, 0.0], [0.0, -2.0, 1.0]])
     y = A[:, 0]
     z = np.array([1.0, 0.0, 0.0])
-    assert _certificate(A, y, z, search=False) is None
+    assert _min_norm_certificate(A, y, z, monkeypatch) is None
     duals = []
     off_support = solvers._off_support
     monkeypatch.setattr(solvers, "_off_support",
@@ -513,9 +520,9 @@ def test_l1_certificate_search_rejects_without_a_strict_certificate():
 _SEARCH_TRIALS = [(4, "random_torus", 5), (9, "random_torus", 5), (16, "difference_set", 5),
                   (21, "difference_set", 5), (22, "difference_set", 5),
                   (22, "random_torus", 5), (30, "difference_set", 5)]
-# the check at which a dense solve of each certifies it: a weaker search
-# would certify later
-_SEARCH_CERTIFIED_AT = dict(zip(_SEARCH_TRIALS, [40, 50, 50, 40, 50, 40, 40]))
+# the check at which a dense solve of each certifies it, the first: a weaker
+# search would certify later
+_SEARCH_CERTIFIED_AT = dict.fromkeys(_SEARCH_TRIALS, 10)
 
 
 def _classic_trial(master, kind, k, t=0):
@@ -531,31 +538,33 @@ def _classic_trial(master, kind, k, t=0):
 
 
 def _record_certificate_calls(monkeypatch):
-    """(supp(z), search) of every _l1_certificate call that _admm makes."""
+    """(supp(z), the supports it searched) of every _l1_certificate call that _admm makes."""
     calls = []
     certificate = solvers._l1_certificate
 
-    def recording(project, z, search=True, searched=None):
-        calls.append((np.flatnonzero(z), search))
-        return certificate(project, z, search, searched)
+    def recording(project, z, searched):
+        before = set(searched)
+        result = certificate(project, z, searched)
+        calls.append((np.flatnonzero(z), sorted(searched - before)))
+        return result
 
     monkeypatch.setattr(solvers, "_l1_certificate", recording)
     return calls
 
 
 def _assert_search_schedule(calls):
-    # the first sight of a support gets the min-norm dual only; the search
-    # runs when the support held still for a period and had not been searched
-    assert not calls[0][1]
-    for (before, searched), (support, search) in zip(calls, calls[1:]):
-        assert search == np.array_equal(before, support)
-        assert not (searched and search)
+    # a check calls the certificate only on a supp(z) unlike the last one's,
+    # and the solve searches each repaired support at most once
+    for (before, _), (support, _) in zip(calls, calls[1:]):
+        assert not np.array_equal(before, support)
+    searched = [key for _, keys in calls for key in keys]
+    assert len(searched) == len(set(searched))
 
 
 @pytest.mark.parametrize("master, kind, k", _SEARCH_TRIALS)
 def test_search_certifies_the_planted_support(master, kind, k, monkeypatch):
     A, x, y = _classic_trial(master, kind, k)
-    assert _certificate(A, y, x, search=False) is None
+    assert _min_norm_certificate(A, y, x, monkeypatch) is None
     assert np.linalg.norm(_certificate(A, y, x) - x) <= 1e-10 * np.linalg.norm(x)
     calls = _record_certificate_calls(monkeypatch)
     res = solvers.basis_pursuit(A, y)
@@ -611,8 +620,7 @@ def test_a_repaired_support_is_searched_once_per_solve(monkeypatch):
     # without the set of searched supports, the same solve searches it again
     searched.clear()
     monkeypatch.setattr(solvers, "_l1_certificate",
-                        lambda project, z, search=True, searched=None:
-                        certificate(project, z, search))
+                        lambda project, z, searched: certificate(project, z, set()))
     solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
     assert len(searched) > 1 and set(searched) == {planted}
 
@@ -626,8 +634,7 @@ def test_a_stalled_support_is_searched_once(monkeypatch):
     res = solvers.basis_pursuit(A, A @ x, solvers.SolverConfig(max_iters=700))
     assert not res.certified
     _assert_search_schedule(calls)
-    assert any(search for _, search in calls)
-    # checks on a support already searched are skipped, not repeated
+    # checks on a supp(z) the last check saw are skipped, not repeated
     assert len(calls) < res.iterations // solvers._CERTIFY_PERIOD
 
 
@@ -636,16 +643,11 @@ def test_a_square_support_is_not_searched(monkeypatch):
     # fills S up to n = 43 columns, where A_S is square, so the min-norm dual
     # is the only dual and a search could not succeed
     A, x, y = _classic_trial(2, "random_torus", 12, t=1)
-    tested, searched = [], []  # (search, |S|) of each dual test; |S| of each search
-    certificate, off_support, search = (solvers._l1_certificate, solvers._off_support,
-                                        solvers._dual_search)
-
-    def recording_certificate(project, z, search=True, searched=None):
-        tested.append((search, None))
-        return certificate(project, z, search, searched)
+    tested, searched = [], []  # |S| of each dual test; |S| of each search
+    off_support, search = solvers._off_support, solvers._dual_search
 
     def recording_test(A, w, S):
-        tested[-1] = (tested[-1][0], S.size)
+        tested.append(S.size)
         return off_support(A, w, S)
 
     def recording_search(project, g, fixed, radius):
@@ -653,13 +655,31 @@ def test_a_square_support_is_not_searched(monkeypatch):
             searched.append(int(fixed.sum()))
         return search(project, g, fixed, radius)
 
-    monkeypatch.setattr(solvers, "_l1_certificate", recording_certificate)
     monkeypatch.setattr(solvers, "_off_support", recording_test)
     monkeypatch.setattr(solvers, "_dual_search", recording_search)
     res = solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
     assert not res.certified
-    assert (True, 43) in tested
+    assert 43 in tested
     assert 43 not in searched
+
+
+def test_the_classic_reference_trials_certify_at_their_first_checks(monkeypatch):
+    # the 480 reference trials of the classic-n43 benchmark: N = 43, the three
+    # generator kinds x k = 1..5, master seeds 0-31, trial 0.  A certificate
+    # that comes later changes no recovery result, so only these totals show it
+    calls = _record_certificate_calls(monkeypatch)
+    diagnostics = []
+    for master in range(32):
+        cfg = experiments.ClassicExperimentConfig(N=43, sparsity_grid=range(1, 6), trials=1,
+                                                  master_seed=master, set_params=(43, 21))
+        diagnostics += [d for curve in experiments.run_classic_experiment(cfg)
+                        for d in curve.diagnostics]
+    assert len(diagnostics) == 480
+    assert all(d["certified"] == 1 for d in diagnostics)
+    iterations = [d["max_iterations"] for d in diagnostics]
+    assert (sum(iterations), max(iterations)) == (4820, 20)
+    assert len(calls) == 482
+    assert sum(len(keys) for _, keys in calls) == 32
 
 
 @pytest.mark.parametrize("kind", ["gabor", "dense", "fusion-qr", "fusion-svd"])
@@ -898,15 +918,17 @@ def test_block_basis_pursuit_dimension_check():
         )
 
 
-@pytest.mark.parametrize("matrix", [np.ones(3), np.ones((2, 3, 1)), np.float64(1.0)],
-                         ids=["1-d", "3-d", "0-d"])
-def test_solvers_reject_a_matrix_that_is_not_2d(matrix):
+@pytest.mark.parametrize("matrix, message", [
+    (np.ones(3), "matrix must be 2-d"), (np.ones((2, 3, 1)), "matrix must be 2-d"),
+    (np.float64(1.0), "matrix must be 2-d"), (np.ones((2, 0)), "matrix has no columns"),
+], ids=["1-d", "3-d", "0-d", "no columns"])
+def test_solvers_reject_a_matrix_that_is_not_2d(matrix, message):
     # refused before any solver reads A.shape[1]
-    with pytest.raises(InvalidInputError, match="matrix must be 2-d"):
+    with pytest.raises(InvalidInputError, match=message):
         solvers.basis_pursuit(matrix, np.ones(1))
-    with pytest.raises(InvalidInputError, match="matrix must be 2-d"):
+    with pytest.raises(InvalidInputError, match=message):
         solvers.block_basis_pursuit(matrix, np.ones(1), solvers.BlockStructure(1, 3))
-    with pytest.raises(InvalidInputError, match="matrix must be 2-d"):
+    with pytest.raises(InvalidInputError, match=message):
         solvers.AffineProjection(matrix, np.ones(1))
 
 
