@@ -5,7 +5,9 @@ coordinates through SHA-256, so runs are reproducible bit-for-bit for a fixed
 configuration, independent of evaluation order.  The RNG is numpy's
 default PCG64.  Trials run serially: a thread pool measured slower than one
 thread, and the solve of a certified basis-pursuit trial at N=43 takes
-about 2 ms.
+about 2 ms.  Fusion trials are certified too, by a group dual certificate
+checked every 10 iterations: a certified fusion trial at (40, 13) with n <
+K takes about 1 ms, set-up included.
 
 A trial succeeds when NSE(x_hat, x) < tau, the success threshold.  Each
 trial hands its solver the planted x and tau, and the solver bounds the
@@ -21,8 +23,9 @@ cap.  The refuted iterate has NSE > tau, so the success rule, and with it
 the CSV, is unchanged.
 
 Each point also keeps diagnostics beside its success count: how many trials
-ended certified, converged, refuted or at the iteration cap, and the median
-and largest ADMM iteration counts.  They never enter the CSV.
+ended certified (classic and fusion), converged, refuted or at the
+iteration cap, and the median and largest ADMM iteration counts.  They never
+enter the CSV.
 """
 
 import hashlib

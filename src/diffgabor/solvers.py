@@ -28,9 +28,17 @@ polishing.  The certificate is the minimum-norm dual when that suffices;
 else a dual search follows (_dual_search, the refutation's below, inside
 balls of radius _DUAL_RADIUS), once per repaired S with |S| < n in a
 solve, at the first check that reaches S (a unique minimiser always has a
-strict certificate: Zhang, Yin & Cheng 2015).  Otherwise the iteration
-runs on unchanged until the residual tolerances or the iteration cap stop
-it.
+strict certificate: Zhang, Yin & Cheng 2015).  Block basis pursuit on a
+fusion measurement operator is certified the same way, block by block
+(_group_certificate; Eldar & Mishali 2009): S is the set of blocks of the
+shrunk iterate's support, the fit is one batched QR over the coordinates,
+each coordinate's active columns padded to the largest count, and a
+coordinate with more than n active columns ends the check before it.  The
+minimum-norm dual is tried first, then one dual search per S in a solve;
+a support fitted before in the solve is not fitted again.  A check whose
+supp(z) repeats the last check's is skipped on both paths.  Otherwise the
+iteration runs on unchanged until the residual tolerances or the iteration
+cap stop it.
 
 A recovery trial may also stop a solve once it is proved a failure.  The
 trial passes its planted signal x, with k nonzero entries (or blocks), and
@@ -79,20 +87,22 @@ _CONSISTENCY_TOL = 1e-8
 # computed R is exact for a perturbation of B of order p * eps * ||B||, and
 # near the cutoff R^-1 is computed to about p / size <= 1/N relative
 _RANK_MARGIN = 2.0
-# basis pursuit tries to certify its iterate every this many iterations
+# basis pursuit, and block basis pursuit on a fusion operator, try to certify
+# the iterate every this many iterations
 _CERTIFY_PERIOD = 10
-# a dual certificate must keep |A_j^H w| below 1 - margin off the support
+# a dual certificate must keep |A_j^H w| (||A_b^H w|| for a block) below
+# 1 - margin off the support
 _CERTIFY_MARGIN = 1e-9
 # relative residual within which the least-squares fit on S must meet y
 _CERTIFY_FIT_TOL = 1e-12
-# the certificate drops a column of S whose fitted coefficient is at most
-# this fraction of the largest, and never adds it back
+# the certificates drop a column (a block) of S whose fitted coefficient
+# (norm) is at most this fraction of the largest, and never add it back
 _PRUNE_TOL = 1e-6
 # a recovery trial's refutation bound is tightened once, at the first check at
 # or past this iteration (_Refutation): fewer than 50 of the 512 fusion-40-13
 # reference trials get that far, and most of those are headed for the cap
 _TIGHTEN_AT = 200
-# steps of _dual_search, in that tightening and in the l1 certificate
+# steps of _dual_search, in that tightening and in the certificates
 _TIGHTEN_STEPS = 30
 # the certificate's search keeps |g_j| <= this off the support: at 30 steps,
 # radii 0.7 to 0.85 certify all 32 searches of the 480 classic-n43 reference
@@ -227,7 +237,7 @@ class AffineProjection:
         factors = _blockwise_qr(op.blocks, y_local, y, size)
         if factors is None:
             factors = _blockwise_svd(op.blocks, y_local, y, size)
-        local, self._null_projector, self.rank, self._sigma = factors
+        local, self._null_projector, self.rank, self._sigma, self._preimage = factors
         self._particular = np.empty(d, dtype=complex)
         self._particular[op.owners] = local
         if self._null_projector is not None:
@@ -279,10 +289,22 @@ class AffineProjection:
         return out
 
     def row_preimage(self, g):
-        """w with A^H w = g - P g; the closed-form and dense SVD paths only."""
+        """w with A^H w = g - P g, the pseudoinverse of A^H applied to g: A g / c
+        on the closed-form path, U_r Sigma_r^-1 V_r g on the dense SVD path,
+        and _local_preimage() applied to g's K entries on each coordinate on
+        the coordinate-factored path; w is in A's row order."""
         if self.scalar is not None:
             return self.matrix @ g / self.scalar
-        return self._Ur_over_s @ (self._Vr @ g)
+        if self._owners is None:
+            return self._Ur_over_s @ (self._Vr @ g)
+        return (self._local_preimage() @ g[self._owners][:, :, None])[:, :, 0].T.reshape(-1)
+
+    def _local_preimage(self):
+        """The (N, n, K) pseudoinverses of the local blocks' adjoints B_m^H, on
+        the coordinate-factored path: R^-1 Q^H for n < K and Q R^-H for
+        n >= K on the QR path, U_r Sigma_r^-1 V_r on the SVD path."""
+        left, right = self._preimage
+        return left @ right.conj().transpose(0, 2, 1)
 
 
 def _require_consistent(residual, y):
@@ -305,7 +327,10 @@ def _blockwise_qr(blocks, y_local, y, size):
     case, a singular R included, is left to the SVD (_blockwise_svd).
     ``y_local`` holds y's (N, 1, n) rows by coordinate.  The bounds are
     (min 1/||R^-1||_F, max ||B||_F): at most the smallest and at least the
-    largest singular value of the computed factors.
+    largest singular value of the computed factors.  The last entry is the
+    pair (left, right) whose products left right^H are the pseudoinverses of
+    the B^H (AffineProjection._local_preimage): (R^-1, Q) for n < K and
+    (Q, R^-1) for n >= K.
     """
     N, n, K = blocks.shape
     wide = n < K
@@ -323,12 +348,13 @@ def _blockwise_qr(blocks, y_local, y, size):
         # B = R^H Q^H has full row rank, so every y is in the range; the
         # minimum-norm solution is Q R^-H y, and I - Q Q^H projects onto null(B)
         local = (y_local @ R_inv.conj()) @ Q.transpose(0, 2, 1)
-        return local[:, 0], np.eye(K) - Q @ Q.conj().transpose(0, 2, 1), N * n, (floor, ceiling)
+        return (local[:, 0], np.eye(K) - Q @ Q.conj().transpose(0, 2, 1), N * n,
+                (floor, ceiling), (R_inv, Q))
     # B = QR has full column rank: R^-1 Q^H y is the one feasible point, so
     # there is no null space to project onto
     coeffs = y_local @ Q.conj()  # (Q^H y)^T per block
     _require_consistent(y_local - coeffs @ Q.transpose(0, 2, 1), y)
-    return (coeffs @ R_inv.transpose(0, 2, 1))[:, 0], None, N * K, (floor, ceiling)
+    return (coeffs @ R_inv.transpose(0, 2, 1))[:, 0], None, N * K, (floor, ceiling), (Q, R_inv)
 
 
 def _blockwise_svd(blocks, y_local, y, size):
@@ -336,7 +362,8 @@ def _blockwise_svd(blocks, y_local, y, size):
     the (N, n, K) local ``blocks`` by one batched SVD, with the rank cutoff
     and the range check taken over all blocks at once, which is what the
     dense SVD of the permuted matrix gives.  Arguments as in _blockwise_qr;
-    the bounds are the smallest kept and the largest singular value.
+    the bounds are the smallest kept and the largest singular value, and the
+    pseudoinverse pair is (U_r Sigma_r^-1, V_r^H).
     """
     # U: (N, n, p), s: (N, p), Vh: (N, p, K) with p = min(n, K); real
     # when the blocks are
@@ -352,8 +379,9 @@ def _blockwise_svd(blocks, y_local, y, size):
     local = ((coeffs * inv_s[:, None, :]) @ Vr.conj())[:, 0]
     # per-block projector onto the null space, I - V_r^H V_r: one batched
     # matmul per call is cheaper than applying V_r and V_r^H in turn
-    null_projector = np.eye(Vh.shape[2]) - Vr.conj().transpose(0, 2, 1) @ Vr
-    return local, null_projector, int(keep.sum()), (float(s[keep].min()), s_max)
+    VrH = Vr.conj().transpose(0, 2, 1)
+    return (local, np.eye(Vh.shape[2]) - VrH @ Vr, int(keep.sum()),
+            (float(s[keep].min()), s_max), (U * inv_s[:, None, :], VrH))
 
 
 _TINY = np.finfo(float).tiny
@@ -583,6 +611,137 @@ def _l1_certificate(project, z, searched):
     return x
 
 
+def _group_certificate(project, z, blocks, tried):
+    """The unique minimiser of sum_b ||x_b|| s.t. Ax = y on the blocks of
+    supp(z), or None; A is the FusionMeasurementOperator and y the
+    measurements of the solve's AffineProjection ``project``, and ``blocks``
+    the objective's BlockStructure.
+
+    S is the set of blocks of supp(z).  A decouples by coordinate: the active
+    columns C_m of coordinate m are those of its local block whose
+    coefficient lies in a block of S, |S_m| of them, so A_S can have full
+    column rank only if every |S_m| <= n, which is tested first (and, more
+    cheaply still, that supp(z) has no more entries than A has rows).  The
+    least-squares fit x_S then comes from one batched QR, over the N
+    coordinates, of [C_m, 0, y_m]: C_m padded with zero columns to the
+    largest |S_m|, then y_m as columns (its real and imaginary parts for
+    real blocks).  A pad column leaves the factorization of C_m unchanged
+    and puts a zero on R's diagonal, set to 1 before R is inverted; R's y
+    columns hold Q^H y_m in the |S_m| rows of C_m and the part of y_m
+    outside range(C_m) below them.  Blocks whose fitted norm is at most
+    _PRUNE_TOL times the largest are dropped for good, and S is refitted.
+    The fit is returned (a length-d vector) only when it is proved optimal:
+    S is nonempty, A_S has full column rank by _l1_certificate's test on R's
+    diagonal, A_S x_S = y to a relative _CERTIFY_FIT_TOL, and some w has
+    A_b^H w = x_b/||x_b|| on S and ||A_b^H w|| < 1 - _CERTIFY_MARGIN for
+    every block b outside S: a strict dual certificate, which makes x_S the
+    unique minimiser of the mixed l2/l1 problem (Eldar & Mishali 2009).  The
+    minimum-norm w, C_m R^-1 R^-H g_m on each coordinate with g_m the
+    entries of sgn(x_S) = x_b/||x_b|| there, is tried first.  Failing that,
+    _dual_search runs with the rows of S fixed, and an iterate g gives w =
+    w_min + (I - C R^-1 R^-H C^H) w0, with w0 the row_preimage of g from the
+    projection's factors; A_S^H w = sgn(x_S) still, and A^H w is evaluated
+    as A^H w_min plus one precomputed (N, K, K) map of g by coordinate.
+
+    ``tried`` holds the supports (as bytes) fitted before in the solve.  A
+    success ends the solve, so each of them failed, and fails again: a
+    support in it is not refitted, and each S this call fits is added to it.
+    So no support is searched twice in a solve.  Reads z, writes nothing but
+    ``tried``.
+    """
+    op = project.matrix
+    if np.count_nonzero(z) > op.shape[0]:
+        return None  # A_S has more columns than rows: some |S_m| > n
+    N, n, K = op.blocks.shape
+    d = op.shape[1]
+    count, size = blocks.block_count, blocks.block_size
+    owner_blocks = op.owners // size
+    S = z.reshape(count, size).any(axis=1)
+    table = None
+    while True:
+        active = S[owner_blocks]
+        counts = active.sum(axis=1)
+        width = int(counts.max())
+        if not 0 < width <= n:
+            return None
+        key = np.flatnonzero(S).tobytes()
+        if key in tried:
+            return None
+        tried.add(key)
+        if table is None:  # what every fit reads
+            dtype = op.blocks.dtype
+            # y by coordinate, in the blocks' dtype: (N, n, 2) real and
+            # imaginary columns for real blocks, (N, n, 1) for complex ones
+            y_local = np.ascontiguousarray(op.local_measurements(project.y))
+            y_local = y_local.view(dtype).reshape(N, n, -1)
+            # the local columns, a zero pad column K, then y's columns
+            table = np.concatenate((op.blocks, np.zeros((N, n, 1), dtype), y_local), axis=2)
+            coordinates = np.arange(N)[:, None]
+            # the coefficient of each table column; the pad's is d, whose
+            # block d // size is the count-th, one past the last
+            coefficients = np.concatenate((op.owners, np.full((N, 1), d)), axis=1)
+            fit_tol = _CERTIFY_FIT_TOL * np.linalg.norm(project.y)
+        # per coordinate, the active columns in order, then the pads, then
+        # y's columns: [C_m, 0, y_m] is M
+        index = np.empty((N, table.shape[2] - K - 1 + width), dtype=int)
+        index[:, :width] = np.sort(np.where(active, np.arange(K), K), axis=1)[:, :width]
+        index[:, width:] = np.arange(K + 1, table.shape[2])
+        M = table[coordinates, :, index].transpose(0, 2, 1)
+        R = np.linalg.qr(M, mode="r")
+        pads = np.arange(width) >= counts[:, None]
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2)[:, :width])
+        size_eps = max(op.shape[0], int(counts.sum())) * np.finfo(float).eps
+        if np.where(pads, np.inf, diag).min() <= diag.max() * size_eps:
+            return None
+        # y_m outside range(C_m): the rows of R's y columns past |S_m|
+        outside = np.arange(R.shape[1]) >= counts[:, None]
+        if np.linalg.norm(R[:, :, width:] * outside[:, :, None]) > fit_tol:
+            return None
+        R_inv = np.linalg.inv(R[:, :width, :width] + pads[:, None, :] * np.eye(width))
+        fit = R_inv @ (R[:, :width, width:] * ~pads[:, :, None])  # zero at the pads
+        slots = coefficients[coordinates, index[:, :width]]
+        slot_blocks = slots // size
+        norms = np.sqrt(np.bincount(slot_blocks.reshape(-1), minlength=count + 1,
+                                    weights=np.square(fit.view(float)).sum(axis=2).reshape(-1)))
+        negligible = S & (norms[:count] <= _PRUNE_TOL * norms.max())
+        if not negligible.any():
+            break
+        S = S & ~negligible  # blocks the fit does not use
+    C = M[:, :, :width]
+    if np.linalg.norm(y_local - C @ fit) > fit_tol:
+        return None
+    norms[count] = 1.0  # the pads' fit is 0
+    sign = fit / norms[slot_blocks][:, :, None]
+    gram_inv = R_inv @ R_inv.conj().transpose(0, 2, 1)  # (C^H C)^-1 with the pads' 1s
+    B_H = op.blocks.conj().transpose(0, 2, 1)
+    image = B_H @ (C @ (gram_inv @ sign))  # A^H w by coordinate, w the min-norm dual
+    off = ~S
+
+    def off_support_max(image):
+        """max ||A_b^H w|| over the blocks b outside S, from A^H w by coordinate."""
+        parts = image.view(float).reshape(N * K, -1)[project._placement]
+        return math.sqrt(_row_squares(parts.reshape(count, -1))[off].max(initial=0.0))
+
+    if off_support_max(image) >= 1.0 - _CERTIFY_MARGIN:
+        # from the min-norm dual's g = A^H w, with sgn(x_S) exactly on S
+        g = np.zeros(d + 1, dtype=complex)
+        g[op.owners] = image.view(complex)[..., 0]
+        g[slots] = sign.view(complex)[..., 0]
+        # w = w_min + (I - C R^-1 R^-H C^H) w0 on each coordinate, w0 the
+        # row_preimage of g; A^H w is read as A^H w_min + lift g_m
+        preimage = project._local_preimage()
+        lift = B_H @ (preimage - C @ (gram_inv @ (C.conj().transpose(0, 2, 1) @ preimage)))
+        for g, _ in _dual_search(project, g[:d].reshape(count, size), S, _DUAL_RADIUS):
+            local = g.reshape(-1)[op.owners].view(dtype).reshape(N, K, -1)
+            if off_support_max(image + lift @ local) < 1.0 - _CERTIFY_MARGIN:
+                break
+        else:
+            return None
+    x = np.zeros(d + 1, dtype=complex)
+    x[slots] = fit.view(complex)[..., 0]
+    return x[:d]
+
+
 class _Refutation:
     """The objective bound below which a projection output x_k proves a
     recovery trial a failure (module docstring), in the scale of y/||y||.
@@ -675,15 +834,18 @@ def scaled_norm(v):
     return value
 
 
-def _admm(matrix, y, cfg, blocks, make_shrink, objective, certify_l1=False, refute=None):
+def _admm(matrix, y, cfg, blocks, make_shrink, objective, certificate=None, refute=None):
     """ADMM for min objective(x) s.t. Ax = y, with ``make_shrink(v, out)``
     giving its proximal map of v into ``out`` as a function of tau alone, and
     ``blocks`` the blocks objective sums the norms of (size 1 for l1).
 
     A full-column-rank A has one feasible point, returned with 0 iterations.
-    Otherwise, every _CERTIFY_PERIOD iterations it tries the l1 certificate
-    (when ``certify_l1``), and then, when ``refute`` = (x, tau) names a
-    recovery trial's planted signal and NSE threshold, stops with
+    Otherwise, every _CERTIFY_PERIOD iterations it calls ``certificate``
+    (project, z, tried), if given (_l1_certificate or _group_certificate),
+    on a supp(z) unlike the last check's; ``tried`` is the solve's set of
+    supports the certificate need not try again, and a proved minimiser
+    returned stops the solve.  Then, when ``refute`` = (x, tau) names a
+    recovery trial's planted signal and NSE threshold, it stops with
     STATUS_REFUTED as soon as the projection output is proved to lie, with
     every minimiser, farther than NSE tau from x (_Refutation).
     """
@@ -717,7 +879,7 @@ def _admm(matrix, y, cfg, blocks, make_shrink, objective, certify_l1=False, refu
     status = STATUS_MAX_ITERS
     certified = False
     last_support = None
-    searched_supports = set()
+    tried_supports = set()
     it = 0
     # an iterate of finite entries can have squares beyond double precision;
     # the stopping test then reads inf, and _rescale reports what follows
@@ -738,13 +900,13 @@ def _admm(matrix, y, cfg, blocks, make_shrink, objective, certify_l1=False, refu
                 break
             if it % _CERTIFY_PERIOD:
                 continue
-            if certify_l1:
-                # a repeated supp(z) repairs to the same S, whose search, if
-                # any, ran at its first check: nothing new to test
-                support = np.flatnonzero(z)
-                if not np.array_equal(support, last_support):
+            if certificate is not None:
+                # a repeated supp(z) gives the same S, whose search, if any,
+                # ran at its first check: nothing new to test
+                support = (z != 0).tobytes()
+                if support != last_support:
                     last_support = support
-                    exact = _l1_certificate(project, z, searched_supports)
+                    exact = certificate(project, z, tried_supports)
                     if exact is not None:
                         x, status, certified = exact, STATUS_CONVERGED, True
                         break
@@ -807,14 +969,21 @@ def basis_pursuit(matrix, y, cfg=None, *, _refute=None):
     cfg = cfg or SolverConfig()
     A = _as_operator(matrix)
     d = A.shape[1]
+    certificate = None if isinstance(A, FusionMeasurementOperator) else _l1_certificate
     return _admm(A, y, cfg, BlockStructure(d, 1), _entry_shrink, lambda v: np.sum(np.abs(v)),
-                 certify_l1=not isinstance(A, FusionMeasurementOperator), refute=_refute)
+                 certificate=certificate, refute=_refute)
 
 
 def block_basis_pursuit(matrix, y, blocks, cfg=None, *, _refute=None):
     """min sum_b ||x_b||_2 subject to Ax = y (mixed l2/l1, block sparsity).
 
-    ``_refute`` is for recovery trials only, as in basis_pursuit.
+    On a FusionMeasurementOperator, every _CERTIFY_PERIOD iterations the
+    blocks of the shrunk iterate's support are fitted by least squares and
+    checked with a strict group dual certificate (see _group_certificate);
+    once it passes, that fit is returned, ``certified`` is True and it is
+    the exact, unique minimiser.  A dense matrix has no certificate.
+    Otherwise the solution is the last projection output, as in
+    basis_pursuit.  ``_refute`` is for recovery trials only, as there.
     """
     cfg = cfg or SolverConfig()
     A = _as_operator(matrix)
@@ -829,7 +998,13 @@ def block_basis_pursuit(matrix, y, blocks, cfg=None, *, _refute=None):
     def objective(v):
         return np.sum(np.linalg.norm(v.reshape(blocks.block_count, blocks.block_size), axis=1))
 
-    return _admm(A, y, cfg, blocks, make_shrink, objective, refute=_refute)
+    certificate = None
+    if isinstance(A, FusionMeasurementOperator):
+        def certificate(project, z, tried):
+            return _group_certificate(project, z, blocks, tried)
+
+    return _admm(A, y, cfg, blocks, make_shrink, objective, certificate=certificate,
+                 refute=_refute)
 
 
 def gaussian_measurement_coefficients(n, N, seed, complex_valued=False):

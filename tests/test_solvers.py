@@ -273,18 +273,25 @@ def test_solve_result_history():
 
 @pytest.mark.parametrize("complex_valued", [False, True])
 def test_block_solve_result_history(complex_valued):
-    # a solve that meets its tolerances in about 50 iterations: the fused norms
-    # match np.linalg.norm, and the stopping rule stops at the same iteration
+    # a solve that meets its tolerances in 58 (real) or 70 (complex)
+    # iterations: the fused norms match np.linalg.norm, and the stopping rule
+    # stops at the same iteration.  Blocks 0, 4, 10 and 12 all hold
+    # coordinate 0, which has n = 3 rows, and the solve keeps all four: the
+    # group certificate cannot prove a support with 4 > n columns on one
+    # coordinate, so nothing but the tolerances stops it
     ff = fusion.build_fusion_frame(diffsets.catalog_lookup(13, 4))
     a = solvers.gaussian_measurement_coefficients(3, 13, seed=14, complex_valued=complex_valued)
     op = solvers.assemble_fusion_operator(a, ff)
     c = np.zeros(52, dtype=complex)
-    c[8:16] = _complex_normal(np.random.default_rng(15), 8)
+    rng = np.random.default_rng(15)
+    for b in (0, 4, 10, 12):
+        c[b * 4:(b + 1) * 4] = _complex_normal(rng, 4)
     y = op @ c
     cfg = solvers.SolverConfig()
     res = solvers.block_basis_pursuit(op, y, op.block_structure, cfg)
     ref = _reference_history(op, y, cfg, lambda v, tau: solvers.block_soft_threshold(
         v, tau, op.block_structure))
+    assert not res.certified
     assert res.status == solvers.STATUS_CONVERGED and 10 < res.iterations == len(ref)
     assert (res.primal_residual, res.dual_residual) == tuple(res.residual_history[-1])
     # the two loops round differently, by about 1e-16 per entry of the
@@ -561,6 +568,21 @@ def _assert_search_schedule(calls):
     assert len(searched) == len(set(searched))
 
 
+def _record_searches(monkeypatch):
+    """The fixed rows of every _dual_search the certificates run (at
+    _DUAL_RADIUS; the refutation's run at radius 1)."""
+    searched = []
+    search = solvers._dual_search
+
+    def recording(project, g, fixed, radius):
+        if radius == solvers._DUAL_RADIUS:
+            searched.append(tuple(np.flatnonzero(fixed)))
+        return search(project, g, fixed, radius)
+
+    monkeypatch.setattr(solvers, "_dual_search", recording)
+    return searched
+
+
 @pytest.mark.parametrize("master, kind, k", _SEARCH_TRIALS)
 def test_search_certifies_the_planted_support(master, kind, k, monkeypatch):
     A, x, y = _classic_trial(master, kind, k)
@@ -602,15 +624,7 @@ def test_a_repaired_support_is_searched_once_per_solve(monkeypatch):
     # them to the planted one.  The search on that S runs once per solve.
     A, x, y = _classic_trial(0, "difference_set", 8, t=1)
     planted = tuple(np.flatnonzero(x))
-    searched = []
-    search = solvers._dual_search
-
-    def recording(project, g, fixed, radius):
-        if radius == solvers._DUAL_RADIUS:  # the certificate's, not the refutation's
-            searched.append(tuple(np.flatnonzero(fixed)))
-        return search(project, g, fixed, radius)
-
-    monkeypatch.setattr(solvers, "_dual_search", recording)
+    searched = _record_searches(monkeypatch)
     certificate = solvers._l1_certificate
     calls = _record_certificate_calls(monkeypatch)
     res = solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
@@ -626,14 +640,17 @@ def test_a_repaired_support_is_searched_once_per_solve(monkeypatch):
 
 
 def test_a_stalled_support_is_searched_once(monkeypatch):
-    # 6-sparse at (13, 4) is beyond what this frame recovers: ADMM sits on
-    # supports that no certificate proves, for many periods in a row
+    # 5-sparse at (13, 4) is beyond what this frame recovers: from iteration
+    # 230 ADMM sits on one supp(z) for 210 iterations, and the S it repairs
+    # to fails the minimum-norm dual, so it is searched, once
     A = _frame(13, 4).columns
-    x = experiments.random_k_sparse_signal(A.shape[1], 6, 4000)
+    x = experiments.random_k_sparse_signal(A.shape[1], 5, 4046)
+    searched = _record_searches(monkeypatch)
     calls = _record_certificate_calls(monkeypatch)
     res = solvers.basis_pursuit(A, A @ x, solvers.SolverConfig(max_iters=700))
     assert not res.certified
     _assert_search_schedule(calls)
+    assert searched and len(searched) == len(set(searched))
     # checks on a supp(z) the last check saw are skipped, not repeated
     assert len(calls) < res.iterations // solvers._CERTIFY_PERIOD
 
@@ -888,9 +905,9 @@ def test_refuted_solve_is_feasible_and_outside_the_nse_ball(seed, block_size, bl
     tau = experiments.DEFAULT_THRESHOLD
     cfg = solvers.SolverConfig(rho=rho, max_iters=500)
     if fusion_set is not None:
-        A, x, y = _planted_fusion_instance(rng, fusion_set, n, k, complex_valued)
-        res = solvers.block_basis_pursuit(A, y, A.block_structure, cfg, _refute=(x, tau))
-        A = A.effective
+        op, x, y = _planted_fusion_instance(rng, fusion_set, n, k, complex_valued)
+        res = solvers.block_basis_pursuit(op, y, op.block_structure, cfg, _refute=(x, tau))
+        A = op.effective
     else:
         blocks = solvers.BlockStructure(block_count, block_size)
         d = blocks.dimension
@@ -905,8 +922,10 @@ def test_refuted_solve_is_feasible_and_outside_the_nse_ball(seed, block_size, bl
     assert res.iterations % solvers._CERTIFY_PERIOD == 0 and not res.certified
     assert np.linalg.norm(A @ res.solution - y) <= 1e-10 * np.linalg.norm(y)
     assert experiments.normalized_squared_error(res.solution, x) >= tau
-    if fusion_set is None and block_size == 1:
-        # a refuted planted signal is no minimiser, so it has no certificate
+    # a refuted planted signal is no minimiser, so it has no certificate
+    if fusion_set is not None:
+        assert _group_certificate(op, y, x) is None
+    elif block_size == 1:
         assert _certificate(A, y, x) is None
 
 
@@ -1179,17 +1198,20 @@ def test_fusion_iterates_match_the_reference_kernels_bit_for_bit(complex_valued)
     # the solve binds its shrink buffers once and projects into preallocated
     # ones, yet runs the same ufuncs and matmuls: every iterate must equal, to
     # the bit, the loop built from block_soft_threshold and the unbuffered
-    # projection, which in turn agrees with the dense oracle's projection
+    # projection, which in turn agrees with the dense oracle's projection.
+    # x fills the 13 blocks that hold coordinate 0, which has n = 9 rows: the
+    # group certificate cannot prove a support with 13 > n columns on one
+    # coordinate, so all 60 iterations run
     op = _fusion_instance(40, 13, 9, seed=3, complex_valued=complex_valued)
     blocks = op.block_structure
     rng = np.random.default_rng(4)
     x = np.zeros(blocks.dimension, dtype=complex)
-    for b in rng.choice(blocks.block_count, size=12, replace=False):
+    for b in np.flatnonzero((op.fusion_frame.supports == 0).any(axis=1)):
         x[b * 13:(b + 1) * 13] = _complex_normal(rng, 13)
     y = op @ x
     cfg = solvers.SolverConfig(max_iters=60)
     res = solvers.block_basis_pursuit(op, y, blocks, cfg)
-    assert res.status == solvers.STATUS_MAX_ITERS
+    assert res.status == solvers.STATUS_MAX_ITERS and not res.certified
     ynorm = np.linalg.norm(y)
     project = solvers.AffineProjection(op, y / ynorm)
     dense = solvers.AffineProjection(op.effective, y / ynorm)
@@ -1214,6 +1236,174 @@ def test_fusion_iterates_match_the_reference_kernels_bit_for_bit(complex_valued)
         history.append((np.linalg.norm(x_k - z), cfg.rho * np.linalg.norm(z - z_old)))
     assert np.array_equal(res.solution, x_k * ynorm)
     np.testing.assert_allclose(res.residual_history, history, rtol=1e-13, atol=0)
+
+
+# ------------------------------------------------------- group certificate (fusion)
+
+def _group_certificate(op, y, z):
+    """_group_certificate on the AffineProjection of the fusion operator op
+    and y, for op's blocks, with no support tried before."""
+    return solvers._group_certificate(solvers.AffineProjection(op, y), z, op.block_structure,
+                                      set())
+
+
+def _block_objective(v, blocks):
+    return np.linalg.norm(v.reshape(blocks.block_count, blocks.block_size), axis=1).sum()
+
+
+def _dense_min_norm_verdict(op, y, z):
+    """The dense oracle of the group certificate's minimum-norm dual, on
+    op.effective: S = the blocks of supp(z), the lstsq fit on S with the
+    blocks it weights at most _PRUNE_TOL of the largest dropped and S refitted,
+    then a full column rank, a fit that meets y and the pseudoinverse dual
+    strictly inside the unit ball off S; the fit, scattered, or None."""
+    A, blocks = op.effective, op.block_structure
+    count, size = blocks.block_count, blocks.block_size
+    S = z.reshape(count, size).any(axis=1)
+    while True:
+        columns = np.flatnonzero(np.repeat(S, size))
+        if columns.size == 0 or np.linalg.matrix_rank(A[:, columns]) < columns.size:
+            return None
+        fit = np.linalg.lstsq(A[:, columns], y, rcond=None)[0]
+        if np.linalg.norm(A[:, columns] @ fit - y) > solvers._CERTIFY_FIT_TOL * np.linalg.norm(y):
+            return None
+        norms = np.linalg.norm(fit.reshape(-1, size), axis=1)
+        negligible = norms <= solvers._PRUNE_TOL * norms.max()
+        if not negligible.any():
+            break
+        S[np.flatnonzero(S)[negligible]] = False
+    sign = (fit.reshape(-1, size) / norms[:, None]).reshape(-1)
+    w = np.linalg.pinv(A[:, columns].conj().T) @ sign
+    dual = np.linalg.norm((A.conj().T @ w).reshape(count, size), axis=1)
+    if dual[~S].max(initial=0.0) >= 1.0 - solvers._CERTIFY_MARGIN:
+        return None
+    x = np.zeros(op.shape[1], dtype=complex)
+    x[columns] = fit
+    return x
+
+
+# monkeypatch is used only through its context(), which each example undoes
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), params=st.sampled_from([(7, 3), (13, 4)]),
+       n=st.integers(1, 3), k=st.integers(1, 3), complex_valued=st.booleans(),
+       guess=st.sampled_from(["planted", "superset", "random"]))
+def test_group_certificate_proves_the_minimiser(seed, params, n, k, complex_valued, guess,
+                                               monkeypatch):
+    # whenever the certificate returns x, x is feasible and no worse than a
+    # long ADMM solve on the dense matrix, which has no certificate; and its
+    # minimum-norm dual gives the dense oracle's verdict
+    rng = np.random.default_rng(seed)
+    op, x, y = _planted_fusion_instance(rng, params, n, k, complex_valued)
+    blocks = op.block_structure
+    chosen = x.reshape(blocks.block_count, -1).any(axis=1)
+    if guess == "superset":
+        chosen[rng.integers(blocks.block_count)] = True
+    elif guess == "random":
+        chosen = rng.random(blocks.block_count) < 0.3
+    z = np.repeat(chosen, blocks.block_size).astype(complex)
+    certified = _group_certificate(op, y, z)
+    if certified is not None:
+        assert np.linalg.norm(op @ certified - y) <= 1e-10 * np.linalg.norm(y)
+        long = solvers.block_basis_pursuit(op.effective, y, blocks,
+                                           solvers.SolverConfig(max_iters=20000))
+        assert (_block_objective(certified, blocks)
+                <= _block_objective(long.solution, blocks) * (1 + 1e-10))
+    oracle = _dense_min_norm_verdict(op, y, z)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_dual_search", lambda *args: iter(()))
+        min_norm = _group_certificate(op, y, z)
+    assert (min_norm is None) == (oracle is None)
+    if oracle is not None:
+        assert np.linalg.norm(min_norm - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+def test_group_certificate_keeps_its_margin():
+    # two coordinates, each with rows e1 and e2 and one column of each of the
+    # two blocks: block 0's is e1, block 1's is c e1.  For y = A x, x on block
+    # 0, every dual has ||A_1^H w|| = c, so x is the unique minimiser for
+    # c < 1, and a strict certificate proves it only for c < 1 - margin
+    owners = np.array([[0, 2], [1, 3]])  # block 0 = coefficients 0 and 1
+    blocks = solvers.BlockStructure(2, 2)
+    x = np.array([1.0, 1.0j, 0.0, 0.0])
+    for c, proved in ((1 - 1e-8, True), (1 - 1e-10, False)):
+        local = np.zeros((2, 2, 2))
+        local[:, 0, 0], local[:, 0, 1] = 1.0, c
+        op = solvers.FusionMeasurementOperator(None, blocks, owners, local)
+        y = op @ x
+        certified = _group_certificate(op, y, x)
+        assert (certified is not None) == proved
+        if proved:
+            assert np.linalg.norm(certified - x) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["gabor", "dense", "fusion-qr", "fusion-svd", "fusion-tall"])
+def test_row_preimage_inverts_the_adjoint(kind):
+    # A^H row_preimage(g) is g's part in the row space, g - P g, on every path
+    rng = np.random.default_rng(61)
+    if kind == "gabor":
+        op = _frame()
+        A = op.columns
+    elif kind == "dense":
+        op = A = _complex_normal(rng, (4, 9))
+    else:
+        op = _fusion_instance(7, 3, 4 if kind == "fusion-tall" else 2, seed=31)
+        if kind == "fusion-svd":  # two equal columns of a: rank-deficient 3 x 3 blocks
+            a = solvers.gaussian_measurement_coefficients(3, 7, seed=31)
+            a[:, 4] = a[:, 1]
+            op = solvers.assemble_fusion_operator(a, op.fusion_frame)
+        A = op.effective
+    project = solvers.AffineProjection(op, A @ _complex_normal(rng, A.shape[1]))
+    assert (project.rank == A.shape[1]) == (kind == "fusion-tall")
+    for g in (_complex_normal(rng, A.shape[1]), rng.standard_normal(A.shape[1]) + 0j):
+        w = project.row_preimage(g)
+        assert w.shape == (A.shape[0],)
+        if project.rank == A.shape[1]:
+            expected = g  # P = 0
+        else:
+            expected = g - project.null_part(g, np.empty_like(g))
+        assert np.linalg.norm(A.conj().T @ w - expected) <= 1e-12 * np.linalg.norm(g)
+        # the pseudoinverse's w: the one in the range of A
+        assert np.linalg.norm(w - np.linalg.pinv(A.conj().T) @ g) <= 1e-12 * np.linalg.norm(g) * (
+            np.linalg.norm(np.linalg.pinv(A), 2))
+
+
+def test_the_fusion_reference_trials_keep_their_certificate_totals(monkeypatch):
+    # the 256 n < K reference trials of the fusion-40-13 benchmark: (40, 13),
+    # n in {5, 9} x k in {1, 4, 8, 12}, master seeds 0-31, trial 0, at most
+    # 2000 iterations.  A certificate that comes later changes no recovery
+    # result, so only these totals show it
+    calls = []
+    certificate = solvers._group_certificate
+
+    def recording(project, z, blocks, tried):
+        calls.append(np.flatnonzero(z))
+        return certificate(project, z, blocks, tried)
+
+    monkeypatch.setattr(solvers, "_group_certificate", recording)
+    searched = _record_searches(monkeypatch)
+    outcomes = {}
+    for master in range(32):
+        cfg = experiments.FusionExperimentConfig(
+            set_params=(40, 13), measurement_grid=(5, 9), sparsity_grid=(1, 4, 8, 12), trials=1,
+            master_seed=master, solver=solvers.SolverConfig(max_iters=2000))
+        for curve in experiments.run_fusion_experiment(cfg):
+            for (k, successes, _), d in zip(curve.points, curve.diagnostics):
+                outcomes[f"{master}:{curve.label[2:]}:{k}"] = (successes, d)
+    assert len(outcomes) == 256
+    diagnostics = [d for _, d in outcomes.values()]
+    totals = {outcome: sum(d[outcome] for d in diagnostics)
+              for outcome in experiments.TRIAL_OUTCOMES}
+    assert totals == {"certified": 157, solvers.STATUS_CONVERGED: 4,
+                      solvers.STATUS_REFUTED: 86, solvers.STATUS_MAX_ITERS: 9}
+    assert sum(d["max_iterations"] for d in diagnostics) == 32649
+    assert sum(d["certified"] for d in diagnostics if d["max_iterations"] == 10) == 154
+    assert (len(calls), len(searched), len(set(searched))) == (416, 99, 99)
+    # these succeed only past 9 965 iterations: the reference digests record
+    # them as failures at the cap, and no certificate may end them sooner
+    for key in ("3:9:12", "8:9:12", "19:9:12"):
+        successes, d = outcomes[key]
+        assert successes == 0 and d[solvers.STATUS_MAX_ITERS] == 1
 
 
 @pytest.mark.parametrize("params, n, k", [((7, 3), 2, 2), ((13, 4), 3, 2), ((40, 13), 9, 4),
@@ -1259,9 +1449,12 @@ def test_block_basis_pursuit_structured_matches_dense(params, n, k):
     for j in rng.choice(N, size=k, replace=False):
         c[j * K:(j + 1) * K] = _complex_normal(rng, K)
     y = op @ c
-    cfg = solvers.SolverConfig(max_iters=300)
-    structured = solvers.block_basis_pursuit(op, y, op.block_structure, cfg)
-    dense = solvers.block_basis_pursuit(op.effective, y, op.block_structure, cfg)
+    structured = solvers.block_basis_pursuit(op, y, op.block_structure,
+                                             solvers.SolverConfig(max_iters=300))
+    # the structured solve may stop at a certified, exact minimiser, so the
+    # dense oracle, which has no certificate, runs to tighter tolerances
+    oracle = solvers.SolverConfig(max_iters=5000, tol_primal=1e-12, tol_dual=1e-12)
+    dense = solvers.block_basis_pursuit(op.effective, y, op.block_structure, oracle)
     assert structured.status == dense.status
     assert np.linalg.norm(structured.solution - dense.solution) <= 1e-8 * np.linalg.norm(c)
 
