@@ -4,10 +4,10 @@ Every trial derives its own 64-bit seed from the master seed and the trial
 coordinates through SHA-256, so runs are reproducible bit-for-bit for a fixed
 configuration, independent of evaluation order.  The RNG is numpy's
 default PCG64.  Trials run serially: a thread pool measured slower than one
-thread, and the solve of a certified basis-pursuit trial at N=43 takes
-about 2 ms.  Fusion trials are certified too, by a group dual certificate
-checked every 10 iterations: a certified fusion trial at (40, 13) with n <
-K takes about 1 ms, set-up included.
+thread, and a certified basis-pursuit trial at N=43 takes about 1.25 ms.
+Fusion trials are certified too, by a group dual certificate checked every
+10 iterations: a certified fusion trial at (40, 13) with n < K takes about
+1 ms, set-up included.
 
 A trial succeeds when NSE(x_hat, x) < tau, the success threshold.  Each
 trial hands its solver the planted x and tau, and the solver bounds the

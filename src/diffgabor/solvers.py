@@ -1,22 +1,22 @@
 """In-house ADMM solvers for complex basis pursuit and its block variant.
 
 Splitting: min ||z||_1 (or sum of block norms) subject to x in {Ax = y}, x = z.
-The x-update is an exact affine projection chosen by the type of A — a
-scalar correction for a Gabor frame (N-tight: A A* = N ||g||^2 I), a QR
-factorization of the local blocks of a fusion measurement operator (one per
-coordinate, with an SVD when full rank cannot be proved from R: see
-_blockwise_qr), and an SVD pseudoinverse otherwise — and the z-update is the complex (block) soft
-threshold.  Basis pursuit is positively homogeneous, so the iteration runs
-on y/||y|| and the solution is rescaled afterwards; this keeps convergence
-behavior scale-free.
+The x-update is an exact affine projection in one of two forms chosen by
+the type of A (AffineProjection), and the z-update is the complex (block)
+soft threshold.  A dense matrix takes row factors from its economy SVD, and
+so does a Gabor frame, whose SVD N-tightness (A A* = N ||g||^2 I) gives in
+closed form.  A fusion measurement operator takes coordinate blocks: a QR
+factorization of its local blocks, one per coordinate, real for real
+coefficients, with an SVD when full rank cannot be proved from R (see
+_blockwise_qr).  Basis pursuit is positively homogeneous, so the iteration
+runs on y/||y|| and the solution is rescaled afterwards; this keeps
+convergence behavior scale-free.
 
 When A has full column rank (projection rank d), {x : Ax = y} is one point,
 the projection of 0, and it is returned with 0 iterations: a fusion
-operator with n >= K measurements per coordinate is such a case.
-Real measurement coefficients give real local blocks, which are factored in
-real arithmetic; their real null projector acts on the complex iterate
-through its (re, im) view.  The iteration itself updates preallocated
-buffers and takes its five stopping norms from one reduction.
+operator with n >= K measurements per coordinate is such a case.  The
+iteration itself updates preallocated buffers and takes its five stopping
+norms from one reduction.
 
 Basis pursuit on a dense matrix also stops as soon as its answer is proved:
 every few iterations the support of the shrunk iterate is repaired into a
@@ -166,14 +166,16 @@ class BlockStructure:
 
 
 class AffineProjection:
-    """Orthogonal projection onto the affine set {x : Ax = y}.
+    """Orthogonal projection onto the affine set {x : Ax = y}, in row factors
+    or in coordinate blocks.
 
-    A GaborFrame has A A* = cI, c = frame.frame_bound, by N-tightness, so the
-    projection is the closed form w + A*(y - Aw)/c with no factorization; A*
-    is applied as (r^H A)^H, so A is never copied.  Any other matrix, tight
-    or not, goes to an economy SVD, which gives the row-space projector and
-    a particular solution; y must then lie in the range of A or
-    FactorizationError is raised.
+    Row factors project w to w - F^H (s (F w - t)), with F^H v applied as
+    (v^H F)^H, so F is never copied.  A dense matrix, tight or not, takes F,
+    s, t = V_r, 1, Sigma_r^-1 U_r^H y from its economy SVD A = U_r Sigma_r
+    V_r, and y must lie in the range of A or FactorizationError is raised.
+    A GaborFrame is N-tight, A A* = cI with c = frame.frame_bound, so its SVD
+    is U = I, Sigma = sqrt(c) I, V_r = A / sqrt(c), and F, s, t = A, 1/c, y:
+    nothing is factored or copied.
 
     A FusionMeasurementOperator is block-diagonal up to a row and column
     permutation, so it is factored as its N local n x K blocks instead: one
@@ -194,8 +196,7 @@ class AffineProjection:
     upper bound on its largest, for the refutation bound (_Refutation).
     """
 
-    _owners = None  # (N, K) coefficient table, set only on the coordinate-factored path
-    scalar = None  # c, set only on the closed-form path
+    _owners = None  # (N, K) coefficient table, set only in the coordinate-block form
 
     def __init__(self, matrix, y):
         tight = isinstance(matrix, GaborFrame)
@@ -207,13 +208,13 @@ class AffineProjection:
         self.matrix = A
         self.y = y
         self.uses_factorization = not tight
-        if tight:
-            self.scalar = matrix.frame_bound
-            self.rank = n
-            self._sigma = (math.sqrt(self.scalar),) * 2
-            return
         if isinstance(A, FusionMeasurementOperator):
             self._init_blockwise(A, y)
+            return
+        if tight:
+            self.rank = n
+            self._sigma = (math.sqrt(matrix.frame_bound),) * 2
+            self._rows, self._scale, self._target = A, 1.0 / matrix.frame_bound, y
             return
         U, s, Vh = np.linalg.svd(A, full_matrices=False)
         cutoff = s.max(initial=0.0) * (max(n, d) * np.finfo(float).eps)
@@ -222,12 +223,10 @@ class AffineProjection:
             raise FactorizationError("measurement matrix has rank zero")
         self.rank = r
         self._sigma = (float(s[r - 1]), float(s[0]))
-        Ur, sr, self._Vr = U[:, :r], s[:r], Vh[:r, :]
-        self._VrH = self._Vr.conj().T
-        self._Ur_over_s = Ur / sr
+        Ur, sr = U[:, :r], s[:r]
         coeffs = Ur.conj().T @ y
         _require_consistent(y - Ur @ coeffs, y)
-        self._particular = self._VrH @ (coeffs / sr)
+        self._rows, self._scale, self._target, self._left = Vh[:r], 1.0, coeffs / sr, Ur / sr
 
     def _init_blockwise(self, op, y):
         n_rows, d = op.shape
@@ -257,20 +256,22 @@ class AffineProjection:
         w = np.asarray(w, dtype=complex).reshape(-1)
         if out is None:
             out = np.empty_like(w)
-        if self._owners is not None and self._null_projector is None:
+        if self._owners is None:
+            self._row_step(w, self._rows @ w - self._target, out)
+        elif self._null_projector is None:
             out[:] = self._particular  # the feasible set is this one point
-        elif self.scalar is not None:
-            r = (self.y - self.matrix @ w) / self.scalar
-            np.add(w, (r.conj() @ self.matrix).conj(), out=out)
-        elif self._owners is not None:
-            np.add(self._null_image(w)[self._placement], self._particular, out=out)
         else:
-            self.null_part(w, out)
-            out += self._particular
+            np.add(self._null_image(w)[self._placement], self._particular, out=out)
         return out
 
+    def _row_step(self, w, r, out):
+        """w - F^H (s r) into ``out``, in the row-factor form; scales the new
+        array r in place."""
+        r *= self._scale
+        return np.subtract(w, (r.conj() @ self._rows).conj(), out=out)
+
     def _null_image(self, w):
-        """P w on the coordinate-factored path, in (N, K) order, in a buffer
+        """P w in the coordinate-block form, in (N, K) order, in a buffer
         that the next call overwrites."""
         local = w[self._owners].view(self._null_projector.dtype)
         np.matmul(self._null_projector, local.reshape(self._local_shape), out=self._image)
@@ -279,29 +280,26 @@ class AffineProjection:
     def null_part(self, w, out):
         """The projection of w onto null(A), the part of __call__ that is linear
         in w, written to ``out``; A must have rank below d."""
-        if self._owners is not None:
-            out[:] = self._null_image(w)[self._placement]
-        elif self.scalar is not None:
-            np.subtract(w, ((self.matrix @ w / self.scalar).conj() @ self.matrix).conj(),
-                        out=out)
-        else:
-            np.subtract(w, self._VrH @ (self._Vr @ w), out=out)
+        if self._owners is None:
+            return self._row_step(w, self._rows @ w, out)
+        out[:] = self._null_image(w)[self._placement]
         return out
 
     def row_preimage(self, g):
-        """w with A^H w = g - P g, the pseudoinverse of A^H applied to g: A g / c
-        on the closed-form path, U_r Sigma_r^-1 V_r g on the dense SVD path,
-        and _local_preimage() applied to g's K entries on each coordinate on
-        the coordinate-factored path; w is in A's row order."""
-        if self.scalar is not None:
-            return self.matrix @ g / self.scalar
-        if self._owners is None:
-            return self._Ur_over_s @ (self._Vr @ g)
-        return (self._local_preimage() @ g[self._owners][:, :, None])[:, :, 0].T.reshape(-1)
+        """w with A^H w = g - P g, the pseudoinverse of A^H applied to g, in the
+        row-factor form: L (s F g), L = U_r Sigma_r^-1 for a dense matrix and I
+        for a Gabor frame, w in A's row order.  _local_preimage() is the
+        coordinate-block form's map."""
+        return self._left @ (self._scale * (self._rows @ g))
+
+    @cached_property
+    def _left(self):
+        """L = I for a Gabor frame, built on first use (a dense matrix sets L)."""
+        return np.eye(self.rank, dtype=complex)
 
     def _local_preimage(self):
-        """The (N, n, K) pseudoinverses of the local blocks' adjoints B_m^H, on
-        the coordinate-factored path: R^-1 Q^H for n < K and Q R^-H for
+        """The (N, n, K) pseudoinverses of the local blocks' adjoints B_m^H, in
+        the coordinate-block form: R^-1 Q^H for n < K and Q R^-H for
         n >= K on the QR path, U_r Sigma_r^-1 V_r on the SVD path."""
         left, right = self._preimage
         return left @ right.conj().transpose(0, 2, 1)
@@ -314,9 +312,9 @@ def _require_consistent(residual, y):
 
 
 def _blockwise_qr(blocks, y_local, y, size):
-    """(particular solution, null projectors, rank, singular value bounds) of
-    the (N, n, K) local ``blocks`` by one batched QR, or None unless every
-    block provably has full rank p = min(n, K).
+    """(particular solution, null projectors, rank, singular value bounds,
+    pseudoinverse pair) of the (N, n, K) local ``blocks`` by one batched QR,
+    or None unless every block provably has full rank p = min(n, K).
 
     Each block B is factored on its tall side, B = QR when n >= K and
     B^H = QR when n < K, so R is p x p.  The SVD path keeps a singular value
@@ -358,12 +356,12 @@ def _blockwise_qr(blocks, y_local, y, size):
 
 
 def _blockwise_svd(blocks, y_local, y, size):
-    """(particular solution, null projectors, rank, singular value bounds) of
-    the (N, n, K) local ``blocks`` by one batched SVD, with the rank cutoff
-    and the range check taken over all blocks at once, which is what the
-    dense SVD of the permuted matrix gives.  Arguments as in _blockwise_qr;
-    the bounds are the smallest kept and the largest singular value, and the
-    pseudoinverse pair is (U_r Sigma_r^-1, V_r^H).
+    """(particular solution, null projectors, rank, singular value bounds,
+    pseudoinverse pair) of the (N, n, K) local ``blocks`` by one batched SVD,
+    with the rank cutoff and the range check taken over all blocks at once,
+    which is what the dense SVD of the permuted matrix gives.  Arguments as
+    in _blockwise_qr; the bounds are the smallest kept and the largest
+    singular value, and the pseudoinverse pair is (U_r Sigma_r^-1, V_r^H).
     """
     # U: (N, n, p), s: (N, p), Vh: (N, p, K) with p = min(n, K); real
     # when the blocks are
@@ -639,9 +637,10 @@ def _group_certificate(project, z, blocks, tried):
     minimum-norm w, C_m R^-1 R^-H g_m on each coordinate with g_m the
     entries of sgn(x_S) = x_b/||x_b|| there, is tried first.  Failing that,
     _dual_search runs with the rows of S fixed, and an iterate g gives w =
-    w_min + (I - C R^-1 R^-H C^H) w0, with w0 the row_preimage of g from the
-    projection's factors; A_S^H w = sgn(x_S) still, and A^H w is evaluated
-    as A^H w_min plus one precomputed (N, K, K) map of g by coordinate.
+    w_min + (I - C R^-1 R^-H C^H) w0, with w0 the projection's
+    _local_preimage() of g on each coordinate; A_S^H w = sgn(x_S) still, and
+    A^H w is evaluated as A^H w_min plus one precomputed (N, K, K) map of g
+    by coordinate.
 
     ``tried`` holds the supports (as bytes) fitted before in the solve.  A
     success ends the solve, so each of them failed, and fails again: a
@@ -728,7 +727,7 @@ def _group_certificate(project, z, blocks, tried):
         g[op.owners] = image.view(complex)[..., 0]
         g[slots] = sign.view(complex)[..., 0]
         # w = w_min + (I - C R^-1 R^-H C^H) w0 on each coordinate, w0 the
-        # row_preimage of g; A^H w is read as A^H w_min + lift g_m
+        # _local_preimage() of g_m; A^H w is read as A^H w_min + lift g_m
         preimage = project._local_preimage()
         lift = B_H @ (preimage - C @ (gram_inv @ (C.conj().transpose(0, 2, 1) @ preimage)))
         for g, _ in _dual_search(project, g[:d].reshape(count, size), S, _DUAL_RADIUS):
@@ -834,7 +833,7 @@ def scaled_norm(v):
     return value
 
 
-def _admm(matrix, y, cfg, blocks, make_shrink, objective, certificate=None, refute=None):
+def _admm(A, y, cfg, blocks, make_shrink, objective, certificate=None, refute=None):
     """ADMM for min objective(x) s.t. Ax = y, with ``make_shrink(v, out)``
     giving its proximal map of v into ``out`` as a function of tau alone, and
     ``blocks`` the blocks objective sums the norms of (size 1 for l1).
@@ -849,7 +848,6 @@ def _admm(matrix, y, cfg, blocks, make_shrink, objective, certificate=None, refu
     STATUS_REFUTED as soon as the projection output is proved to lie, with
     every minimiser, farther than NSE tau from x (_Refutation).
     """
-    A = _as_operator(matrix)
     y = np.asarray(y, dtype=complex).reshape(-1)
     d = A.shape[1]
     ynorm = scaled_norm(y)

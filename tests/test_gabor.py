@@ -128,8 +128,10 @@ def test_tightness_random_windows(seed, N, sparse):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 16), sparse=st.booleans())
 def test_affine_projection_gabor_frame_matches_svd_path(seed, N, sparse):
-    # the solvers take the closed form on frame_bound for a GaborFrame, by
-    # N-tightness; the SVD of the same columns is the reference
+    # the solvers read a GaborFrame's SVD in closed form from frame_bound, by
+    # N-tightness; the SVD of the same columns is the reference for every
+    # read of the projection: the projection, its null part, the
+    # pseudoinverse of A^H, the rank and the singular value bounds
     frame = gabor.build_gabor_frame(_random_window(seed, N, sparse))
     rng = np.random.default_rng(seed + 1)
     y = frame.columns @ (rng.standard_normal(N * N) + 1j * rng.standard_normal(N * N))
@@ -137,7 +139,17 @@ def test_affine_projection_gabor_frame_matches_svd_path(seed, N, sparse):
     closed = solvers.AffineProjection(frame, y)
     factored = solvers.AffineProjection(frame.columns, y)
     assert not closed.uses_factorization and factored.uses_factorization
-    assert np.linalg.norm(closed(w) - factored(w)) <= 1e-12 * np.linalg.norm(factored(w))
+
+    def assert_close(a, b, scale=None):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b if scale is None else scale)
+
+    assert_close(closed(w), factored(w))
+    # relative to w: at N = 1, A has full column rank and P w is 0
+    assert_close(closed.null_part(w, np.empty_like(w)), factored.null_part(w, np.empty_like(w)),
+                 w)
+    assert_close(closed.row_preimage(w), factored.row_preimage(w))
+    assert closed.rank == factored.rank == N
+    assert_close(np.array(closed._sigma), np.array(factored._sigma))
 
 
 def test_frame_layout_and_indexing():

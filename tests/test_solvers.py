@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -87,7 +88,7 @@ def test_affine_projection_tight_frame_scalar_path():
     A = frame.columns
     y = A @ np.eye(49, dtype=complex)[0]
     proj = solvers.AffineProjection(frame, y)
-    assert proj.scalar == frame.frame_bound and not proj.uses_factorization
+    assert not proj.uses_factorization and proj._sigma == (math.sqrt(frame.frame_bound),) * 2
     assert proj.rank == 7 and np.array_equal(proj.matrix, A)
     w = np.random.default_rng(0).standard_normal(49)
     x = proj(w)
@@ -95,7 +96,7 @@ def test_affine_projection_tight_frame_scalar_path():
     # the path follows the type: the same columns as a plain matrix are
     # factored, and project to the same point
     dense = solvers.AffineProjection(A, y)
-    assert dense.uses_factorization and dense.scalar is None and dense.rank == 7
+    assert dense.uses_factorization and dense.rank == 7
     assert np.linalg.norm(dense(w) - x) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -717,7 +718,7 @@ def test_dual_search_keeps_its_constraints(kind):
             op = A = solvers.assemble_fusion_operator(a, op.fusion_frame)
         g = _complex_normal(rng, (7, 3))
     project = solvers.AffineProjection(op, A @ _complex_normal(rng, g.size))
-    assert (project.scalar is not None) == (kind == "gabor")
+    assert project.uses_factorization == (kind != "gabor")
     assert (project.rank < min(A.shape)) == (kind == "fusion-svd")  # only it lacks full rank
     fixed = np.zeros(len(g), dtype=bool)
     fixed[[0, 2]] = True
@@ -1339,7 +1340,10 @@ def test_group_certificate_keeps_its_margin():
 
 @pytest.mark.parametrize("kind", ["gabor", "dense", "fusion-qr", "fusion-svd", "fusion-tall"])
 def test_row_preimage_inverts_the_adjoint(kind):
-    # A^H row_preimage(g) is g's part in the row space, g - P g, on every path
+    # A^H w = g - P g for w the pseudoinverse of A^H applied to g: row_preimage
+    # in the row-factor form; in the coordinate-block form, L_m g_m on each
+    # coordinate m with L_m = _local_preimage()[m], the map the group
+    # certificate reads, so B_m^H L_m g_m = g_m - P_m g_m
     rng = np.random.default_rng(61)
     if kind == "gabor":
         op = _frame()
@@ -1356,12 +1360,19 @@ def test_row_preimage_inverts_the_adjoint(kind):
     project = solvers.AffineProjection(op, A @ _complex_normal(rng, A.shape[1]))
     assert (project.rank == A.shape[1]) == (kind == "fusion-tall")
     for g in (_complex_normal(rng, A.shape[1]), rng.standard_normal(A.shape[1]) + 0j):
-        w = project.row_preimage(g)
-        assert w.shape == (A.shape[0],)
         if project.rank == A.shape[1]:
             expected = g  # P = 0
         else:
             expected = g - project.null_part(g, np.empty_like(g))
+        if kind in ("gabor", "dense"):
+            w = project.row_preimage(g)
+        else:
+            local = project._local_preimage() @ g[op.owners][:, :, None]  # (N, n, 1)
+            image = op.blocks.conj().transpose(0, 2, 1) @ local
+            assert np.linalg.norm(image[:, :, 0] - expected[op.owners]) <= (
+                1e-12 * np.linalg.norm(g))
+            w = local[:, :, 0].T.reshape(-1)  # row i * N + m of A is row i of B_m
+        assert w.shape == (A.shape[0],)
         assert np.linalg.norm(A.conj().T @ w - expected) <= 1e-12 * np.linalg.norm(g)
         # the pseudoinverse's w: the one in the range of A
         assert np.linalg.norm(w - np.linalg.pinv(A.conj().T) @ g) <= 1e-12 * np.linalg.norm(g) * (
