@@ -28,17 +28,19 @@ polishing.  The certificate is the minimum-norm dual when that suffices;
 else a dual search follows (_dual_search, the refutation's below, inside
 balls of radius _DUAL_RADIUS), once per repaired S with |S| < n in a
 solve, at the first check that reaches S (a unique minimiser always has a
-strict certificate: Zhang, Yin & Cheng 2015).  Block basis pursuit on a
-fusion measurement operator is certified the same way, block by block
-(_group_certificate; Eldar & Mishali 2009): S is the set of blocks of the
-shrunk iterate's support, the fit is one batched QR over the coordinates,
-each coordinate's active columns padded to the largest count, and a
-coordinate with more than n active columns ends the check before it.  The
-minimum-norm dual is tried first, then one dual search per S in a solve;
-a support fitted before in the solve is not fitted again.  A check whose
-supp(z) repeats the last check's is skipped on both paths.  Otherwise the
-iteration runs on unchanged until the residual tolerances or the iteration
-cap stop it.
+strict certificate: Zhang, Yin & Cheng 2015).  Each dual is tested as
+h = A^H W (sgn(x_S) - r_S) + r, W the minimum-norm dual map on S, with
+r = 0 or, for a search iterate g, its row-space part g - P g.  Block basis
+pursuit on a fusion measurement operator is certified the same way, block
+by block (_group_certificate; Eldar & Mishali 2009): S is the set of
+blocks of the shrunk iterate's support, the fit is one batched QR over the
+coordinates, each coordinate's active columns padded to the largest
+count, and a coordinate with more than n active columns ends the check
+before it.  The minimum-norm dual is tried first, then one dual search
+per S in a solve; a support fitted before in the solve is not fitted
+again.  A check whose supp(z) repeats the last check's is skipped on
+both paths.  Otherwise the iteration runs on unchanged until the residual
+tolerances or the iteration cap stop it.
 
 A recovery trial may also stop a solve once it is proved a failure.  The
 trial passes its planted signal x, with k nonzero entries (or blocks), and
@@ -191,9 +193,10 @@ class AffineProjection:
 
     ``rank`` is the rank of A: rank == d means the feasible set is a single
     point, which every w projects to.  ``null_part`` applies the linear part
-    of the projection, the projector onto null(A), and ``_sigma`` holds a
-    lower bound on the smallest kept singular value of the factored A and an
-    upper bound on its largest, for the refutation bound (_Refutation).
+    of the projection, the projector P onto null(A), whose g - P g the
+    certificates test, and ``_sigma`` holds a lower bound on the smallest
+    kept singular value of the factored A and an upper bound on its
+    largest, for the refutation bound (_Refutation).
     """
 
     _owners = None  # (N, K) coefficient table, set only in the coordinate-block form
@@ -226,7 +229,7 @@ class AffineProjection:
         Ur, sr = U[:, :r], s[:r]
         coeffs = Ur.conj().T @ y
         _require_consistent(y - Ur @ coeffs, y)
-        self._rows, self._scale, self._target, self._left = Vh[:r], 1.0, coeffs / sr, Ur / sr
+        self._rows, self._scale, self._target = Vh[:r], 1.0, coeffs / sr
 
     def _init_blockwise(self, op, y):
         n_rows, d = op.shape
@@ -236,7 +239,7 @@ class AffineProjection:
         factors = _blockwise_qr(op.blocks, y_local, y, size)
         if factors is None:
             factors = _blockwise_svd(op.blocks, y_local, y, size)
-        local, self._null_projector, self.rank, self._sigma, self._preimage = factors
+        local, self._null_projector, self.rank, self._sigma = factors
         self._particular = np.empty(d, dtype=complex)
         self._particular[op.owners] = local
         if self._null_projector is not None:
@@ -285,25 +288,6 @@ class AffineProjection:
         out[:] = self._null_image(w)[self._placement]
         return out
 
-    def row_preimage(self, g):
-        """w with A^H w = g - P g, the pseudoinverse of A^H applied to g, in the
-        row-factor form: L (s F g), L = U_r Sigma_r^-1 for a dense matrix and I
-        for a Gabor frame, w in A's row order.  _local_preimage() is the
-        coordinate-block form's map."""
-        return self._left @ (self._scale * (self._rows @ g))
-
-    @cached_property
-    def _left(self):
-        """L = I for a Gabor frame, built on first use (a dense matrix sets L)."""
-        return np.eye(self.rank, dtype=complex)
-
-    def _local_preimage(self):
-        """The (N, n, K) pseudoinverses of the local blocks' adjoints B_m^H, in
-        the coordinate-block form: R^-1 Q^H for n < K and Q R^-H for
-        n >= K on the QR path, U_r Sigma_r^-1 V_r on the SVD path."""
-        left, right = self._preimage
-        return left @ right.conj().transpose(0, 2, 1)
-
 
 def _require_consistent(residual, y):
     """FactorizationError unless the part of y outside the range, ``residual``, is negligible."""
@@ -312,9 +296,9 @@ def _require_consistent(residual, y):
 
 
 def _blockwise_qr(blocks, y_local, y, size):
-    """(particular solution, null projectors, rank, singular value bounds,
-    pseudoinverse pair) of the (N, n, K) local ``blocks`` by one batched QR,
-    or None unless every block provably has full rank p = min(n, K).
+    """(particular solution, null projectors, rank, singular value bounds)
+    of the (N, n, K) local ``blocks`` by one batched QR, or None unless
+    every block provably has full rank p = min(n, K).
 
     Each block B is factored on its tall side, B = QR when n >= K and
     B^H = QR when n < K, so R is p x p.  The SVD path keeps a singular value
@@ -325,10 +309,7 @@ def _blockwise_qr(blocks, y_local, y, size):
     case, a singular R included, is left to the SVD (_blockwise_svd).
     ``y_local`` holds y's (N, 1, n) rows by coordinate.  The bounds are
     (min 1/||R^-1||_F, max ||B||_F): at most the smallest and at least the
-    largest singular value of the computed factors.  The last entry is the
-    pair (left, right) whose products left right^H are the pseudoinverses of
-    the B^H (AffineProjection._local_preimage): (R^-1, Q) for n < K and
-    (Q, R^-1) for n >= K.
+    largest singular value of the computed factors.
     """
     N, n, K = blocks.shape
     wide = n < K
@@ -346,22 +327,21 @@ def _blockwise_qr(blocks, y_local, y, size):
         # B = R^H Q^H has full row rank, so every y is in the range; the
         # minimum-norm solution is Q R^-H y, and I - Q Q^H projects onto null(B)
         local = (y_local @ R_inv.conj()) @ Q.transpose(0, 2, 1)
-        return (local[:, 0], np.eye(K) - Q @ Q.conj().transpose(0, 2, 1), N * n,
-                (floor, ceiling), (R_inv, Q))
+        return local[:, 0], np.eye(K) - Q @ Q.conj().transpose(0, 2, 1), N * n, (floor, ceiling)
     # B = QR has full column rank: R^-1 Q^H y is the one feasible point, so
     # there is no null space to project onto
     coeffs = y_local @ Q.conj()  # (Q^H y)^T per block
     _require_consistent(y_local - coeffs @ Q.transpose(0, 2, 1), y)
-    return (coeffs @ R_inv.transpose(0, 2, 1))[:, 0], None, N * K, (floor, ceiling), (Q, R_inv)
+    return (coeffs @ R_inv.transpose(0, 2, 1))[:, 0], None, N * K, (floor, ceiling)
 
 
 def _blockwise_svd(blocks, y_local, y, size):
-    """(particular solution, null projectors, rank, singular value bounds,
-    pseudoinverse pair) of the (N, n, K) local ``blocks`` by one batched SVD,
-    with the rank cutoff and the range check taken over all blocks at once,
-    which is what the dense SVD of the permuted matrix gives.  Arguments as
-    in _blockwise_qr; the bounds are the smallest kept and the largest
-    singular value, and the pseudoinverse pair is (U_r Sigma_r^-1, V_r^H).
+    """(particular solution, null projectors, rank, singular value bounds)
+    of the (N, n, K) local ``blocks`` by one batched SVD, with the rank
+    cutoff and the range check taken over all blocks at once, which is what
+    the dense SVD of the permuted matrix gives.  Arguments as in
+    _blockwise_qr; the bounds are the smallest kept and the largest singular
+    value.
     """
     # U: (N, n, p), s: (N, p), Vh: (N, p, K) with p = min(n, K); real
     # when the blocks are
@@ -377,9 +357,8 @@ def _blockwise_svd(blocks, y_local, y, size):
     local = ((coeffs * inv_s[:, None, :]) @ Vr.conj())[:, 0]
     # per-block projector onto the null space, I - V_r^H V_r: one batched
     # matmul per call is cheaper than applying V_r and V_r^H in turn
-    VrH = Vr.conj().transpose(0, 2, 1)
-    return (local, np.eye(Vh.shape[2]) - VrH @ Vr, int(keep.sum()),
-            (float(s[keep].min()), s_max), (U * inv_s[:, None, :], VrH))
+    return (local, np.eye(Vh.shape[2]) - Vr.conj().transpose(0, 2, 1) @ Vr, int(keep.sum()),
+            (float(s[keep].min()), s_max))
 
 
 _TINY = np.finfo(float).tiny
@@ -435,8 +414,8 @@ def _block_shrink(v, out, count):
 
 def complex_soft_threshold(z, tau):
     """Proximal map of the complex modulus: z * max(1 - tau/|z|, 0)."""
-    if tau < 0:
-        raise InvalidInputError(f"threshold tau={tau} must be nonnegative")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise InvalidInputError(f"threshold tau={tau} must be nonnegative and finite")
     arr = np.asarray(z, dtype=complex)
     out = np.empty(arr.size, dtype=complex)
     _entry_shrink(arr.reshape(-1), out)(tau)
@@ -447,9 +426,11 @@ def complex_soft_threshold(z, tau):
 
 def block_soft_threshold(z, tau, blocks):
     """Per-block shrinkage: each block scales by max(1 - tau/||z_b||, 0)."""
-    if tau < 0:
-        raise InvalidInputError(f"threshold tau={tau} must be nonnegative")
-    arr = np.ascontiguousarray(z, dtype=complex).reshape(blocks.dimension)
+    if not (math.isfinite(tau) and tau >= 0):
+        raise InvalidInputError(f"threshold tau={tau} must be nonnegative and finite")
+    arr = np.ascontiguousarray(z, dtype=complex).reshape(-1)
+    if arr.size != blocks.dimension:
+        raise InvalidInputError(f"z has {arr.size} entries, blocks cover {blocks.dimension}")
     out = np.empty_like(arr)
     _block_shrink(arr, out, blocks.block_count)(tau)
     return out
@@ -457,8 +438,8 @@ def block_soft_threshold(z, tau, blocks):
 
 def _as_operator(matrix):
     """A Gabor frame or fusion measurement operator as is; else a dense complex
-    2-d array with at least one column (InvalidInputError otherwise, before
-    any solver reads its shape)."""
+    2-d array with at least one column and finite entries (InvalidInputError
+    otherwise, before any solver reads its shape or factors it)."""
     if isinstance(matrix, (GaborFrame, FusionMeasurementOperator)):
         return matrix
     A = np.asarray(matrix, dtype=complex)
@@ -466,12 +447,14 @@ def _as_operator(matrix):
         raise InvalidInputError("matrix must be 2-d")
     if A.shape[1] == 0:
         raise InvalidInputError("matrix has no columns: there is no x to solve for")
+    if not np.isfinite(A).all():
+        raise InvalidInputError("matrix has non-finite entries (nan or inf)")
     return A
 
 
-def _off_support(A, w, S):
-    """|A_j^H w| for every column j, zeroed on S; read as |(w^H A)_j|, without A^H."""
-    off = np.abs(w.conj() @ A)
+def _off_support(A, w, r, S):
+    """|(A^H w + r)_j| for every column j, zeroed on S; read as |(w^H A + r^H)_j|."""
+    off = np.abs(w.conj() @ A + r.conj())
     off[S] = 0.0
     return off
 
@@ -541,11 +524,14 @@ def _l1_certificate(project, z, searched):
     |A_j^H w| < 1 - _CERTIFY_MARGIN for every j outside S.  Such a w is a
     strict dual certificate, and it makes x_S the unique minimiser (Fuchs
     2004; Tropp 2004); a unique minimiser always has one (Zhang, Yin & Cheng
-    2015).  The minimum-norm w is tried first; failing that, when |S| < n
-    (else it is the only w) and S is not in ``searched``, the set of
-    supports (sorted, as bytes) searched before in the solve, S is added to
-    it and _dual_search runs until the w that meets its g's row-space part
-    on S passes.  Reads z, writes nothing but ``searched``.
+    2015).  It tests h = A^H W (sgn(x_S) - r_S) + r for r in range(A^H), W =
+    Q R^-H: A_S^H W = I gives h_S = sgn(x_S), and h = A^H w for w =
+    W (sgn(x_S) - r_S) + pinv(A^H) r, never formed.  The minimum-norm w,
+    r = 0, is tried first; failing that, when |S| < n (else it is the only
+    w) and S is not in ``searched``, the set of supports (sorted, as bytes)
+    searched before in the solve, S is added to it and _dual_search runs
+    until an iterate g passes with r = g - P g, P g the image it yields.
+    Reads z, writes nothing but ``searched``.
     """
     A, y = project.matrix, project.y
     n, d = A.shape
@@ -585,10 +571,12 @@ def _l1_certificate(project, z, searched):
             S = np.append(S, np.argmax(correlation))
     if np.linalg.norm(y - A[:, S] @ x_S) > fit_tol:
         return None
-    # minimum-norm dual A_S (A_S^H A_S)^{-1} sgn(x_S), with A_S = QR
+    # each r tested gives w = W (sgn(x_S) - r_S) and h = A^H w + r
     sign = x_S / mag
-    w = Q @ np.linalg.solve(R.conj().T, sign)
-    if _off_support(A, w, S).max() >= 1.0 - _CERTIFY_MARGIN:
+    W = Q @ np.linalg.inv(R).conj().T  # Q R^-H
+    r = np.zeros(d, dtype=complex)  # the minimum-norm dual's
+    w = W @ sign
+    if _off_support(A, w, r, S).max() >= 1.0 - _CERTIFY_MARGIN:
         key = np.sort(S).tobytes()
         if S.size == n or key in searched:
             return None
@@ -596,11 +584,10 @@ def _l1_certificate(project, z, searched):
         # from the min-norm dual's g = A^H w, with sgn(x_S) exactly on S
         g = (w.conj() @ A).conj()
         g[S] = sign
-        for g, _ in _dual_search(project, g[:, None], np.isin(np.arange(d), S), _DUAL_RADIUS):
-            # w0 has A^H w0 = g - P g; A_S^H (w0 - Q Q^H w0) = 0, so w + that
-            # meets A_S^H w = sgn(x_S)
-            w0 = project.row_preimage(g[:, 0])
-            if _off_support(A, w + w0 - Q @ (Q.conj().T @ w0), S).max() < 1.0 - _CERTIFY_MARGIN:
+        for g, image in _dual_search(project, g[:, None], np.isin(np.arange(d), S), _DUAL_RADIUS):
+            r = (g - image)[:, 0]  # the row-space part of g
+            w = W @ (sign - r[S])
+            if _off_support(A, w, r, S).max() < 1.0 - _CERTIFY_MARGIN:
                 break
         else:
             return None
@@ -634,13 +621,13 @@ def _group_certificate(project, z, blocks, tried):
     A_b^H w = x_b/||x_b|| on S and ||A_b^H w|| < 1 - _CERTIFY_MARGIN for
     every block b outside S: a strict dual certificate, which makes x_S the
     unique minimiser of the mixed l2/l1 problem (Eldar & Mishali 2009).  The
-    minimum-norm w, C_m R^-1 R^-H g_m on each coordinate with g_m the
-    entries of sgn(x_S) = x_b/||x_b|| there, is tried first.  Failing that,
-    _dual_search runs with the rows of S fixed, and an iterate g gives w =
-    w_min + (I - C R^-1 R^-H C^H) w0, with w0 the projection's
-    _local_preimage() of g on each coordinate; A_S^H w = sgn(x_S) still, and
-    A^H w is evaluated as A^H w_min plus one precomputed (N, K, K) map of g
-    by coordinate.
+    test is _l1_certificate's, h = A^H W (sgn(x_S) - r_S) + r with
+    sgn(x_S) = x_b/||x_b|| on S, read by coordinate: W is C_m (C_m^H
+    C_m)^-1 = C_m R^-1 R^-H on each, the minimum-norm dual map on S, so
+    B_m^H W is one (N, K, width) array built once from the fit, zero at the
+    pads.  The minimum-norm w, r = 0, is tried first.  Failing that,
+    _dual_search runs with the rows of S fixed, and each iterate g is tested
+    with r = g - P g from the image the search yields.
 
     ``tried`` holds the supports (as bytes) fitted before in the solve.  A
     success ends the solve, so each of them failed, and fails again: a
@@ -712,27 +699,27 @@ def _group_certificate(project, z, blocks, tried):
     norms[count] = 1.0  # the pads' fit is 0
     sign = fit / norms[slot_blocks][:, :, None]
     gram_inv = R_inv @ R_inv.conj().transpose(0, 2, 1)  # (C^H C)^-1 with the pads' 1s
-    B_H = op.blocks.conj().transpose(0, 2, 1)
-    image = B_H @ (C @ (gram_inv @ sign))  # A^H w by coordinate, w the min-norm dual
+    # B_m^H W_m, W_m = C_m (C_m^H C_m)^-1 the minimum-norm dual map on S
+    # (zero at the pads): the dual tested is h = A^H W (sgn(x_S) - r_S) + r
+    dual_map = op.blocks.conj().transpose(0, 2, 1) @ (C @ gram_inv)
     off = ~S
 
-    def off_support_max(image):
-        """max ||A_b^H w|| over the blocks b outside S, from A^H w by coordinate."""
-        parts = image.view(float).reshape(N * K, -1)[project._placement]
+    def off_support_max(r):
+        """max ||h_b|| over the blocks b outside S, for r (0 at the pads' index d)."""
+        h = (dual_map @ (sign - r[slots].view(dtype).reshape(sign.shape))
+             + r[op.owners].view(dtype).reshape(N, K, -1))
+        parts = h.view(float).reshape(N * K, -1)[project._placement]
         return math.sqrt(_row_squares(parts.reshape(count, -1))[off].max(initial=0.0))
 
-    if off_support_max(image) >= 1.0 - _CERTIFY_MARGIN:
+    r = np.zeros(d + 1, dtype=complex)  # the minimum-norm dual's
+    if off_support_max(r) >= 1.0 - _CERTIFY_MARGIN:
         # from the min-norm dual's g = A^H w, with sgn(x_S) exactly on S
         g = np.zeros(d + 1, dtype=complex)
-        g[op.owners] = image.view(complex)[..., 0]
+        g[op.owners] = (dual_map @ sign).view(complex)[..., 0]
         g[slots] = sign.view(complex)[..., 0]
-        # w = w_min + (I - C R^-1 R^-H C^H) w0 on each coordinate, w0 the
-        # _local_preimage() of g_m; A^H w is read as A^H w_min + lift g_m
-        preimage = project._local_preimage()
-        lift = B_H @ (preimage - C @ (gram_inv @ (C.conj().transpose(0, 2, 1) @ preimage)))
-        for g, _ in _dual_search(project, g[:d].reshape(count, size), S, _DUAL_RADIUS):
-            local = g.reshape(-1)[op.owners].view(dtype).reshape(N, K, -1)
-            if off_support_max(image + lift @ local) < 1.0 - _CERTIFY_MARGIN:
+        for g, image in _dual_search(project, g[:d].reshape(count, size), S, _DUAL_RADIUS):
+            np.subtract(g, image, out=r[:d].reshape(count, size))  # the row-space part of g
+            if off_support_max(r) < 1.0 - _CERTIFY_MARGIN:
                 break
         else:
             return None
@@ -849,6 +836,8 @@ def _admm(A, y, cfg, blocks, make_shrink, objective, certificate=None, refute=No
     every minimiser, farther than NSE tau from x (_Refutation).
     """
     y = np.asarray(y, dtype=complex).reshape(-1)
+    if not np.isfinite(y).all():
+        raise InvalidInputError("y has non-finite entries (nan or inf)")
     d = A.shape[1]
     ynorm = scaled_norm(y)
     if ynorm == 0.0:

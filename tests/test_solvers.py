@@ -58,6 +58,22 @@ def test_block_soft_threshold():
     assert np.allclose(out[3:], 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf"), -0.1])
+def test_soft_thresholds_reject_a_threshold_that_is_negative_or_not_finite(tau):
+    # an infinite or nan tau would make every entry nan, with a RuntimeWarning
+    with pytest.raises(InvalidInputError, match="nonnegative and finite"):
+        solvers.complex_soft_threshold(np.array([1 + 1j, 0.1, 0.0]), tau)
+    with pytest.raises(InvalidInputError, match="nonnegative and finite"):
+        solvers.block_soft_threshold(np.ones(4), tau, solvers.BlockStructure(2, 2))
+
+
+@pytest.mark.parametrize("size", [0, 3, 5, 8])
+def test_block_soft_threshold_rejects_a_wrong_length(size):
+    with pytest.raises(InvalidInputError, match=f"z has {size} entries"):
+        solvers.block_soft_threshold(np.ones(size), 1.0, solvers.BlockStructure(2, 2))
+
+
 @pytest.mark.parametrize("tau", [0.0, 1e-310, 0.5, 1.0])
 def test_shrink_kernels_match_the_formula(tau):
     # the kernels floor the magnitude at max(tau, tiny) instead of clamping
@@ -487,6 +503,49 @@ def test_l1_certificate_from_any_guess_is_the_optimum(seed, n, extra, k, guess):
     assert np.abs(x).sum() == pytest.approx(np.abs(best).sum(), rel=1e-9)
 
 
+def _record_searches(monkeypatch):
+    """The fixed rows of every _dual_search the certificates run (at
+    _DUAL_RADIUS; the refutation's run at radius 1), and the (g, P g) steps
+    each of them yields, one list per search."""
+    searched, steps = [], []
+    search = solvers._dual_search
+
+    def recording(project, g, fixed, radius):
+        if radius != solvers._DUAL_RADIUS:
+            yield from search(project, g, fixed, radius)
+            return
+        searched.append(tuple(np.flatnonzero(fixed)))
+        steps.append([])
+        for step in search(project, g, fixed, radius):
+            steps[-1].append(step)
+            yield step
+
+    monkeypatch.setattr(solvers, "_dual_search", recording)
+    return searched, steps
+
+
+def _assert_explicit_dual(A, x, size, g, image):
+    """The dual a certificate tests at the search step (g, image = P g), built
+    explicitly on the dense A: w = pinv(A_S^H)(sgn(x_S) - r_S) + pinv(A^H) r
+    with r = g - P g, S the blocks of ``size`` that x uses.  r must lie in
+    range(A^H), w must meet A_S^H w = sgn(x_S), and every block b outside S
+    must have ||A_b^H w|| < 1 - _CERTIFY_MARGIN: w is a strict dual certificate."""
+    parts = x.reshape(-1, size)
+    norms = np.linalg.norm(parts, axis=1)
+    on = norms > 0
+    S = np.repeat(on, size)
+    sign = (parts[on] / norms[on, None]).reshape(-1)
+    r = (g - image).reshape(-1)
+    AH = A.conj().T
+    row_space = np.linalg.pinv(AH) @ r
+    assert np.linalg.norm(AH @ row_space - r) <= 1e-12 * max(1.0, np.linalg.norm(r))
+    w = np.linalg.pinv(AH[S]) @ (sign - r[S]) + row_space
+    h = AH @ w
+    assert np.abs(h[S] - sign).max() <= 1e-12
+    off = np.linalg.norm(h.reshape(-1, size), axis=1)[~on]
+    assert off.max() < 1.0 - solvers._CERTIFY_MARGIN
+
+
 def test_l1_certificate_searches_past_the_min_norm_dual(monkeypatch):
     # x = e_0 is the unique minimiser (the other exact fits cost >= 2), but
     # the min-norm dual w = (1, 0) gives |a_1^H w| = 1.5; the search must
@@ -495,18 +554,14 @@ def test_l1_certificate_searches_past_the_min_norm_dual(monkeypatch):
     y = A[:, 0]
     z = np.array([1.0, 0.0, 0.0])
     assert _min_norm_certificate(A, y, z, monkeypatch) is None
-    duals = []
-    off_support = solvers._off_support
-    monkeypatch.setattr(solvers, "_off_support",
-                        lambda A, w, S: duals.append(w) or off_support(A, w, S))
+    _, searches = _record_searches(monkeypatch)
     x = _certificate(A, y, z)
     assert x is not None and np.allclose(x, z, rtol=0, atol=1e-15)
-    # the dual it finds, the last one tested, stays on the affine set
-    # A_S^H w = sgn(x_S)
-    assert len(duals) > 1
-    w = duals[-1]
-    assert abs(A[:, 0] @ w - 1.0) <= 1e-12
-    assert np.max(np.abs(A[:, 1:].T @ w)) < 1.0 - solvers._CERTIFY_MARGIN
+    # the dual of the step that certifies, the last one, rebuilt explicitly
+    # with pseudoinverses, stays on the affine set A_S^H w = sgn(x_S)
+    (steps,) = searches
+    assert steps
+    _assert_explicit_dual(A, x, 1, *steps[-1])
 
 
 def test_l1_certificate_search_rejects_without_a_strict_certificate():
@@ -569,21 +624,6 @@ def _assert_search_schedule(calls):
     assert len(searched) == len(set(searched))
 
 
-def _record_searches(monkeypatch):
-    """The fixed rows of every _dual_search the certificates run (at
-    _DUAL_RADIUS; the refutation's run at radius 1)."""
-    searched = []
-    search = solvers._dual_search
-
-    def recording(project, g, fixed, radius):
-        if radius == solvers._DUAL_RADIUS:
-            searched.append(tuple(np.flatnonzero(fixed)))
-        return search(project, g, fixed, radius)
-
-    monkeypatch.setattr(solvers, "_dual_search", recording)
-    return searched
-
-
 @pytest.mark.parametrize("master, kind, k", _SEARCH_TRIALS)
 def test_search_certifies_the_planted_support(master, kind, k, monkeypatch):
     A, x, y = _classic_trial(master, kind, k)
@@ -625,7 +665,7 @@ def test_a_repaired_support_is_searched_once_per_solve(monkeypatch):
     # them to the planted one.  The search on that S runs once per solve.
     A, x, y = _classic_trial(0, "difference_set", 8, t=1)
     planted = tuple(np.flatnonzero(x))
-    searched = _record_searches(monkeypatch)
+    searched, _ = _record_searches(monkeypatch)
     certificate = solvers._l1_certificate
     calls = _record_certificate_calls(monkeypatch)
     res = solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
@@ -646,7 +686,7 @@ def test_a_stalled_support_is_searched_once(monkeypatch):
     # to fails the minimum-norm dual, so it is searched, once
     A = _frame(13, 4).columns
     x = experiments.random_k_sparse_signal(A.shape[1], 5, 4046)
-    searched = _record_searches(monkeypatch)
+    searched, _ = _record_searches(monkeypatch)
     calls = _record_certificate_calls(monkeypatch)
     res = solvers.basis_pursuit(A, A @ x, solvers.SolverConfig(max_iters=700))
     assert not res.certified
@@ -664,9 +704,9 @@ def test_a_square_support_is_not_searched(monkeypatch):
     tested, searched = [], []  # |S| of each dual test; |S| of each search
     off_support, search = solvers._off_support, solvers._dual_search
 
-    def recording_test(A, w, S):
+    def recording_test(A, w, r, S):
         tested.append(S.size)
-        return off_support(A, w, S)
+        return off_support(A, w, r, S)
 
     def recording_search(project, g, fixed, radius):
         if radius == solvers._DUAL_RADIUS:  # the certificate's, not the refutation's
@@ -950,6 +990,44 @@ def test_solvers_reject_a_matrix_that_is_not_2d(matrix, message):
         solvers.block_basis_pursuit(matrix, np.ones(1), solvers.BlockStructure(1, 3))
     with pytest.raises(InvalidInputError, match=message):
         solvers.AffineProjection(matrix, np.ones(1))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+@pytest.mark.parametrize("kind", ["dense", "gabor", "fusion"])
+def test_solvers_reject_non_finite_input(kind, bad, monkeypatch):
+    # refused before any arithmetic: no projection is built, so no iteration
+    # runs and no factorization sees the nan
+    if kind == "dense":
+        op = A = _complex_normal(np.random.default_rng(5), (3, 6))
+    elif kind == "gabor":
+        op = _frame()
+        A = op.columns
+    else:
+        op = _fusion_instance(7, 3, 2, seed=31)
+        A = op.effective
+    blocks = op.block_structure if kind == "fusion" else solvers.BlockStructure(A.shape[1], 1)
+    y = A @ np.ones(A.shape[1])
+    y[1] = bad
+
+    def unreachable(*args):
+        raise AssertionError("a projection was built")
+
+    monkeypatch.setattr(solvers, "AffineProjection", unreachable)
+    with pytest.raises(InvalidInputError, match="y has non-finite entries"):
+        solvers.basis_pursuit(op, y)
+    with pytest.raises(InvalidInputError, match="y has non-finite entries"):
+        solvers.block_basis_pursuit(op, y, blocks)
+    if kind == "dense":
+        A = A.copy()
+        A[0, 2] = bad
+        with pytest.raises(InvalidInputError, match="matrix has non-finite entries"):
+            solvers.basis_pursuit(A, np.ones(3))
+        with pytest.raises(InvalidInputError, match="matrix has non-finite entries"):
+            solvers.block_basis_pursuit(A, np.ones(3), solvers.BlockStructure(2, 3))
+        monkeypatch.undo()
+        with pytest.raises(InvalidInputError, match="matrix has non-finite entries"):
+            solvers.AffineProjection(A, np.ones(3))
 
 
 def test_block_basis_pursuit_recovers_block_sparse():
@@ -1338,45 +1416,43 @@ def test_group_certificate_keeps_its_margin():
             assert np.linalg.norm(certified - x) <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["gabor", "dense", "fusion-qr", "fusion-svd", "fusion-tall"])
-def test_row_preimage_inverts_the_adjoint(kind):
-    # A^H w = g - P g for w the pseudoinverse of A^H applied to g: row_preimage
-    # in the row-factor form; in the coordinate-block form, L_m g_m on each
-    # coordinate m with L_m = _local_preimage()[m], the map the group
-    # certificate reads, so B_m^H L_m g_m = g_m - P_m g_m
-    rng = np.random.default_rng(61)
-    if kind == "gabor":
-        op = _frame()
-        A = op.columns
-    elif kind == "dense":
-        op = A = _complex_normal(rng, (4, 9))
+# master seed, n, k: fusion-40-13 reference trials (trial 0) whose planted
+# support the group search certifies, after 1 to 27 steps
+_FUSION_SEARCH_TRIALS = [(0, 5, 4), (0, 9, 12), (6, 9, 12), (14, 9, 8), (17, 5, 1), (31, 5, 4)]
+
+
+def _fusion_trial(master, n, k):
+    """Operator, planted signal and measurements of one run_fusion_experiment trial at (40, 13)."""
+    ff = fusion.build_fusion_frame(diffsets.catalog_lookup(40, 13))
+    a = solvers.gaussian_measurement_coefficients(
+        n, ff.N, experiments.derive_seed(master, "fusion", n, k, 0, "measurements"))
+    op = solvers.assemble_fusion_operator(a, ff)
+    x = experiments.random_fusion_sparse_signal(
+        ff, k, experiments.derive_seed(master, "fusion", n, k, 0, "signal"))
+    return op, x, op @ x
+
+
+@pytest.mark.parametrize("trial", [("classic",) + t for t in _SEARCH_TRIALS]
+                         + [("fusion",) + t for t in _FUSION_SEARCH_TRIALS],
+                         ids=lambda trial: ":".join(map(str, trial)))
+def test_certified_search_meets_the_explicit_dual(trial, monkeypatch):
+    # the certificates test h = A^H W (sgn(x_S) - r_S) + r, r the row-space
+    # part g - P g of a search step, without a pseudoinverse of A^H; the
+    # dual vector behind the step that certifies is rebuilt explicitly
+    kind, *params = trial
+    _, searches = _record_searches(monkeypatch)
+    if kind == "classic":
+        A, x, y = _classic_trial(*params)
+        dense, size = A, 1
+        certified = _certificate(A, y, x)
     else:
-        op = _fusion_instance(7, 3, 4 if kind == "fusion-tall" else 2, seed=31)
-        if kind == "fusion-svd":  # two equal columns of a: rank-deficient 3 x 3 blocks
-            a = solvers.gaussian_measurement_coefficients(3, 7, seed=31)
-            a[:, 4] = a[:, 1]
-            op = solvers.assemble_fusion_operator(a, op.fusion_frame)
-        A = op.effective
-    project = solvers.AffineProjection(op, A @ _complex_normal(rng, A.shape[1]))
-    assert (project.rank == A.shape[1]) == (kind == "fusion-tall")
-    for g in (_complex_normal(rng, A.shape[1]), rng.standard_normal(A.shape[1]) + 0j):
-        if project.rank == A.shape[1]:
-            expected = g  # P = 0
-        else:
-            expected = g - project.null_part(g, np.empty_like(g))
-        if kind in ("gabor", "dense"):
-            w = project.row_preimage(g)
-        else:
-            local = project._local_preimage() @ g[op.owners][:, :, None]  # (N, n, 1)
-            image = op.blocks.conj().transpose(0, 2, 1) @ local
-            assert np.linalg.norm(image[:, :, 0] - expected[op.owners]) <= (
-                1e-12 * np.linalg.norm(g))
-            w = local[:, :, 0].T.reshape(-1)  # row i * N + m of A is row i of B_m
-        assert w.shape == (A.shape[0],)
-        assert np.linalg.norm(A.conj().T @ w - expected) <= 1e-12 * np.linalg.norm(g)
-        # the pseudoinverse's w: the one in the range of A
-        assert np.linalg.norm(w - np.linalg.pinv(A.conj().T) @ g) <= 1e-12 * np.linalg.norm(g) * (
-            np.linalg.norm(np.linalg.pinv(A), 2))
+        A, x, y = _fusion_trial(*params)
+        dense, size = A.effective, A.block_structure.block_size
+        certified = _group_certificate(A, y, x)
+    assert certified is not None
+    assert np.linalg.norm(certified - x) <= 1e-10 * np.linalg.norm(x)
+    (steps,) = searches  # the min-norm dual alone does not certify x
+    _assert_explicit_dual(dense, certified, size, *steps[-1])
 
 
 def test_the_fusion_reference_trials_keep_their_certificate_totals(monkeypatch):
@@ -1392,7 +1468,7 @@ def test_the_fusion_reference_trials_keep_their_certificate_totals(monkeypatch):
         return certificate(project, z, blocks, tried)
 
     monkeypatch.setattr(solvers, "_group_certificate", recording)
-    searched = _record_searches(monkeypatch)
+    searched, _ = _record_searches(monkeypatch)
     outcomes = {}
     for master in range(32):
         cfg = experiments.FusionExperimentConfig(
