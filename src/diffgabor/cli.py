@@ -305,6 +305,18 @@ def _curves_json(curves):
     ]
 
 
+def _run_experiment(args, config, run, **fields):
+    """Run ``config`` (the fields only it takes, then the flags every
+    experiment takes) through ``run``; write its CSV and print its curves."""
+    cfg = config(**fields, trials=args.trials, master_seed=args.seed,
+                 success_threshold=args.threshold, solver=_solver_config(args),
+                 workers=args.workers)
+    curves = run(cfg)
+    experiments.emit_curves(curves, args.out)
+    _emit(args, {"out": args.out, "curves": _curves_json(curves)})
+    return 0
+
+
 def _cmd_experiment_classic(args):
     if args.kmax is not None and args.kmax < 1:
         raise InvalidInputError(f"kmax={args.kmax} must be at least 1")
@@ -313,42 +325,19 @@ def _cmd_experiment_classic(args):
     if args.kmax is not None and args.kmax > args.n ** 2:
         raise InvalidInputError(f"kmax={args.kmax} must be at most N^2 = {args.n ** 2}")
     grid = args.ks if args.ks is not None else range(1, (args.kmax or args.n) + 1)
-    cfg = experiments.ClassicExperimentConfig(
-        N=args.n,
-        sparsity_grid=grid,
-        generators=args.generators,
-        trials=args.trials,
-        master_seed=args.seed,
-        success_threshold=args.threshold,
-        set_params=tuple(args.set) if args.set else None,
-        solver=_solver_config(args),
-        workers=args.workers,
-    )
-    curves = experiments.run_classic_experiment(cfg)
-    experiments.emit_curves(curves, args.out)
-    _emit(args, {"out": args.out, "curves": _curves_json(curves)})
-    return 0
+    return _run_experiment(args, experiments.ClassicExperimentConfig,
+                           experiments.run_classic_experiment, N=args.n, sparsity_grid=grid,
+                           generators=args.generators, set_params=args.set)
 
 
 def _cmd_experiment_fusion(args):
     N = args.set[0]
     grid = args.ks if args.ks is not None else [k for k in (1, 2, 4, 8) if k <= N]
-    cfg = experiments.FusionExperimentConfig(
-        set_params=tuple(args.set),
-        measurement_grid=args.measurements,
-        sparsity_grid=grid,
-        trials=args.trials,
-        master_seed=args.seed,
-        success_threshold=args.threshold,
-        complex_signal_coefficients=not args.real_signals,
-        complex_measurement_coefficients=args.complex_measurements,
-        solver=_solver_config(args),
-        workers=args.workers,
-    )
-    curves = experiments.run_fusion_experiment(cfg)
-    experiments.emit_curves(curves, args.out)
-    _emit(args, {"out": args.out, "curves": _curves_json(curves)})
-    return 0
+    return _run_experiment(args, experiments.FusionExperimentConfig,
+                           experiments.run_fusion_experiment, set_params=args.set,
+                           measurement_grid=args.measurements, sparsity_grid=grid,
+                           complex_signal_coefficients=not args.real_signals,
+                           complex_measurement_coefficients=args.complex_measurements)
 
 
 # ---------------------------------------------------------------- parser
@@ -358,6 +347,18 @@ def _add_solver_flags(sub):
     sub.add_argument("--max-iters", type=int, default=5000, dest="max_iters")
     sub.add_argument("--tol-primal", type=float, default=1e-9, dest="tol_primal")
     sub.add_argument("--tol-dual", type=float, default=1e-9, dest="tol_dual")
+
+
+def _add_experiment_flags(sub):
+    """The flags both experiment subcommands take, the solver's included."""
+    sub.add_argument("--ks", type=_parse_ints, default=None, help="explicit sparsity grid")
+    sub.add_argument("--trials", type=int, default=50)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--threshold", type=float, default=experiments.DEFAULT_THRESHOLD)
+    sub.add_argument("--workers", type=int, default=1,
+                     help="accepted for compatibility (>= 1); trials run serially")
+    sub.add_argument("--out", required=True, help="CSV output path")
+    _add_solver_flags(sub)
 
 
 @functools.cache
@@ -451,33 +452,19 @@ def build_parser():
     p.add_argument("--set", type=_parse_pair, default=None, metavar="N,K")
     p.add_argument("--generators", type=lambda s: tuple(s.split(",")),
                    default=experiments.GENERATOR_KINDS)
-    p.add_argument("--trials", type=int, default=50)
     p.add_argument("--kmax", type=int, default=None, help="grid 1..kmax (default N)")
-    p.add_argument("--ks", type=_parse_ints, default=None, help="explicit sparsity grid")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=experiments.DEFAULT_THRESHOLD)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility (>= 1); trials run serially")
-    p.add_argument("--out", required=True, help="CSV output path")
-    _add_solver_flags(p)
+    _add_experiment_flags(p)
     p.set_defaults(handler=_cmd_experiment_classic)
 
     p = ex_sub.add_parser("fusion", help="fusion-sparse recovery experiment")
     p.add_argument("--set", type=_parse_pair, required=True, metavar="N,K")
     p.add_argument("--measurements", type=_parse_ints, required=True,
                    help="grid of measurement counts n")
-    p.add_argument("--ks", type=_parse_ints, default=None)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=experiments.DEFAULT_THRESHOLD)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility (>= 1); trials run serially")
     p.add_argument("--complex-measurements", action="store_true", dest="complex_measurements",
                    help="complex circular Gaussian a_ij instead of real")
     p.add_argument("--real-signals", action="store_true", dest="real_signals",
                    help="real Gaussian subspace coefficients instead of complex")
-    p.add_argument("--out", required=True)
-    _add_solver_flags(p)
+    _add_experiment_flags(p)
     p.set_defaults(handler=_cmd_experiment_fusion)
 
     return parser

@@ -9,7 +9,11 @@ Fusion trials are certified too, by a group dual certificate checked every
 10 iterations: a certified fusion trial at (40, 13) with n < K takes about
 1 ms, set-up included.
 
-A trial succeeds when NSE(x_hat, x) < tau, the success threshold.  Each
+Both experiments run one trial protocol (_recovery_curves) and differ only
+in how a trial is drawn: a Gabor frame and a k-sparse x for the classic
+experiment, a fusion measurement operator and a fusion-sparse x for the
+fusion one.  A trial succeeds when NSE(x_hat, x) < tau, the success
+threshold, and both configs share one check of their common fields.  Each
 trial hands its solver the planted x and tau, and the solver bounds the
 objective f (l1 or block) over the NSE ball of x from below: f(x) minus
 ||P g|| sqrt(tau) ||x||, for P the null projector of the measurements and g
@@ -28,8 +32,10 @@ iteration cap, and the median and largest ADMM iteration counts.  They never
 enter the CSV.
 """
 
+import functools
 import hashlib
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -63,15 +69,31 @@ def derive_seed(master_seed, *parts):
     return int.from_bytes(digest[:8], "big")
 
 
-def _check_workers(workers):
-    if workers < 1:
-        raise InvalidInputError(f"workers={workers} must be at least 1")
-
-
-def _check_threshold(threshold):
-    if not (math.isfinite(threshold) and threshold > 0):
+def _check_config(cfg, kmax=None):
+    """The checks both experiment configs share: workers, the success
+    threshold, the trial count, a nonempty sparsity grid (made a tuple of
+    ints) with every 1 <= k <= kmax, and set_params, which must be two
+    integers (made an (N, K) tuple) when given.  Without ``kmax`` it is the
+    N of set_params, which is then required."""
+    if kmax is None or cfg.set_params is not None:
+        try:
+            N, K = (operator.index(v) for v in cfg.set_params)
+        except (TypeError, ValueError):  # not iterable, not integers, or not two
+            raise InvalidInputError(
+                f"set_params={cfg.set_params!r} must be two integers (N, K)") from None
+        cfg.set_params = (N, K)
+        kmax = N if kmax is None else kmax
+    if cfg.workers < 1:
+        raise InvalidInputError(f"workers={cfg.workers} must be at least 1")
+    if not (math.isfinite(cfg.success_threshold) and cfg.success_threshold > 0):
         raise InvalidInputError(
-            f"success_threshold={threshold} must be positive and finite")
+            f"success_threshold={cfg.success_threshold} must be positive and finite")
+    if cfg.trials < 1:
+        raise InvalidInputError("need at least one trial")
+    cfg.sparsity_grid = tuple(int(k) for k in cfg.sparsity_grid)
+    if not cfg.sparsity_grid or not all(1 <= k <= kmax for k in cfg.sparsity_grid):
+        raise InvalidInputError(
+            f"sparsity grid {list(cfg.sparsity_grid)} must be nonempty with 1 <= k <= {kmax}")
 
 
 @dataclass
@@ -87,17 +109,10 @@ class ClassicExperimentConfig:
     workers: int = 1  # accepted for compatibility; trials always run serially
 
     def __post_init__(self):
-        self.sparsity_grid = tuple(int(k) for k in self.sparsity_grid)
-        self.generators = tuple(self.generators)
-        _check_workers(self.workers)
-        _check_threshold(self.success_threshold)
         if self.N < 2:
             raise InvalidInputError("dimension N must be >= 2")
-        if not self.sparsity_grid or not all(1 <= k <= self.N ** 2 for k in self.sparsity_grid):
-            raise InvalidInputError(
-                f"sparsity grid {list(self.sparsity_grid)} must be nonempty with 1 <= k <= N^2")
-        if self.trials < 1:
-            raise InvalidInputError("need at least one trial")
+        _check_config(self, self.N ** 2)
+        self.generators = tuple(self.generators)
         unknown = set(self.generators) - set(GENERATOR_KINDS)
         if not self.generators or unknown:
             raise InvalidInputError(f"unknown generator kinds: {sorted(unknown)}")
@@ -117,20 +132,11 @@ class FusionExperimentConfig:
     workers: int = 1  # accepted for compatibility; trials always run serially
 
     def __post_init__(self):
-        self.set_params = tuple(int(v) for v in self.set_params)
-        _check_workers(self.workers)
-        _check_threshold(self.success_threshold)
+        _check_config(self)
         self.measurement_grid = tuple(int(n) for n in self.measurement_grid)
-        self.sparsity_grid = tuple(int(k) for k in self.sparsity_grid)
-        N = self.set_params[0]
         if not self.measurement_grid or min(self.measurement_grid) < 1:
             raise InvalidInputError(
                 f"measurement grid {list(self.measurement_grid)} must be nonempty and positive")
-        if not self.sparsity_grid or not all(1 <= k <= N for k in self.sparsity_grid):
-            raise InvalidInputError(
-                f"sparsity grid {list(self.sparsity_grid)} must be nonempty with 1 <= k <= N")
-        if self.trials < 1:
-            raise InvalidInputError("need at least one trial")
 
 
 @dataclass
@@ -210,6 +216,33 @@ def _run_trials(trial_fn, trials):
     return successes, diagnostics
 
 
+def _recovery_curves(cfg, experiment, draws, solve):
+    """One RecoveryCurve per (label, draw) pair of ``draws``, over the
+    sparsity grid: the trial protocol both experiments share.
+
+    Trial t at sparsity k draws its operator A, planted x and y = A x as
+    draw(k, t), solves solve(A, y, cfg.solver, _refute=(x, tau)) with tau
+    the success threshold, and succeeds when NSE(x_hat, x) < tau;
+    _run_trials tallies the point.
+    """
+    tau = cfg.success_threshold
+    curves = []
+    for label, draw in draws:
+        points, diagnostics = [], []
+        for k in cfg.sparsity_grid:
+
+            def trial(t, draw=draw, k=k):
+                A, x, y = draw(k, t)
+                result = solve(A, y, cfg.solver, _refute=(x, tau))
+                return normalized_squared_error(result.solution, x) < tau, result
+
+            successes, diag = _run_trials(trial, cfg.trials)
+            points.append((k, successes, cfg.trials))
+            diagnostics.append(diag)
+        curves.append(RecoveryCurve(experiment, label, points, diagnostics))
+    return curves
+
+
 def run_classic_experiment(cfg):
     """One recovery curve per generator kind over the sparsity grid.
 
@@ -230,30 +263,20 @@ def run_classic_experiment(cfg):
                 )
             fixed[kind] = build_gabor_frame(difference_set_generator(ds))
 
-    curves = []
-    for kind in cfg.generators:
-        points, diagnostics = [], []
-        for k in cfg.sparsity_grid:
+    def draw(kind, k, t):
+        if kind == "random_torus":
+            gen_seed = derive_seed(cfg.master_seed, "classic", kind, k, t, "generator")
+            frame = build_gabor_frame(random_torus_generator(cfg.N, gen_seed))
+        else:
+            frame = fixed[kind]
+        x = random_k_sparse_signal(
+            cfg.N ** 2, k, derive_seed(cfg.master_seed, "classic", kind, k, t, "signal"))
+        return frame, x, frame.columns @ x
 
-            def trial(t, kind=kind, k=k):
-                signal_seed = derive_seed(cfg.master_seed, "classic", kind, k, t, "signal")
-                if kind == "random_torus":
-                    gen_seed = derive_seed(cfg.master_seed, "classic", kind, k, t, "generator")
-                    frame = build_gabor_frame(random_torus_generator(cfg.N, gen_seed))
-                else:
-                    frame = fixed[kind]
-                x = random_k_sparse_signal(cfg.N ** 2, k, signal_seed)
-                y = frame.columns @ x
-                result = basis_pursuit(frame, y, cfg.solver, _refute=(x, cfg.success_threshold))
-                nse = normalized_squared_error(result.solution, x)
-                return nse < cfg.success_threshold, result
-
-            successes, diag = _run_trials(trial, cfg.trials)
-            points.append((k, successes, cfg.trials))
-            diagnostics.append(diag)
-        curve = RecoveryCurve("classic", kind, points, diagnostics)
+    draws = [(kind, functools.partial(draw, kind)) for kind in cfg.generators]
+    curves = _recovery_curves(cfg, "classic", draws, basis_pursuit)
+    for curve in curves:
         _check_decreasing_in_k(curve, cfg.trials)
-        curves.append(curve)
     return curves
 
 
@@ -265,31 +288,21 @@ def run_fusion_experiment(cfg):
     """
     ff = build_fusion_frame(require_catalog_set(*cfg.set_params))
 
-    curves = []
-    for n in cfg.measurement_grid:
-        points, diagnostics = [], []
-        for k in cfg.sparsity_grid:
+    def draw(n, k, t):
+        a = gaussian_measurement_coefficients(
+            n, ff.N, derive_seed(cfg.master_seed, "fusion", n, k, t, "measurements"),
+            complex_valued=cfg.complex_measurement_coefficients)
+        op = assemble_fusion_operator(a, ff)
+        x = random_fusion_sparse_signal(
+            ff, k, derive_seed(cfg.master_seed, "fusion", n, k, t, "signal"),
+            complex_coefficients=cfg.complex_signal_coefficients)
+        return op, x, op @ x
 
-            def trial(t, n=n, k=k):
-                a_seed = derive_seed(cfg.master_seed, "fusion", n, k, t, "measurements")
-                x_seed = derive_seed(cfg.master_seed, "fusion", n, k, t, "signal")
-                a = gaussian_measurement_coefficients(
-                    n, ff.N, a_seed, complex_valued=cfg.complex_measurement_coefficients
-                )
-                op = assemble_fusion_operator(a, ff)
-                x = random_fusion_sparse_signal(
-                    ff, k, x_seed, complex_coefficients=cfg.complex_signal_coefficients
-                )
-                y = op @ x
-                result = block_basis_pursuit(op, y, op.block_structure, cfg.solver,
-                                             _refute=(x, cfg.success_threshold))
-                nse = normalized_squared_error(result.solution, x)
-                return nse < cfg.success_threshold, result
+    def solve(op, y, solver, _refute):
+        return block_basis_pursuit(op, y, op.block_structure, solver, _refute=_refute)
 
-            successes, diag = _run_trials(trial, cfg.trials)
-            points.append((k, successes, cfg.trials))
-            diagnostics.append(diag)
-        curves.append(RecoveryCurve("fusion", f"n={n}", points, diagnostics))
+    draws = [(f"n={n}", functools.partial(draw, n)) for n in cfg.measurement_grid]
+    curves = _recovery_curves(cfg, "fusion", draws, solve)
     _check_increasing_in_n(curves, cfg.trials)
     return curves
 

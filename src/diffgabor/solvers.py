@@ -24,23 +24,22 @@ support S, by dropping the columns its least-squares fit does not use and
 adding, one by one, the columns that fit misses, and the fit on S is
 returned when a strict dual certificate shows it is the unique l1
 minimiser (Fuchs 2004; Tropp 2004), in the manner of OSQP's solution
-polishing.  The certificate is the minimum-norm dual when that suffices;
-else a dual search follows (_dual_search, the refutation's below, inside
-balls of radius _DUAL_RADIUS), once per repaired S with |S| < n in a
-solve, at the first check that reaches S (a unique minimiser always has a
-strict certificate: Zhang, Yin & Cheng 2015).  Each dual is tested as
-h = A^H W (sgn(x_S) - r_S) + r, W the minimum-norm dual map on S, with
-r = 0 or, for a search iterate g, its row-space part g - P g.  Block basis
-pursuit on a fusion measurement operator is certified the same way, block
-by block (_group_certificate; Eldar & Mishali 2009): S is the set of
-blocks of the shrunk iterate's support, the fit is one batched QR over the
-coordinates, each coordinate's active columns padded to the largest
-count, and a coordinate with more than n active columns ends the check
-before it.  The minimum-norm dual is tried first, then one dual search
-per S in a solve; a support fitted before in the solve is not fitted
-again.  A check whose supp(z) repeats the last check's is skipped on
-both paths.  Otherwise the iteration runs on unchanged until the residual
-tolerances or the iteration cap stop it.
+polishing.  Block basis pursuit on a fusion measurement operator is
+certified the same way, block by block (_group_certificate; Eldar &
+Mishali 2009): S is the set of blocks of the shrunk iterate's support, the
+fit is one batched QR over the coordinates, each coordinate's active
+columns padded to the largest count, and a coordinate with more than n
+active columns ends the check before it.  Both certificates end in one
+tail, _strict_dual.  It tests the minimum-norm dual, then, once that fails
+(and on the l1 path only while |S| < n), the iterates of one dual search
+(_dual_search, the refutation's below, inside balls of radius _DUAL_RADIUS;
+a unique minimiser always has a strict certificate: Zhang, Yin & Cheng
+2015).  Each dual is tested as h = A^H W (sgn(x_S) - r_S) + r, W the
+minimum-norm dual map on S, with r = 0 or, for a search iterate g, its
+row-space part g - P g.  The solve's set ``tried`` holds every S whose dual
+was tested, so no S is tested twice in a solve, and a check whose supp(z)
+repeats the last check's is skipped.  Otherwise the iteration runs on
+unchanged until the residual tolerances or the iteration cap stop it.
 
 A recovery trial may also stop a solve once it is proved a failure.  The
 trial passes its planted signal x, with k nonzero entries (or blocks), and
@@ -219,6 +218,7 @@ class AffineProjection:
             self._sigma = (math.sqrt(matrix.frame_bound),) * 2
             self._rows, self._scale, self._target = A, 1.0 / matrix.frame_bound, y
             return
+        _require_finite(A)
         U, s, Vh = np.linalg.svd(A, full_matrices=False)
         cutoff = s.max(initial=0.0) * (max(n, d) * np.finfo(float).eps)
         r = int(np.sum(s > cutoff))
@@ -438,8 +438,8 @@ def block_soft_threshold(z, tau, blocks):
 
 def _as_operator(matrix):
     """A Gabor frame or fusion measurement operator as is; else a dense complex
-    2-d array with at least one column and finite entries (InvalidInputError
-    otherwise, before any solver reads its shape or factors it)."""
+    2-d array with at least one column (InvalidInputError otherwise, before any
+    solver reads its shape).  Its entries are checked by _require_finite."""
     if isinstance(matrix, (GaborFrame, FusionMeasurementOperator)):
         return matrix
     A = np.asarray(matrix, dtype=complex)
@@ -447,16 +447,15 @@ def _as_operator(matrix):
         raise InvalidInputError("matrix must be 2-d")
     if A.shape[1] == 0:
         raise InvalidInputError("matrix has no columns: there is no x to solve for")
-    if not np.isfinite(A).all():
-        raise InvalidInputError("matrix has non-finite entries (nan or inf)")
     return A
 
 
-def _off_support(A, w, r, S):
-    """|(A^H w + r)_j| for every column j, zeroed on S; read as |(w^H A + r^H)_j|."""
-    off = np.abs(w.conj() @ A + r.conj())
-    off[S] = 0.0
-    return off
+def _require_finite(A):
+    """InvalidInputError if the operator A is a dense array with a nan or inf
+    entry.  A solve reads A's entries once: AffineProjection checks them
+    before it factors A, and _admm when y = 0 needs no projection."""
+    if isinstance(A, np.ndarray) and not np.isfinite(A).all():
+        raise InvalidInputError("matrix has non-finite entries (nan or inf)")
 
 
 def _dual_search(project, g, fixed, radius):
@@ -506,10 +505,45 @@ def _append_column(Q, R, a):
     return np.column_stack((Q, v / norm if norm else v)), grown
 
 
-def _l1_certificate(project, z, searched):
+def _strict_dual(project, support, tried, off_support_max, start):
+    """Whether a strict dual certificate proves optimal the fit on S, the
+    columns or blocks listed in increasing order in ``support``: the tail
+    that _l1_certificate and _group_certificate share.
+
+    ``off_support_max(r)`` is the largest |h_b| (||h_b|| for a block) over
+    the b outside S for the dual h = A^H W (sgn(x_S) - r_S) + r, W the
+    minimum-norm dual map on S.  A_S^H W = I gives h_S = sgn(x_S), and any
+    r in range(A^H) makes h = A^H w for w = W (sgn(x_S) - r_S) + pinv(A^H) r,
+    never formed.  The minimum-norm dual, r = 0 (passed as None), is tested
+    first.  Failing that, unless ``start`` is None, _dual_search runs at
+    _DUAL_RADIUS from the g that start() builds (only then), with the rows
+    of S fixed, and each iterate g is tested with its row-space part
+    r = g - P g, P g the image the search yields; the first to stay below
+    1 - _CERTIFY_MARGIN proves the fit.
+
+    ``tried`` holds every S whose dual was tested before in the solve.  A
+    success ends the solve, so each of them failed, and fails again: a
+    support in it gives False before any test, and S is added to it.
+    """
+    key = support.tobytes()
+    if key in tried:
+        return False
+    tried.add(key)
+    if off_support_max(None) < 1.0 - _CERTIFY_MARGIN:
+        return True
+    if start is None:
+        return False
+    g = start()
+    fixed = np.zeros(len(g), dtype=bool)
+    fixed[support] = True
+    return any(off_support_max(g - image) < 1.0 - _CERTIFY_MARGIN
+               for g, image in _dual_search(project, g, fixed, _DUAL_RADIUS))
+
+
+def _l1_certificate(project, z, blocks, tried):
     """The unique minimiser of ||x||_1 s.t. Ax = y on a support S repaired
     from supp(z), or None; A and y are those of the solve's AffineProjection
-    ``project``.
+    ``project``, and ``blocks`` (of size 1) is not read.
 
     S starts as supp(z), and x_S is the least-squares fit of y on the
     columns A_S.  S is repaired until that fit meets y with every column in
@@ -524,14 +558,9 @@ def _l1_certificate(project, z, searched):
     |A_j^H w| < 1 - _CERTIFY_MARGIN for every j outside S.  Such a w is a
     strict dual certificate, and it makes x_S the unique minimiser (Fuchs
     2004; Tropp 2004); a unique minimiser always has one (Zhang, Yin & Cheng
-    2015).  It tests h = A^H W (sgn(x_S) - r_S) + r for r in range(A^H), W =
-    Q R^-H: A_S^H W = I gives h_S = sgn(x_S), and h = A^H w for w =
-    W (sgn(x_S) - r_S) + pinv(A^H) r, never formed.  The minimum-norm w,
-    r = 0, is tried first; failing that, when |S| < n (else it is the only
-    w) and S is not in ``searched``, the set of supports (sorted, as bytes)
-    searched before in the solve, S is added to it and _dual_search runs
-    until an iterate g passes with r = g - P g, P g the image it yields.
-    Reads z, writes nothing but ``searched``.
+    2015).  _strict_dual looks for it with W = Q R^-H, and searches only
+    while |S| < n: a square A_S leaves the minimum-norm w as the only one.
+    Reads z, writes nothing but ``tried``.
     """
     A, y = project.matrix, project.y
     n, d = A.shape
@@ -571,26 +600,25 @@ def _l1_certificate(project, z, searched):
             S = np.append(S, np.argmax(correlation))
     if np.linalg.norm(y - A[:, S] @ x_S) > fit_tol:
         return None
-    # each r tested gives w = W (sgn(x_S) - r_S) and h = A^H w + r
     sign = x_S / mag
     W = Q @ np.linalg.inv(R).conj().T  # Q R^-H
-    r = np.zeros(d, dtype=complex)  # the minimum-norm dual's
-    w = W @ sign
-    if _off_support(A, w, r, S).max() >= 1.0 - _CERTIFY_MARGIN:
-        key = np.sort(S).tobytes()
-        if S.size == n or key in searched:
-            return None
-        searched.add(key)
-        # from the min-norm dual's g = A^H w, with sgn(x_S) exactly on S
-        g = (w.conj() @ A).conj()
+
+    def off_support_max(r):
+        r = np.zeros(d, dtype=complex) if r is None else r[:, 0]
+        # |h_j| = |(A^H w + r)_j| for w = W (sgn(x_S) - r_S), read as |(w^H A + r^H)_j|
+        off = np.abs((W @ (sign - r[S])).conj() @ A + r.conj())
+        off[S] = 0.0
+        return off.max()
+
+    def start():
+        # the min-norm dual's g = A^H w, with sgn(x_S) exactly on S
+        g = ((W @ sign).conj() @ A).conj()
         g[S] = sign
-        for g, image in _dual_search(project, g[:, None], np.isin(np.arange(d), S), _DUAL_RADIUS):
-            r = (g - image)[:, 0]  # the row-space part of g
-            w = W @ (sign - r[S])
-            if _off_support(A, w, r, S).max() < 1.0 - _CERTIFY_MARGIN:
-                break
-        else:
-            return None
+        return g[:, None]
+
+    if not _strict_dual(project, np.sort(S), tried, off_support_max,
+                        start if S.size < n else None):
+        return None
     x = np.zeros(d, dtype=complex)
     x[S] = x_S
     return x
@@ -620,20 +648,12 @@ def _group_certificate(project, z, blocks, tried):
     diagonal, A_S x_S = y to a relative _CERTIFY_FIT_TOL, and some w has
     A_b^H w = x_b/||x_b|| on S and ||A_b^H w|| < 1 - _CERTIFY_MARGIN for
     every block b outside S: a strict dual certificate, which makes x_S the
-    unique minimiser of the mixed l2/l1 problem (Eldar & Mishali 2009).  The
-    test is _l1_certificate's, h = A^H W (sgn(x_S) - r_S) + r with
-    sgn(x_S) = x_b/||x_b|| on S, read by coordinate: W is C_m (C_m^H
-    C_m)^-1 = C_m R^-1 R^-H on each, the minimum-norm dual map on S, so
-    B_m^H W is one (N, K, width) array built once from the fit, zero at the
-    pads.  The minimum-norm w, r = 0, is tried first.  Failing that,
-    _dual_search runs with the rows of S fixed, and each iterate g is tested
-    with r = g - P g from the image the search yields.
-
-    ``tried`` holds the supports (as bytes) fitted before in the solve.  A
-    success ends the solve, so each of them failed, and fails again: a
-    support in it is not refitted, and each S this call fits is added to it.
-    So no support is searched twice in a solve.  Reads z, writes nothing but
-    ``tried``.
+    unique minimiser of the mixed l2/l1 problem (Eldar & Mishali 2009).
+    _strict_dual looks for it with sgn(x_S) = x_b/||x_b|| on S, read by
+    coordinate: W is C_m (C_m^H C_m)^-1 = C_m R^-1 R^-H on each, the
+    minimum-norm dual map on S, so B_m^H W is one (N, K, width) array built
+    once from the fit, zero at the pads.  An S in ``tried`` is not fitted
+    again.  Reads z, writes nothing but ``tried``.
     """
     op = project.matrix
     if np.count_nonzero(z) > op.shape[0]:
@@ -648,12 +668,9 @@ def _group_certificate(project, z, blocks, tried):
         active = S[owner_blocks]
         counts = active.sum(axis=1)
         width = int(counts.max())
-        if not 0 < width <= n:
+        # a support whose dual was tested before in the solve is not refitted
+        if not 0 < width <= n or np.flatnonzero(S).tobytes() in tried:
             return None
-        key = np.flatnonzero(S).tobytes()
-        if key in tried:
-            return None
-        tried.add(key)
         if table is None:  # what every fit reads
             dtype = op.blocks.dtype
             # y by coordinate, in the blocks' dtype: (N, n, 2) real and
@@ -703,26 +720,25 @@ def _group_certificate(project, z, blocks, tried):
     # (zero at the pads): the dual tested is h = A^H W (sgn(x_S) - r_S) + r
     dual_map = op.blocks.conj().transpose(0, 2, 1) @ (C @ gram_inv)
     off = ~S
+    padded = np.zeros(d + 1, dtype=complex)  # r, and 0 at the pads' index d
 
     def off_support_max(r):
-        """max ||h_b|| over the blocks b outside S, for r (0 at the pads' index d)."""
-        h = (dual_map @ (sign - r[slots].view(dtype).reshape(sign.shape))
-             + r[op.owners].view(dtype).reshape(N, K, -1))
+        if r is not None:
+            padded[:d] = r.reshape(-1)
+        h = (dual_map @ (sign - padded[slots].view(dtype).reshape(sign.shape))
+             + padded[op.owners].view(dtype).reshape(N, K, -1))
         parts = h.view(float).reshape(N * K, -1)[project._placement]
         return math.sqrt(_row_squares(parts.reshape(count, -1))[off].max(initial=0.0))
 
-    r = np.zeros(d + 1, dtype=complex)  # the minimum-norm dual's
-    if off_support_max(r) >= 1.0 - _CERTIFY_MARGIN:
-        # from the min-norm dual's g = A^H w, with sgn(x_S) exactly on S
+    def start():
+        # the min-norm dual's g = A^H w, with sgn(x_S) exactly on S
         g = np.zeros(d + 1, dtype=complex)
         g[op.owners] = (dual_map @ sign).view(complex)[..., 0]
         g[slots] = sign.view(complex)[..., 0]
-        for g, image in _dual_search(project, g[:d].reshape(count, size), S, _DUAL_RADIUS):
-            np.subtract(g, image, out=r[:d].reshape(count, size))  # the row-space part of g
-            if off_support_max(r) < 1.0 - _CERTIFY_MARGIN:
-                break
-        else:
-            return None
+        return g[:d].reshape(count, size)
+
+    if not _strict_dual(project, np.flatnonzero(S), tried, off_support_max, start):
+        return None
     x = np.zeros(d + 1, dtype=complex)
     x[slots] = fit.view(complex)[..., 0]
     return x[:d]
@@ -827,10 +843,11 @@ def _admm(A, y, cfg, blocks, make_shrink, objective, certificate=None, refute=No
 
     A full-column-rank A has one feasible point, returned with 0 iterations.
     Otherwise, every _CERTIFY_PERIOD iterations it calls ``certificate``
-    (project, z, tried), if given (_l1_certificate or _group_certificate),
-    on a supp(z) unlike the last check's; ``tried`` is the solve's set of
-    supports the certificate need not try again, and a proved minimiser
-    returned stops the solve.  Then, when ``refute`` = (x, tau) names a
+    (project, z, blocks, tried), if given (_l1_certificate or
+    _group_certificate), on a supp(z) unlike the last check's; ``tried`` is
+    the solve's set of supports whose duals _strict_dual has tested, each
+    tested once, and a proved minimiser returned stops the solve.  Then,
+    when ``refute`` = (x, tau) names a
     recovery trial's planted signal and NSE threshold, it stops with
     STATUS_REFUTED as soon as the projection output is proved to lie, with
     every minimiser, farther than NSE tau from x (_Refutation).
@@ -841,6 +858,7 @@ def _admm(A, y, cfg, blocks, make_shrink, objective, certificate=None, refute=No
     d = A.shape[1]
     ynorm = scaled_norm(y)
     if ynorm == 0.0:
+        _require_finite(A)  # else AffineProjection checks it
         return SolveResult(np.zeros(d, dtype=complex), 0, 0.0, 0.0, STATUS_CONVERGED)
     project = AffineProjection(A, y / ynorm)
     if project.rank == d:
@@ -888,12 +906,12 @@ def _admm(A, y, cfg, blocks, make_shrink, objective, certificate=None, refute=No
             if it % _CERTIFY_PERIOD:
                 continue
             if certificate is not None:
-                # a repeated supp(z) gives the same S, whose search, if any,
-                # ran at its first check: nothing new to test
+                # a repeated supp(z) repeats the last check's verdict:
+                # nothing new to test
                 support = (z != 0).tobytes()
                 if support != last_support:
                     last_support = support
-                    exact = certificate(project, z, tried_supports)
+                    exact = certificate(project, z, blocks, tried_supports)
                     if exact is not None:
                         x, status, certified = exact, STATUS_CONVERGED, True
                         break
@@ -955,10 +973,9 @@ def basis_pursuit(matrix, y, cfg=None, *, _refute=None):
     """
     cfg = cfg or SolverConfig()
     A = _as_operator(matrix)
-    d = A.shape[1]
     certificate = None if isinstance(A, FusionMeasurementOperator) else _l1_certificate
-    return _admm(A, y, cfg, BlockStructure(d, 1), _entry_shrink, lambda v: np.sum(np.abs(v)),
-                 certificate=certificate, refute=_refute)
+    return _admm(A, y, cfg, BlockStructure(A.shape[1], 1), _entry_shrink,
+                 lambda v: np.sum(np.abs(v)), certificate=certificate, refute=_refute)
 
 
 def block_basis_pursuit(matrix, y, blocks, cfg=None, *, _refute=None):
@@ -985,11 +1002,7 @@ def block_basis_pursuit(matrix, y, blocks, cfg=None, *, _refute=None):
     def objective(v):
         return np.sum(np.linalg.norm(v.reshape(blocks.block_count, blocks.block_size), axis=1))
 
-    certificate = None
-    if isinstance(A, FusionMeasurementOperator):
-        def certificate(project, z, tried):
-            return _group_certificate(project, z, blocks, tried)
-
+    certificate = _group_certificate if isinstance(A, FusionMeasurementOperator) else None
     return _admm(A, y, cfg, blocks, make_shrink, objective, certificate=certificate,
                  refute=_refute)
 

@@ -140,6 +140,29 @@ def test_fusion_config_validation():
         )
 
 
+@pytest.mark.parametrize("set_params", [(40,), (7, 3, 1), "7,3", 7, (7.0, 3.0), None],
+                         ids=["one", "three", "text", "int", "floats", "none"])
+def test_set_params_must_be_two_integers(set_params):
+    # refused when the config is made, not when the run reads the catalog
+    with pytest.raises(InvalidInputError, match="set_params"):
+        experiments.FusionExperimentConfig(set_params=set_params, measurement_grid=[2],
+                                           sparsity_grid=[1])
+    if set_params is not None:  # a classic run without a difference set needs none
+        with pytest.raises(InvalidInputError, match="set_params"):
+            experiments.ClassicExperimentConfig(N=7, sparsity_grid=[1],
+                                                generators=("difference_set",),
+                                                set_params=set_params)
+
+
+def test_set_params_pairs_are_kept_as_int_tuples():
+    fusion_cfg = experiments.FusionExperimentConfig(set_params=[7, np.int64(3)],
+                                                    measurement_grid=[2], sparsity_grid=[1])
+    classic_cfg = experiments.ClassicExperimentConfig(N=7, sparsity_grid=[1],
+                                                      set_params=np.array([7, 3]))
+    assert fusion_cfg.set_params == classic_cfg.set_params == (7, 3)
+    assert all(type(v) is int for v in fusion_cfg.set_params + classic_cfg.set_params)
+
+
 def test_fusion_experiment_runs():
     cfg = experiments.FusionExperimentConfig(
         set_params=(7, 3), measurement_grid=[2, 4], sparsity_grid=[1, 3],

@@ -18,8 +18,9 @@ def _frame(N=7, K=3):
 
 
 def _certificate(A, y, z):
-    """_l1_certificate on the AffineProjection of A and y, with no support searched before."""
-    return solvers._l1_certificate(solvers.AffineProjection(A, y), z, set())
+    """_l1_certificate on the AffineProjection of A and y, with no support tested before."""
+    return solvers._l1_certificate(solvers.AffineProjection(A, y), z,
+                                   solvers.BlockStructure(np.size(z), 1), set())
 
 
 def _min_norm_certificate(A, y, z, monkeypatch):
@@ -601,27 +602,47 @@ def _classic_trial(master, kind, k, t=0):
 
 
 def _record_certificate_calls(monkeypatch):
-    """(supp(z), the supports it searched) of every _l1_certificate call that _admm makes."""
+    """(supp(z), the supports whose duals it tested) of every _l1_certificate
+    call that _admm makes."""
     calls = []
     certificate = solvers._l1_certificate
 
-    def recording(project, z, searched):
-        before = set(searched)
-        result = certificate(project, z, searched)
-        calls.append((np.flatnonzero(z), sorted(searched - before)))
+    def recording(project, z, blocks, tried):
+        before = set(tried)
+        result = certificate(project, z, blocks, tried)
+        calls.append((np.flatnonzero(z), sorted(tried - before)))
         return result
 
     monkeypatch.setattr(solvers, "_l1_certificate", recording)
     return calls
 
 
+def _record_dual_tests(monkeypatch):
+    """(S, whether r = 0) of every dual that _strict_dual tests, S as a
+    tuple of its columns or blocks."""
+    tests = []
+    strict_dual = solvers._strict_dual
+
+    def recording(project, support, tried, off_support_max, start):
+        S = tuple(support.tolist())
+
+        def test(r):
+            tests.append((S, r is None))
+            return off_support_max(r)
+
+        return strict_dual(project, support, tried, test, start)
+
+    monkeypatch.setattr(solvers, "_strict_dual", recording)
+    return tests
+
+
 def _assert_search_schedule(calls):
     # a check calls the certificate only on a supp(z) unlike the last one's,
-    # and the solve searches each repaired support at most once
+    # and the solve tests the duals of each repaired support at most once
     for (before, _), (support, _) in zip(calls, calls[1:]):
         assert not np.array_equal(before, support)
-    searched = [key for _, keys in calls for key in keys]
-    assert len(searched) == len(set(searched))
+    tested = [key for _, keys in calls for key in keys]
+    assert len(tested) == len(set(tested))
 
 
 @pytest.mark.parametrize("master, kind, k", _SEARCH_TRIALS)
@@ -630,12 +651,14 @@ def test_search_certifies_the_planted_support(master, kind, k, monkeypatch):
     assert _min_norm_certificate(A, y, x, monkeypatch) is None
     assert np.linalg.norm(_certificate(A, y, x) - x) <= 1e-10 * np.linalg.norm(x)
     calls = _record_certificate_calls(monkeypatch)
+    searched, _ = _record_searches(monkeypatch)
     res = solvers.basis_pursuit(A, y)
     assert res.certified and res.status == solvers.STATUS_CONVERGED
     assert res.iterations == _SEARCH_CERTIFIED_AT[master, kind, k]
     assert np.linalg.norm(res.solution - x) <= 1e-10 * np.linalg.norm(x)
     _assert_search_schedule(calls)
-    assert calls[-1][1]  # the min-norm dual alone cannot certify this support
+    # the min-norm dual alone cannot certify this support: a search ran on it
+    assert searched == [tuple(np.flatnonzero(x))]
 
 
 def test_a_superset_with_unused_columns_is_certified_at_the_first_check(monkeypatch):
@@ -675,7 +698,7 @@ def test_a_repaired_support_is_searched_once_per_solve(monkeypatch):
     # without the set of searched supports, the same solve searches it again
     searched.clear()
     monkeypatch.setattr(solvers, "_l1_certificate",
-                        lambda project, z, searched: certificate(project, z, set()))
+                        lambda project, z, blocks, tried: certificate(project, z, blocks, set()))
     solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
     assert len(searched) > 1 and set(searched) == {planted}
 
@@ -701,24 +724,50 @@ def test_a_square_support_is_not_searched(monkeypatch):
     # fills S up to n = 43 columns, where A_S is square, so the min-norm dual
     # is the only dual and a search could not succeed
     A, x, y = _classic_trial(2, "random_torus", 12, t=1)
-    tested, searched = [], []  # |S| of each dual test; |S| of each search
-    off_support, search = solvers._off_support, solvers._dual_search
-
-    def recording_test(A, w, r, S):
-        tested.append(S.size)
-        return off_support(A, w, r, S)
-
-    def recording_search(project, g, fixed, radius):
-        if radius == solvers._DUAL_RADIUS:  # the certificate's, not the refutation's
-            searched.append(int(fixed.sum()))
-        return search(project, g, fixed, radius)
-
-    monkeypatch.setattr(solvers, "_off_support", recording_test)
-    monkeypatch.setattr(solvers, "_dual_search", recording_search)
+    tests = _record_dual_tests(monkeypatch)
+    searched, _ = _record_searches(monkeypatch)
     res = solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
     assert not res.certified
-    assert 43 in tested
-    assert 43 not in searched
+    assert 43 in [len(S) for S, _ in tests]  # |S| of each dual test
+    assert 43 not in [len(S) for S in searched]  # |S| of each search
+
+
+@pytest.mark.parametrize("kind", ["classic", "fusion"])
+def test_no_support_has_its_dual_tested_twice_in_a_solve(kind, monkeypatch):
+    # two stalled solves whose checks reach the same S again and again: a
+    # 12-sparse classic trial at N = 43, refuted after 940 iterations, and a
+    # fusion-40-13 reference trial that runs to its 2000-iteration cap.
+    # Each S has its minimum-norm dual tested once and is searched at most
+    # once; a later check that reaches it tests nothing
+    tau = experiments.DEFAULT_THRESHOLD
+    if kind == "classic":
+        name = "_l1_certificate"
+        A, x, y = _classic_trial(2, "random_torus", 12, t=1)
+
+        def solve():
+            return solvers.basis_pursuit(A, y, _refute=(x, tau))
+    else:
+        name = "_group_certificate"
+        op, x, y = _fusion_trial(3, 9, 12)
+
+        def solve():
+            return solvers.block_basis_pursuit(op, y, op.block_structure,
+                                               solvers.SolverConfig(max_iters=2000),
+                                               _refute=(x, tau))
+    certificate = getattr(solvers, name)
+    tests = _record_dual_tests(monkeypatch)
+    searched, _ = _record_searches(monkeypatch)
+    assert not solve().certified
+    min_norm = [S for S, zero in tests if zero]
+    assert min_norm and len(min_norm) == len(set(min_norm))
+    assert len(searched) == len(set(searched))
+    # without the solve's set of tested supports, the same checks test some S again
+    tests.clear()
+    monkeypatch.setattr(solvers, name,
+                        lambda project, z, blocks, tried: certificate(project, z, blocks, set()))
+    solve()
+    min_norm = [S for S, zero in tests if zero]
+    assert len(min_norm) > len(set(min_norm))
 
 
 def test_the_classic_reference_trials_certify_at_their_first_checks(monkeypatch):
@@ -726,6 +775,7 @@ def test_the_classic_reference_trials_certify_at_their_first_checks(monkeypatch)
     # generator kinds x k = 1..5, master seeds 0-31, trial 0.  A certificate
     # that comes later changes no recovery result, so only these totals show it
     calls = _record_certificate_calls(monkeypatch)
+    searched, _ = _record_searches(monkeypatch)
     diagnostics = []
     for master in range(32):
         cfg = experiments.ClassicExperimentConfig(N=43, sparsity_grid=range(1, 6), trials=1,
@@ -737,7 +787,9 @@ def test_the_classic_reference_trials_certify_at_their_first_checks(monkeypatch)
     iterations = [d["max_iterations"] for d in diagnostics]
     assert (sum(iterations), max(iterations)) == (4820, 20)
     assert len(calls) == 482
-    assert sum(len(keys) for _, keys in calls) == 32
+    # every call reaches a dual test, and 32 of them search past the min-norm dual
+    assert sum(len(keys) for _, keys in calls) == 482
+    assert len(searched) == 32
 
 
 @pytest.mark.parametrize("kind", ["gabor", "dense", "fusion-qr", "fusion-svd"])
@@ -996,8 +1048,10 @@ def test_solvers_reject_a_matrix_that_is_not_2d(matrix, message):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
 @pytest.mark.parametrize("kind", ["dense", "gabor", "fusion"])
 def test_solvers_reject_non_finite_input(kind, bad, monkeypatch):
-    # refused before any arithmetic: no projection is built, so no iteration
-    # runs and no factorization sees the nan
+    # a non-finite y is refused before any arithmetic on A: no projection is
+    # built, so no iteration runs and no factorization sees the nan.  A
+    # non-finite dense A is refused by the solve's one scan of A, before any
+    # factorization, y = 0 included
     if kind == "dense":
         op = A = _complex_normal(np.random.default_rng(5), (3, 6))
     elif kind == "gabor":
@@ -1010,8 +1064,8 @@ def test_solvers_reject_non_finite_input(kind, bad, monkeypatch):
     y = A @ np.ones(A.shape[1])
     y[1] = bad
 
-    def unreachable(*args):
-        raise AssertionError("a projection was built")
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a projection was built or a factorization ran")
 
     monkeypatch.setattr(solvers, "AffineProjection", unreachable)
     with pytest.raises(InvalidInputError, match="y has non-finite entries"):
@@ -1019,15 +1073,39 @@ def test_solvers_reject_non_finite_input(kind, bad, monkeypatch):
     with pytest.raises(InvalidInputError, match="y has non-finite entries"):
         solvers.block_basis_pursuit(op, y, blocks)
     if kind == "dense":
+        monkeypatch.undo()
+        monkeypatch.setattr(np.linalg, "svd", unreachable)
         A = A.copy()
         A[0, 2] = bad
-        with pytest.raises(InvalidInputError, match="matrix has non-finite entries"):
-            solvers.basis_pursuit(A, np.ones(3))
-        with pytest.raises(InvalidInputError, match="matrix has non-finite entries"):
-            solvers.block_basis_pursuit(A, np.ones(3), solvers.BlockStructure(2, 3))
-        monkeypatch.undo()
-        with pytest.raises(InvalidInputError, match="matrix has non-finite entries"):
-            solvers.AffineProjection(A, np.ones(3))
+        for rhs in (np.ones(3), np.zeros(3)):
+            with pytest.raises(InvalidInputError, match="matrix has non-finite entries"):
+                solvers.basis_pursuit(A, rhs)
+            with pytest.raises(InvalidInputError, match="matrix has non-finite entries"):
+                solvers.block_basis_pursuit(A, rhs, solvers.BlockStructure(2, 3))
+            with pytest.raises(InvalidInputError, match="matrix has non-finite entries"):
+                solvers.AffineProjection(A, rhs)
+
+
+def test_a_dense_solve_scans_its_matrix_once(monkeypatch):
+    # a solve reads the entries of a dense A for nan and inf once, whether it
+    # builds a projection (y != 0) or not (y = 0)
+    rng = np.random.default_rng(8)
+    A = _complex_normal(rng, (4, 9))
+    scans = []
+    isfinite = np.isfinite
+
+    def counting(v, *args, **kwargs):
+        if np.shape(v) == A.shape:
+            scans.append(v)
+        return isfinite(v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    for y in (A @ _complex_normal(rng, 9), np.zeros(4)):
+        for solve in (lambda: solvers.basis_pursuit(A, y),
+                      lambda: solvers.block_basis_pursuit(A, y, solvers.BlockStructure(3, 3))):
+            scans.clear()
+            solve()
+            assert len(scans) == 1
 
 
 def test_block_basis_pursuit_recovers_block_sparse():
