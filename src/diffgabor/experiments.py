@@ -72,9 +72,9 @@ def derive_seed(master_seed, *parts):
 def _check_config(cfg, kmax=None):
     """The checks both experiment configs share: workers, the success
     threshold, the trial count, a nonempty sparsity grid (made a tuple of
-    ints) with every 1 <= k <= kmax, and set_params, which must be two
-    integers (made an (N, K) tuple) when given.  Without ``kmax`` it is the
-    N of set_params, which is then required."""
+    ints) of distinct k, each 1 <= k <= kmax, and set_params, which must be
+    two integers (made an (N, K) tuple) when given.  Without ``kmax`` it is
+    the N of set_params, which is then required."""
     if kmax is None or cfg.set_params is not None:
         try:
             N, K = (operator.index(v) for v in cfg.set_params)
@@ -91,9 +91,11 @@ def _check_config(cfg, kmax=None):
     if cfg.trials < 1:
         raise InvalidInputError("need at least one trial")
     cfg.sparsity_grid = tuple(int(k) for k in cfg.sparsity_grid)
-    if not cfg.sparsity_grid or not all(1 <= k <= kmax for k in cfg.sparsity_grid):
-        raise InvalidInputError(
-            f"sparsity grid {list(cfg.sparsity_grid)} must be nonempty with 1 <= k <= {kmax}")
+    grid = cfg.sparsity_grid
+    # a repeated entry would run its trials again and write its CSV rows twice
+    if not grid or not all(1 <= k <= kmax for k in grid) or len(set(grid)) < len(grid):
+        raise InvalidInputError(f"sparsity grid {list(grid)} must be nonempty and distinct "
+                                f"with 1 <= k <= {kmax}")
 
 
 @dataclass
@@ -116,6 +118,8 @@ class ClassicExperimentConfig:
         unknown = set(self.generators) - set(GENERATOR_KINDS)
         if not self.generators or unknown:
             raise InvalidInputError(f"unknown generator kinds: {sorted(unknown)}")
+        if len(set(self.generators)) < len(self.generators):
+            raise InvalidInputError(f"generators {list(self.generators)} repeat a kind")
 
 
 @dataclass
@@ -134,9 +138,10 @@ class FusionExperimentConfig:
     def __post_init__(self):
         _check_config(self)
         self.measurement_grid = tuple(int(n) for n in self.measurement_grid)
-        if not self.measurement_grid or min(self.measurement_grid) < 1:
+        grid = self.measurement_grid
+        if not grid or min(grid) < 1 or len(set(grid)) < len(grid):
             raise InvalidInputError(
-                f"measurement grid {list(self.measurement_grid)} must be nonempty and positive")
+                f"measurement grid {list(grid)} must be nonempty, positive and distinct")
 
 
 @dataclass
@@ -350,10 +355,8 @@ def curves_to_csv(curves):
 
 
 def emit_curves(curves, path):
-    """Write :func:`curves_to_csv` output to ``path`` (or return it if None)."""
+    """Write :func:`curves_to_csv` output to ``path``."""
     text = curves_to_csv(curves)
-    if path is None:
-        return text
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(text)
     return path

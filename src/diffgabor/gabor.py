@@ -7,7 +7,7 @@ blocks [B_0 B_1 ... B_{N-1}]; everything downstream relies on that layout.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -26,6 +26,8 @@ _SCAN_CHUNK = 256
 TABLE_MEASURE_LIMIT = 64
 # Gram magnitudes this close to the maximum are ties (FFT roundoff is ~1e-15)
 _TIE_TOL = 64 * np.finfo(float).eps
+# is_etf's tolerance on each of the three ETF defects (relative where scaled)
+_ETF_TOL = 1e-10
 
 
 @dataclass
@@ -33,7 +35,7 @@ class Generator:
     values: np.ndarray
     kind: str = "custom"  # difference_set | alltop | random_torus | custom
     params: Optional[DifferenceSetParams] = None
-    norm: float = 0.0
+    norm: float = field(init=False)  # ||values||, set from the values
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex).reshape(-1)
@@ -312,7 +314,7 @@ def mutual_coherence(frame):
     return CoherenceReport(mu, pair, diag_val, off_max, wb, predicted)
 
 
-def block_coherence_profile(frame, params=None):
+def block_coherence_profile(frame):
     """Per-block Gram diagnostics for a difference-set Gabor frame.
 
     Within every translate block B_k the off-diagonal Gram magnitudes are all
@@ -320,8 +322,7 @@ def block_coherence_profile(frame, params=None):
     lambda = 1 and at most lambda/K otherwise.  Each block is also an
     N/K-tight frame for its coordinate span, checked via B_k B_k*.
     """
-    if params is None:
-        params = frame.generator.params
+    params = frame.generator.params
     if frame.generator.kind != "difference_set" or params is None:
         raise UnsupportedParametersError("block profile needs a difference-set generator")
     # every value of block k is read from gram[k, k] (T_k g with itself), not
@@ -355,7 +356,7 @@ def block_coherence_profile(frame, params=None):
     )
 
 
-def is_etf(frame, tol=1e-10):
+def is_etf(frame):
     """Check the three ETF axioms: equal norms, tightness, equiangularity.
 
     Works on a GaborFrame (equiangularity read from _ambiguity) or any column
@@ -384,7 +385,8 @@ def is_etf(frame, tol=1e-10):
     eq_spread = float(vals.max() - vals.min())
     mu = float(vals.max())
     wb = welch_bound(M, rows)
-    ok = norm_spread <= tol * max(1.0, norms.max()) and tight_err <= tol * M / rows and eq_spread <= tol
+    ok = (norm_spread <= _ETF_TOL * max(1.0, norms.max()) and tight_err <= _ETF_TOL * M / rows
+          and eq_spread <= _ETF_TOL)
     return EtfCheck(bool(ok), norm_spread, tight_err, eq_spread, mu, wb)
 
 
@@ -394,8 +396,7 @@ def _singer_family_mu2(q, d):
     return (q ** d - q) ** 2 / (q ** 2 * (q ** d - 1) ** 2)
 
 
-def family_table_rows(quadratic=(), quartic=(), singer=(), catalog=None,
-                      measure_limit=TABLE_MEASURE_LIMIT):
+def family_table_rows(quadratic=(), quartic=(), singer=(), measure_limit=TABLE_MEASURE_LIMIT):
     """Rows of the difference-set family table: predicted mu^2 vs Welch, plus
     a measurement from the window's ambiguity function (_ambiguity) whenever
     the catalog has the set and N <= measure_limit.
@@ -415,8 +416,6 @@ def family_table_rows(quadratic=(), quartic=(), singer=(), catalog=None,
         if q < 2 or d < 2 or (d + 1) * math.log2(q) >= 1024:
             raise InvalidInputError(
                 f"Singer pair q:d = {q}:{d} needs q >= 2, d >= 2 and q^(d+1) < 2^1024")
-    if catalog is None:
-        catalog = diffsets.catalog_lookup
     rows = []
 
     def add(family, N, K, lam, mu2):
@@ -433,7 +432,7 @@ def family_table_rows(quadratic=(), quartic=(), singer=(), catalog=None,
             "predicted_mu_squared": predicted_coherence(params) ** 2,
             "measured_mu_squared": None,
         }
-        ds = catalog(N, K)
+        ds = diffsets.catalog_lookup(N, K)
         if ds is not None and N <= measure_limit:
             amb = _ambiguity(difference_set_generator(ds).values)
             row["measured_mu_squared"] = _ambiguity_coherence(amb)[0] ** 2

@@ -21,23 +21,15 @@ norms from one reduction.
 Basis pursuit on a dense matrix also stops as soon as its answer is proved:
 every few iterations the support of the shrunk iterate is repaired into a
 support S, by dropping the columns its least-squares fit does not use and
-adding, one by one, the columns that fit misses, and the fit on S is
-returned when a strict dual certificate shows it is the unique l1
-minimiser (Fuchs 2004; Tropp 2004), in the manner of OSQP's solution
-polishing.  Block basis pursuit on a fusion measurement operator is
-certified the same way, block by block (_group_certificate; Eldar &
-Mishali 2009): S is the set of blocks of the shrunk iterate's support, the
-fit is one batched QR over the coordinates, each coordinate's active
-columns padded to the largest count, and a coordinate with more than n
-active columns ends the check before it.  Both certificates end in one
-tail, _strict_dual.  It tests the minimum-norm dual, then, once that fails
-(and on the l1 path only while |S| < n), the iterates of one dual search
-(_dual_search, the refutation's below, inside balls of radius _DUAL_RADIUS;
-a unique minimiser always has a strict certificate: Zhang, Yin & Cheng
-2015).  Each dual is tested as h = A^H W (sgn(x_S) - r_S) + r, W the
-minimum-norm dual map on S, with r = 0 or, for a search iterate g, its
-row-space part g - P g.  The solve's set ``tried`` holds every S whose dual
-was tested, so no S is tested twice in a solve, and a check whose supp(z)
+adding, one by one, the columns that fit misses (_l1_certificate), and the
+fit on S is returned when a strict dual certificate proves it the unique
+minimiser, in the manner of OSQP's solution polishing.  Block basis pursuit
+on a fusion measurement operator is certified the same way, block by block
+(_group_certificate), with the fit on S from one batched QR over the
+coordinates.  Each certificate supplies its fit and its dual map; the proof,
+a minimum-norm dual and then a dual search, is written once, in
+_strict_dual.  The solve's set ``tried`` holds every S whose dual was
+tested, so no S is tested twice in a solve, and a check whose supp(z)
 repeats the last check's is skipped.  Otherwise the iteration runs on
 unchanged until the residual tolerances or the iteration cap stop it.
 
@@ -505,39 +497,58 @@ def _append_column(Q, R, a):
     return np.column_stack((Q, v / norm if norm else v)), grown
 
 
-def _strict_dual(project, support, tried, off_support_max, start):
-    """Whether a strict dual certificate proves optimal the fit on S, the
-    columns or blocks listed in increasing order in ``support``: the tail
-    that _l1_certificate and _group_certificate share.
+def _strict_dual(project, support, tried, dual, fit):
+    """``fit`` if a strict dual certificate proves it the unique minimiser,
+    else None: the proof that _l1_certificate and _group_certificate share.
 
-    ``off_support_max(r)`` is the largest |h_b| (||h_b|| for a block) over
-    the b outside S for the dual h = A^H W (sgn(x_S) - r_S) + r, W the
-    minimum-norm dual map on S.  A_S^H W = I gives h_S = sgn(x_S), and any
-    r in range(A^H) makes h = A^H w for w = W (sgn(x_S) - r_S) + pinv(A^H) r,
-    never formed.  The minimum-norm dual, r = 0 (passed as None), is tested
-    first.  Failing that, unless ``start`` is None, _dual_search runs at
-    _DUAL_RADIUS from the g that start() builds (only then), with the rows
-    of S fixed, and each iterate g is tested with its row-space part
-    r = g - P g, P g the image the search yields; the first to stay below
-    1 - _CERTIFY_MARGIN proves the fit.
+    ``fit`` is the least-squares fit x_S on S, the columns or blocks listed
+    in increasing order in ``support``.  ``dual(r)`` returns the dual
+    h = A^H W (sgn(x_S) - r_S) + r, r = 0 when None, as a (rows, block size)
+    array in stacked order with its rows of S set to sgn(x_S); W is the
+    minimum-norm dual map on S.  A_S^H W = I gives h_S = sgn(x_S), and any r
+    in range(A^H) makes h = A^H w for w = W (sgn(x_S) - r_S) + pinv(A^H) r,
+    never formed.  So when every b outside S has |h_b| (||h_b|| for a block)
+    below 1 - _CERTIFY_MARGIN, w is a strict dual certificate, and the fit
+    is the unique minimiser (Fuchs 2004; Tropp 2004; Eldar & Mishali 2009);
+    a unique minimiser always has one (Zhang, Yin & Cheng 2015).
+
+    The minimum-norm dual, r = 0, is tested first.  Failing that, and only
+    while A_S has fewer columns than A has rows (a square A_S leaves that
+    dual as the only one), _dual_search runs at _DUAL_RADIUS from it, with
+    the rows of S fixed, and each iterate g is tested with its row-space
+    part r = g - P g, P g the image the search yields; the first to pass
+    proves the fit.
 
     ``tried`` holds every S whose dual was tested before in the solve.  A
     success ends the solve, so each of them failed, and fails again: a
-    support in it gives False before any test, and S is added to it.
+    support in it gives None before any test, and S is added to it.
     """
     key = support.tobytes()
     if key in tried:
-        return False
+        return None
     tried.add(key)
-    if off_support_max(None) < 1.0 - _CERTIFY_MARGIN:
-        return True
-    if start is None:
-        return False
-    g = start()
-    fixed = np.zeros(len(g), dtype=bool)
+
+    def strict(h):
+        # |h_b| or ||h_b|| off S: S is zeroed in the new array of norms, not
+        # in h, which the search starts from
+        if h.shape[1] == 1:
+            off = np.abs(h[:, 0])
+        else:
+            off = np.sqrt(_row_squares(h.view(float).reshape(len(h), -1)))
+        off[support] = 0.0
+        return off.max() < 1.0 - _CERTIFY_MARGIN
+
+    h = dual(None)
+    if strict(h):
+        return fit
+    if support.size * h.shape[1] >= project.matrix.shape[0]:
+        return None
+    fixed = np.zeros(len(h), dtype=bool)
     fixed[support] = True
-    return any(off_support_max(g - image) < 1.0 - _CERTIFY_MARGIN
-               for g, image in _dual_search(project, g, fixed, _DUAL_RADIUS))
+    for g, image in _dual_search(project, h, fixed, _DUAL_RADIUS):
+        if strict(dual(g - image)):
+            return fit
+    return None
 
 
 def _l1_certificate(project, z, blocks, tried):
@@ -552,15 +563,10 @@ def _l1_certificate(project, z, blocks, tried):
     while it misses y, S gains the column, never a dropped one, with the
     largest |A_j^H r| for the residual r, up to |S| = n.  An added column
     extends the QR factors of A_S (_append_column); a drop refactors them.
-    The fit is returned (scattered into a length-d vector) only when it is
-    proved optimal: 0 < |S| <= n, A_S has full column rank, A_S x_S = y to
-    a relative _CERTIFY_FIT_TOL, and some w has A_S^H w = sgn(x_S) and
-    |A_j^H w| < 1 - _CERTIFY_MARGIN for every j outside S.  Such a w is a
-    strict dual certificate, and it makes x_S the unique minimiser (Fuchs
-    2004; Tropp 2004); a unique minimiser always has one (Zhang, Yin & Cheng
-    2015).  _strict_dual looks for it with W = Q R^-H, and searches only
-    while |S| < n: a square A_S leaves the minimum-norm w as the only one.
-    Reads z, writes nothing but ``tried``.
+    The fit, scattered into a length-d vector, goes to _strict_dual's proof
+    only when 0 < |S| <= n, A_S has full column rank and A_S x_S = y to a
+    relative _CERTIFY_FIT_TOL; its dual map uses W = Q R^-H.  Reads z,
+    writes nothing but ``tried``.
     """
     A, y = project.matrix, project.y
     n, d = A.shape
@@ -603,25 +609,17 @@ def _l1_certificate(project, z, blocks, tried):
     sign = x_S / mag
     W = Q @ np.linalg.inv(R).conj().T  # Q R^-H
 
-    def off_support_max(r):
-        r = np.zeros(d, dtype=complex) if r is None else r[:, 0]
-        # |h_j| = |(A^H w + r)_j| for w = W (sgn(x_S) - r_S), read as |(w^H A + r^H)_j|
-        off = np.abs((W @ (sign - r[S])).conj() @ A + r.conj())
-        off[S] = 0.0
-        return off.max()
+    def dual(r):
+        # A^H w + r for w = W (sgn(x_S) - r_S), with A^H w read as (w^H A)^H
+        h = ((W @ (sign if r is None else sign - r[S, 0])).conj() @ A).conj()
+        if r is not None:
+            h += r[:, 0]
+        h[S] = sign
+        return h[:, None]
 
-    def start():
-        # the min-norm dual's g = A^H w, with sgn(x_S) exactly on S
-        g = ((W @ sign).conj() @ A).conj()
-        g[S] = sign
-        return g[:, None]
-
-    if not _strict_dual(project, np.sort(S), tried, off_support_max,
-                        start if S.size < n else None):
-        return None
     x = np.zeros(d, dtype=complex)
     x[S] = x_S
-    return x
+    return _strict_dual(project, np.sort(S), tried, dual, x)
 
 
 def _group_certificate(project, z, blocks, tried):
@@ -643,17 +641,16 @@ def _group_certificate(project, z, blocks, tried):
     columns hold Q^H y_m in the |S_m| rows of C_m and the part of y_m
     outside range(C_m) below them.  Blocks whose fitted norm is at most
     _PRUNE_TOL times the largest are dropped for good, and S is refitted.
-    The fit is returned (a length-d vector) only when it is proved optimal:
-    S is nonempty, A_S has full column rank by _l1_certificate's test on R's
-    diagonal, A_S x_S = y to a relative _CERTIFY_FIT_TOL, and some w has
-    A_b^H w = x_b/||x_b|| on S and ||A_b^H w|| < 1 - _CERTIFY_MARGIN for
-    every block b outside S: a strict dual certificate, which makes x_S the
-    unique minimiser of the mixed l2/l1 problem (Eldar & Mishali 2009).
-    _strict_dual looks for it with sgn(x_S) = x_b/||x_b|| on S, read by
-    coordinate: W is C_m (C_m^H C_m)^-1 = C_m R^-1 R^-H on each, the
-    minimum-norm dual map on S, so B_m^H W is one (N, K, width) array built
-    once from the fit, zero at the pads.  An S in ``tried`` is not fitted
-    again.  Reads z, writes nothing but ``tried``.
+    The fit, a length-d vector, goes to _strict_dual's proof only when S is
+    nonempty, A_S has full column rank by _l1_certificate's test on R's
+    diagonal and A_S x_S = y to a relative _CERTIFY_FIT_TOL; there
+    sgn(x_S) = x_b/||x_b|| on S, and ||h_b|| is tested for each block b
+    outside S (Eldar & Mishali 2009).  The dual map is read by coordinate:
+    W is C_m (C_m^H C_m)^-1 = C_m R^-1 R^-H on each, the minimum-norm dual
+    map on S, so B_m^H W is one (N, K, width) array built once from the
+    fit, zero at the pads, and h is scattered to stacked order through the
+    operator's owners table.  An S in ``tried`` is not fitted again.  Reads
+    z, writes nothing but ``tried``.
     """
     op = project.matrix
     if np.count_nonzero(z) > op.shape[0]:
@@ -719,29 +716,22 @@ def _group_certificate(project, z, blocks, tried):
     # B_m^H W_m, W_m = C_m (C_m^H C_m)^-1 the minimum-norm dual map on S
     # (zero at the pads): the dual tested is h = A^H W (sgn(x_S) - r_S) + r
     dual_map = op.blocks.conj().transpose(0, 2, 1) @ (C @ gram_inv)
-    off = ~S
     padded = np.zeros(d + 1, dtype=complex)  # r, and 0 at the pads' index d
 
-    def off_support_max(r):
+    def dual(r):
         if r is not None:
             padded[:d] = r.reshape(-1)
-        h = (dual_map @ (sign - padded[slots].view(dtype).reshape(sign.shape))
-             + padded[op.owners].view(dtype).reshape(N, K, -1))
-        parts = h.view(float).reshape(N * K, -1)[project._placement]
-        return math.sqrt(_row_squares(parts.reshape(count, -1))[off].max(initial=0.0))
+        local = (dual_map @ (sign - padded[slots].view(dtype).reshape(sign.shape))
+                 + padded[op.owners].view(dtype).reshape(N, K, -1))
+        # scattered to stacked order, with sgn(x_S) on S; the pads land on d
+        h = np.empty(d + 1, dtype=complex)
+        h[op.owners] = local.view(complex)[..., 0]
+        h[slots] = sign.view(complex)[..., 0]
+        return h[:d].reshape(count, size)
 
-    def start():
-        # the min-norm dual's g = A^H w, with sgn(x_S) exactly on S
-        g = np.zeros(d + 1, dtype=complex)
-        g[op.owners] = (dual_map @ sign).view(complex)[..., 0]
-        g[slots] = sign.view(complex)[..., 0]
-        return g[:d].reshape(count, size)
-
-    if not _strict_dual(project, np.flatnonzero(S), tried, off_support_max, start):
-        return None
     x = np.zeros(d + 1, dtype=complex)
     x[slots] = fit.view(complex)[..., 0]
-    return x[:d]
+    return _strict_dual(project, np.flatnonzero(S), tried, dual, x[:d])
 
 
 class _Refutation:

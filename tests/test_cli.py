@@ -421,6 +421,18 @@ def test_dimension_beyond_any_frame_exit_code(capsys, tmp_path, monkeypatch, arg
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["classic", "--n", "7", "--generators", "alltop,alltop", "--ks", "1"], "generators"),
+    (["classic", "--n", "7", "--generators", "alltop", "--ks", "1,1"], "sparsity grid [1, 1]"),
+    (["fusion", "--set", "7,3", "--measurements", "2,2", "--ks", "1"], "measurement grid [2, 2]"),
+])
+def test_experiment_repeated_grid_entry_exit_code(capsys, tmp_path, argv, value):
+    rc = cli.main(["experiment", *argv, "--trials", "1", "--out", str(tmp_path / "out.csv")])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and value in captured.err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_experiment_empty_measurement_grid_exit_code(capsys, tmp_path):
     rc = cli.main(["experiment", "fusion", "--set", "7,3", "--measurements", ",",
                    "--out", str(tmp_path / "out.csv")])

@@ -154,6 +154,20 @@ def test_set_params_must_be_two_integers(set_params):
                                                 set_params=set_params)
 
 
+@pytest.mark.parametrize("field, grid", [("generators", ("alltop", "alltop")),
+                                         ("sparsity_grid", (1, 2, 1)),
+                                         ("measurement_grid", (2, 2))])
+def test_repeated_grid_entries_are_rejected(field, grid):
+    # a repeated entry would run its trials again and write its CSV rows twice
+    classic = dict(N=7, sparsity_grid=[1], generators=("alltop",))
+    fusion = dict(set_params=(7, 3), measurement_grid=[2], sparsity_grid=[1])
+    for make, kwargs in ((experiments.ClassicExperimentConfig, classic),
+                         (experiments.FusionExperimentConfig, fusion)):
+        if field in kwargs:
+            with pytest.raises(InvalidInputError, match=field.split("_")[0]):
+                make(**{**kwargs, field: grid})
+
+
 def test_set_params_pairs_are_kept_as_int_tuples():
     fusion_cfg = experiments.FusionExperimentConfig(set_params=[7, np.int64(3)],
                                                     measurement_grid=[2], sparsity_grid=[1])

@@ -619,21 +619,24 @@ def _record_certificate_calls(monkeypatch):
 
 def _record_dual_tests(monkeypatch):
     """(S, whether r = 0) of every dual that _strict_dual tests, S as a
-    tuple of its columns or blocks."""
-    tests = []
+    tuple of its columns or blocks, and a copy of each S's r = 0 dual by S."""
+    tests, min_norm = [], {}
     strict_dual = solvers._strict_dual
 
-    def recording(project, support, tried, off_support_max, start):
+    def recording(project, support, tried, dual, fit):
         S = tuple(support.tolist())
 
         def test(r):
+            h = dual(r)
             tests.append((S, r is None))
-            return off_support_max(r)
+            if r is None:
+                min_norm[S] = h.copy()
+            return h
 
-        return strict_dual(project, support, tried, test, start)
+        return strict_dual(project, support, tried, test, fit)
 
     monkeypatch.setattr(solvers, "_strict_dual", recording)
-    return tests
+    return tests, min_norm
 
 
 def _assert_search_schedule(calls):
@@ -724,12 +727,29 @@ def test_a_square_support_is_not_searched(monkeypatch):
     # fills S up to n = 43 columns, where A_S is square, so the min-norm dual
     # is the only dual and a search could not succeed
     A, x, y = _classic_trial(2, "random_torus", 12, t=1)
-    tests = _record_dual_tests(monkeypatch)
+    tests, _ = _record_dual_tests(monkeypatch)
     searched, _ = _record_searches(monkeypatch)
     res = solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
     assert not res.certified
     assert 43 in [len(S) for S, _ in tests]  # |S| of each dual test
     assert 43 not in [len(S) for S in searched]  # |S| of each search
+
+
+def test_a_square_group_support_is_not_searched(monkeypatch):
+    # two coordinates, each with one row and one column of each of two
+    # blocks: block 0's is 1, block 1's is 2.  x on block 0 puts exactly
+    # n = 1 < K = 2 active columns on every coordinate, so A_S is square and
+    # the minimum-norm dual is the only dual: ||A_1^H w|| = 2 fails it, and a
+    # search could not succeed
+    owners = np.array([[0, 2], [1, 3]])  # block 0 = coefficients 0 and 1
+    local = np.array([[[1.0, 2.0]], [[1.0, 2.0]]])
+    op = solvers.FusionMeasurementOperator(None, solvers.BlockStructure(2, 2), owners, local)
+    x = np.array([1.0, 1.0j, 0.0, 0.0])
+    tests, _ = _record_dual_tests(monkeypatch)
+    searched, _ = _record_searches(monkeypatch)
+    assert _group_certificate(op, op @ x, x) is None
+    assert tests == [((0,), True)]
+    assert searched == []
 
 
 @pytest.mark.parametrize("kind", ["classic", "fusion"])
@@ -755,7 +775,7 @@ def test_no_support_has_its_dual_tested_twice_in_a_solve(kind, monkeypatch):
                                                solvers.SolverConfig(max_iters=2000),
                                                _refute=(x, tau))
     certificate = getattr(solvers, name)
-    tests = _record_dual_tests(monkeypatch)
+    tests, _ = _record_dual_tests(monkeypatch)
     searched, _ = _record_searches(monkeypatch)
     assert not solve().certified
     min_norm = [S for S, zero in tests if zero]
@@ -1516,9 +1536,19 @@ def _fusion_trial(master, n, k):
 def test_certified_search_meets_the_explicit_dual(trial, monkeypatch):
     # the certificates test h = A^H W (sgn(x_S) - r_S) + r, r the row-space
     # part g - P g of a search step, without a pseudoinverse of A^H; the
-    # dual vector behind the step that certifies is rebuilt explicitly
+    # dual vector behind the step that certifies is rebuilt explicitly, and
+    # the search must start from the minimum-norm dual as tested
     kind, *params = trial
     _, searches = _record_searches(monkeypatch)
+    starts = []
+    search = solvers._dual_search
+
+    def starting(project, g, fixed, radius):
+        starts.append(g.copy())
+        return search(project, g, fixed, radius)
+
+    monkeypatch.setattr(solvers, "_dual_search", starting)
+    _, min_norm = _record_dual_tests(monkeypatch)
     if kind == "classic":
         A, x, y = _classic_trial(*params)
         dense, size = A, 1
@@ -1531,6 +1561,9 @@ def test_certified_search_meets_the_explicit_dual(trial, monkeypatch):
     assert np.linalg.norm(certified - x) <= 1e-10 * np.linalg.norm(x)
     (steps,) = searches  # the min-norm dual alone does not certify x
     _assert_explicit_dual(dense, certified, size, *steps[-1])
+    # the search starts from the r = 0 dual that failed, bit for bit
+    ((start,), (tested,)) = starts, min_norm.values()
+    assert start.shape == tested.shape and start.tobytes() == tested.tobytes()
 
 
 def test_the_fusion_reference_trials_keep_their_certificate_totals(monkeypatch):
