@@ -6,6 +6,7 @@ a != b in S.  All counting here is exact integer arithmetic; the DFT identity
 |chi_hat(j)|^2 = K - lambda (j != 0) is the only floating-point statement.
 """
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -186,13 +187,28 @@ def _is_prime(n):
     return True
 
 
-def quadratic_residue_set(q):
-    """Nonzero quadratic residues mod a prime q = 3 (mod 4): a (q, (q-1)/2, (q-3)/4) set."""
+def check_quadratic_modulus(q):
+    """UnsupportedParametersError unless q is a prime = 3 (mod 4) with q >= 7,
+    the moduli whose nonzero quadratic residues form a (q, (q-1)/2, (q-3)/4) set."""
     if not _is_prime(q) or q % 4 != 3:
         raise UnsupportedParametersError(f"q={q} is not a prime congruent to 3 mod 4")
     if q < 7:
         # q=3 gives the single residue {1}, which has no nonzero differences
         raise UnsupportedParametersError(f"q={q} too small: residue set is degenerate")
+
+
+def check_quartic_modulus(p):
+    """UnsupportedParametersError unless p = 4t^2 + 1 is a prime with t odd and
+    t >= 3, the moduli whose nonzero fourth powers form a (p, (p-1)/4, (p-5)/16)
+    set (Chowla); t = 1 gives K = 1 and lambda = 0."""
+    t = math.isqrt(max(p - 1, 0) // 4)
+    if not (p >= 37 and 4 * t * t + 1 == p and t % 2 == 1 and _is_prime(p)):
+        raise UnsupportedParametersError(f"p={p} is not a prime 4t^2 + 1 with t odd and t >= 3")
+
+
+def quadratic_residue_set(q):
+    """Nonzero quadratic residues mod a prime q = 3 (mod 4): a (q, (q-1)/2, (q-3)/4) set."""
+    check_quadratic_modulus(q)
     residues = sorted({(k * k) % q for k in range(1, q)})
     return make_difference_set(q, residues)
 

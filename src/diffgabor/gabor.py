@@ -4,6 +4,11 @@ A generator g in C^N yields the N^2 columns M_j T_k g with
 T_k g(n) = g(n-k mod N) and M_j g(n) = exp(2 pi i j n / N) g(n).
 Columns are ordered c(k, j) = k*N + j so the translates form contiguous
 blocks [B_0 B_1 ... B_{N-1}]; everything downstream relies on that layout.
+
+Column c(k, j) is phases[:, j] * shifts[:, k], a character of Z_N times a
+translate of g, so Phi Phi* = (P P^H) o (S S^H), the Hadamard product of two
+N x N Grams: N-tightness is measured from them, and a GaborFrame builds its
+N x N^2 columns only when first read.
 """
 
 import math
@@ -24,6 +29,9 @@ DENSE_GRAM_LIMIT = 64
 _SCAN_CHUNK = 256
 # largest N the family table measures by default: every catalog set but (101,25)
 TABLE_MEASURE_LIMIT = 64
+# largest quadratic or quartic modulus the family table takes: its primality
+# is tested by trial division, under 0.1 s at this size
+TABLE_MODULUS_LIMIT = 10 ** 12
 # Gram magnitudes this close to the maximum are ties (FFT roundoff is ~1e-15)
 _TIE_TOL = 64 * np.finfo(float).eps
 # is_etf's tolerance on each of the three ETF defects (relative where scaled)
@@ -44,13 +52,20 @@ class Generator:
 
 @dataclass
 class GaborFrame:
+    """The Gabor system of a window, held as the window and N.
+
+    Column c(k, j) = k*N + j is phases[:, j] * shifts[:, k], the product of a
+    character of Z_N and a translate of g (``_factors``); the N x N^2
+    ``columns`` are built on first read, which the solvers, the classic
+    trials and the dense oracles make; coherence and tightness never do.
+    """
+
     generator: Generator
     N: int
-    columns: np.ndarray  # N x N^2, column c(k,j) = k*N + j
 
     @property
     def shape(self):
-        return self.columns.shape
+        return (self.N, self.N * self.N)
 
     @property
     def frame_bound(self):
@@ -58,9 +73,31 @@ class GaborFrame:
         return self.N * self.generator.norm ** 2
 
     @cached_property
+    def _factors(self):
+        """(phases, shifts): phases[n, j] = exp(2 pi i n j / N), shifts[n, k] = (T_k g)(n)."""
+        n = np.arange(self.N)
+        phases = np.exp(2j * np.pi * np.outer(n, n) / self.N)
+        shifts = self.generator.values[(n[:, None] - n[None, :]) % self.N]
+        return phases, shifts
+
+    @cached_property
+    def columns(self):
+        """The N x N^2 matrix, column c(k, j) = M_j T_k g; built on first read."""
+        phases, shifts = self._factors
+        # phases stay the left operand: the swapped product differs in the last bit
+        return (phases[:, None, :] * shifts[:, :, None]).reshape(self.N, self.N * self.N)
+
+    @cached_property
     def tightness_error(self):
-        """Max-entry deviation of Phi Phi* from frame_bound * I (roundoff); formed when read."""
-        H = self.columns @ self.columns.conj().T
+        """Max-entry deviation of Phi Phi* from frame_bound * I (roundoff); formed when read.
+
+        Every column is a product phases[:, j] * shifts[:, k], so Phi Phi* is the
+        Hadamard product (P P^H) o (S S^H) of the character Gram P P^H = N I and
+        the circulant Gram S S^H of the translates: two N x N products, and
+        no N x N^2 matrix.
+        """
+        phases, shifts = self._factors
+        H = (phases @ phases.conj().T) * (shifts @ shifts.conj().T)
         return float(np.max(np.abs(H - self.frame_bound * np.eye(self.N))))
 
     def column_index(self, k, j):
@@ -168,21 +205,15 @@ def build_gabor_frame(generator):
     Returns
     -------
     GaborFrame
-        columns[:, k*N + j] = M_j T_k g; the system is always a
-        frame_bound-tight frame, frame_bound = N ||g||^2 (N-tightness).
+        columns[:, k*N + j] = M_j T_k g, built when first read; the system
+        is always a frame_bound-tight frame, frame_bound = N ||g||^2
+        (N-tightness).
     """
     if not isinstance(generator, Generator):
         generator = Generator(generator)
-    g = generator.values
-    N = g.shape[0]
     if generator.norm == 0.0:
         raise InvalidInputError("zero generator does not span anything")
-    n = np.arange(N)
-    phases = np.exp(2j * np.pi * np.outer(n, n) / N)  # phases[n, j]
-    shifts = g[(n[:, None] - n[None, :]) % N]  # shifts[n, k] = (T_k g)(n)
-    # phases stay the left operand: the swapped product differs in the last bit
-    columns = (phases[:, None, :] * shifts[:, :, None]).reshape(N, N * N)
-    return GaborFrame(generator, N, columns)
+    return GaborFrame(generator, generator.values.shape[0])
 
 
 def _coherence_scan(columns):
@@ -401,12 +432,16 @@ def family_table_rows(quadratic=(), quartic=(), singer=(), measure_limit=TABLE_M
     a measurement from the window's ambiguity function (_ambiguity) whenever
     the catalog has the set and N <= measure_limit.
 
-    quadratic: primes q = 3 mod 4 -> (q, (q-1)/2, (q-3)/4), mu^2 = (q-3)^2/(4(q-1)^2).
-    quartic:   primes p in {37, 101} (catalog-backed) -> (p, (p-1)/4, (p-5)/16),
-               mu^2 = (3p+1)/(p-1)^2 below p=57 and (p-5)^2/(16(p-1)^2) above.
+    quadratic: primes q = 3 mod 4, q >= 7 -> (q, (q-1)/2, (q-3)/4),
+               mu^2 = (q-3)^2/(4(q-1)^2).
+    quartic:   primes p = 4t^2 + 1, t odd and t >= 3 (37, 101, 197, ...) ->
+               (p, (p-1)/4, (p-5)/16), mu^2 = (3p+1)/(p-1)^2 below p=57 and
+               (p-5)^2/(16(p-1)^2) above; the catalog holds 37 and 101.
     singer:    pairs (q, d) -> ((q^{d+1}-1)/(q-1), (q^d-1)/(q-1), (q^{d-1}-1)/(q-1)),
                q >= 2 and d >= 2 (d = 1 gives lambda = 0), and q^{d+1} < 2^1024
                so that N and the row's floats stay finite.
+    Quadratic and quartic moduli are at most TABLE_MODULUS_LIMIT; a value
+    outside its family is rejected with the family's rule.
     """
     from . import diffsets
 
@@ -416,18 +451,26 @@ def family_table_rows(quadratic=(), quartic=(), singer=(), measure_limit=TABLE_M
         if q < 2 or d < 2 or (d + 1) * math.log2(q) >= 1024:
             raise InvalidInputError(
                 f"Singer pair q:d = {q}:{d} needs q >= 2, d >= 2 and q^(d+1) < 2^1024")
+    for family, moduli, check in (("quadratic", quadratic, diffsets.check_quadratic_modulus),
+                                  ("quartic", quartic, diffsets.check_quartic_modulus)):
+        for N in moduli:
+            if N > TABLE_MODULUS_LIMIT:
+                raise InvalidInputError(
+                    f"{family} row N={N} exceeds the table's modulus limit {TABLE_MODULUS_LIMIT}")
+            try:
+                check(N)
+            except UnsupportedParametersError as exc:
+                raise UnsupportedParametersError(f"{family} row N={N}: {exc}") from None
     rows = []
 
     def add(family, N, K, lam, mu2):
-        """``mu2`` gives the family's mu^2, called once (N, K, lam) is valid:
-        an N below 2 would divide by zero."""
         params = DifferenceSetParams(N, K, lam)
         row = {
             "family": family,
             "N": N,
             "K": K,
             "lambda": lam,
-            "mu_squared": float(mu2()),
+            "mu_squared": float(mu2),
             "welch_squared": 1.0 / (N + 1),
             "predicted_mu_squared": predicted_coherence(params) ** 2,
             "measured_mu_squared": None,
@@ -442,11 +485,10 @@ def family_table_rows(quadratic=(), quartic=(), singer=(), measure_limit=TABLE_M
         N = (q ** (d + 1) - 1) // (q - 1)
         K = (q ** d - 1) // (q - 1)
         lam = (q ** (d - 1) - 1) // (q - 1)
-        add(f"singer d={d}", N, K, lam, lambda: _singer_family_mu2(q, d))
+        add(f"singer d={d}", N, K, lam, _singer_family_mu2(q, d))
     for q in quadratic:
-        add("quadratic", q, (q - 1) // 2, (q - 3) // 4,
-            lambda: (q - 3) ** 2 / (4 * (q - 1) ** 2))
+        add("quadratic", q, (q - 1) // 2, (q - 3) // 4, (q - 3) ** 2 / (4 * (q - 1) ** 2))
     for p in quartic:
         add("quartic", p, (p - 1) // 4, (p - 5) // 16,
-            lambda: (3 * p + 1) / (p - 1) ** 2 if p < 57 else (p - 5) ** 2 / (16 * (p - 1) ** 2))
+            (3 * p + 1) / (p - 1) ** 2 if p < 57 else (p - 5) ** 2 / (16 * (p - 1) ** 2))
     return rows

@@ -261,8 +261,9 @@ class AffineProjection:
 
     def _row_step(self, w, r, out):
         """w - F^H (s r) into ``out``, in the row-factor form; scales the new
-        array r in place."""
-        r *= self._scale
+        array r in place; s = 1, the dense form, skips the scaling."""
+        if self._scale != 1.0:
+            r *= self._scale
         return np.subtract(w, (r.conj() @ self._rows).conj(), out=out)
 
     def _null_image(self, w):

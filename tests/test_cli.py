@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -374,6 +375,42 @@ def test_gabor_table_bad_singer_pair_exit_code(capsys, pair):
     rc = cli.main(["gabor", "table", "--singer", pair])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == "" and f"q:d = {pair}" in captured.err
+
+
+_FAMILY_REJECTS = [
+    ("--quadratic", "15", "q=15 is not a prime congruent to 3 mod 4"),
+    ("--quadratic", "13", "q=13 is not a prime congruent to 3 mod 4"),
+    ("--quadratic", "3", "q=3 too small: residue set is degenerate"),
+    ("--quadratic", "1000000000039", "modulus limit 1000000000000"),
+    ("--quartic", "21", "p=21 is not a prime 4t^2 + 1 with t odd and t >= 3"),
+    ("--quartic", "5", "p=5 is not a prime 4t^2 + 1 with t odd and t >= 3"),
+    ("--quartic", "65", "p=65 is not a prime 4t^2 + 1 with t odd and t >= 3"),
+    ("--quartic", "17", "p=17 is not a prime 4t^2 + 1 with t odd and t >= 3"),
+]
+
+
+@pytest.mark.parametrize("flag, value, message", _FAMILY_REJECTS,
+                         ids=[f"{flag[2:]}-{value}" for flag, value, _ in _FAMILY_REJECTS])
+def test_gabor_table_value_outside_its_family_exit_code(capsys, flag, value, message):
+    # 15 is not prime, 13 = 1 mod 4, 21 is not 4t^2 + 1, 65 = 4*4^2 + 1 is not
+    # prime, 17 = 4*2^2 + 1 has t even: none gives the family's difference set
+    rc = cli.main(["gabor", "table", flag, value])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert message in captured.err and f"row N={value}" in captured.err
+
+
+def test_gabor_table_default_bytes(capsys):
+    # the default table's bytes, version line aside, as before the family checks
+    rc, out = _run(capsys, "gabor", "table")
+    assert rc == 0
+    body = "\n".join(line for line in out.split("\n") if not line.startswith('  "version": '))
+    assert hashlib.sha256(body.encode("ascii")).hexdigest() == (
+        "0293576fb58b7be51dcd9a04447932dc3b7acd542bb61a7b374f8be4d57a87aa")
+    rc, doc = _run_json(capsys, "gabor", "table", "--quartic", "197", "--quadratic", "7")
+    assert rc == 0
+    assert [(r["N"], r["K"], r["lambda"]) for r in doc["report"]["rows"][-2:]] == [
+        (7, 3, 1), (197, 49, 12)]
 
 
 def test_gabor_table_singer_pair_beyond_float_range(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffgabor import diffsets, gabor, solvers
+from diffgabor import cli, diffsets, gabor, solvers
 from diffgabor.errors import InvalidInputError, UnsupportedParametersError
 
 
@@ -88,12 +88,65 @@ def _roll_oracle_columns(g):
 @pytest.mark.parametrize("generator", [
     gabor.alltop_generator(7), gabor.alltop_generator(43), gabor.random_torus_generator(2, 5),
     gabor.difference_set_generator(diffsets.catalog_lookup(43, 21)),
-    gabor.Generator(np.array([0.5, -1.0 + 2.0j, 0.0, 3.0j, 0.25, -0.75, 1e-3]))],
-    ids=["alltop-7", "alltop-43", "torus-2", "ds-43", "custom-7"])
+    gabor.Generator(np.array([0.5, -1.0 + 2.0j, 0.0, 3.0j, 0.25, -0.75, 1e-3])),
+    gabor.Generator(np.array([-2.5j]))],
+    ids=["alltop-7", "alltop-43", "torus-2", "ds-43", "custom-7", "custom-1"])
 def test_build_gabor_frame_columns_match_roll_oracle(generator):
     frame = gabor.build_gabor_frame(generator)
+    N = generator.values.size
+    assert frame.shape == (N, N * N)
+    assert "columns" not in vars(frame)  # built on first read
     assert frame.columns.flags.c_contiguous
+    assert frame.columns is frame.columns
+    # bit for bit: the same column product as the translate-by-translate build
     assert np.array_equal(frame.columns, _roll_oracle_columns(generator.values))
+
+
+def _custom_window(N):
+    """A window with zeros and entries of mixed size and phase, nonzero at n = 0."""
+    rng = np.random.default_rng(N)
+    g = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * 10.0 ** rng.uniform(-2, 2, N)
+    g[1::3] = 0.0
+    g[0] = 0.75 - 2.0j
+    return gabor.Generator(g)
+
+
+_TIGHTNESS_WINDOWS = (
+    [gabor.alltop_generator(N) for N in (7, 13, 43)]
+    + [gabor.difference_set_generator(diffsets.catalog_lookup(N, K))
+       for N, K in [(3, 2), (7, 3), (13, 4), (43, 21)]]
+    + [gabor.random_torus_generator(N, 11) for N in (1, 2, 3, 7, 13, 43)]
+    + [_custom_window(N) for N in (1, 2, 3, 7, 13, 43)])
+
+
+@pytest.mark.parametrize("generator", _TIGHTNESS_WINDOWS,
+                         ids=lambda g: f"{g.kind}-{g.values.size}")
+def test_factored_tightness_error_matches_dense_oracle(generator):
+    # Phi Phi* = (P P^H) o (S S^H) from the two N x N factors, against the
+    # dense N x N^2 product it replaces
+    frame = gabor.build_gabor_frame(generator)
+    c = frame.frame_bound
+    factored = frame.tightness_error
+    assert "columns" not in vars(frame)
+    dense = np.max(np.abs(frame.columns @ frame.columns.conj().T - c * np.eye(frame.N)))
+    assert abs(factored - dense) <= 1e-13 * c
+    assert factored <= 1e-13 * c
+
+
+def test_coherence_and_tightness_never_build_the_columns(monkeypatch, capsys):
+    frame = gabor.build_gabor_frame(gabor.difference_set_generator(diffsets.catalog_lookup(43, 21)))
+    gabor.mutual_coherence(frame)
+    assert frame.tightness_error < 1e-10
+    assert frame.shape == (43, 43 * 43)
+    assert "columns" not in vars(frame)
+
+    def unbuilt(self):
+        raise AssertionError("the N x N^2 columns were built")
+
+    monkeypatch.setattr(gabor.GaborFrame, "columns", property(unbuilt))
+    for argv in (["--set", "43,21"], ["--alltop", "43"], ["--random", "13", "--seed", "3"]):
+        assert cli.main(["gabor", "coherence", *argv]) == 0
+        assert '"tightness_error"' in capsys.readouterr().out
 
 
 def test_translate_modulate_basics():
