@@ -1,11 +1,12 @@
 """In-house ADMM solvers for complex basis pursuit and its block variant.
 
-Splitting: min ||z||_1 (or sum of block norms) subject to x in {Ax = y}, x = z.
-The x-update is an exact affine projection in one of two forms chosen by
-the type of A (AffineProjection), and the z-update is the complex (block)
-soft threshold.  A dense matrix takes row factors from its economy SVD, and
-so does a Gabor frame, whose SVD N-tightness (A A* = N ||g||^2 I) gives in
-closed form.  A fusion measurement operator takes coordinate blocks: a QR
+Both solve min sum_b ||x_b|| subject to Ax = y with one ADMM (_admm): l1
+is the case of blocks of size 1 (Eldar & Mishali 2009).  Splitting: x in
+{Ax = y}, x = z.  The x-update is an exact affine projection in one of two
+forms chosen by the type of A (AffineProjection), and the z-update is the
+block soft threshold.  A dense matrix takes row factors from its economy
+SVD, and so does a Gabor frame, whose SVD N-tightness (A A* = N ||g||^2 I)
+gives in closed form.  A fusion measurement operator takes coordinate blocks: a QR
 factorization of its local blocks, one per coordinate, real for real
 coefficients, with an SVD when full rank cannot be proved from R (see
 _blockwise_qr).  Basis pursuit is positively homogeneous, so the iteration
@@ -18,20 +19,23 @@ operator with n >= K measurements per coordinate is such a case.  The
 iteration itself updates preallocated buffers and takes its five stopping
 norms from one reduction.
 
-Basis pursuit on a dense matrix also stops as soon as its answer is proved:
-every few iterations the support of the shrunk iterate is repaired into a
-support S, by dropping the columns its least-squares fit does not use and
-adding, one by one, the columns that fit misses (_l1_certificate), and the
-fit on S is returned when a strict dual certificate proves it the unique
-minimiser, in the manner of OSQP's solution polishing.  Block basis pursuit
-on a fusion measurement operator is certified the same way, block by block
-(_group_certificate), with the fit on S from one batched QR over the
-coordinates.  Each certificate supplies its fit and its dual map; the proof,
-a minimum-norm dual and then a dual search, is written once, in
-_strict_dual.  The solve's set ``tried`` holds every S whose dual was
-tested, so no S is tested twice in a solve, and a check whose supp(z)
-repeats the last check's is skipped.  Otherwise the iteration runs on
-unchanged until the residual tolerances or the iteration cap stop it.
+A solve also stops as soon as its answer is proved: every few iterations
+the support of the shrunk iterate is repaired into a support S, and the
+least-squares fit on S is returned when a strict dual certificate proves it
+the unique minimiser, in the manner of OSQP's solution polishing.  A and
+the blocks choose the certificate:
+
+    A                           blocks      certificate
+    FusionMeasurementOperator   any size    _group_certificate
+    dense matrix or GaborFrame  size 1      _l1_certificate
+    dense matrix                size > 1    none (the tests' oracle)
+
+Each supplies its fit and its dual map; the proof, a minimum-norm dual and
+then a dual search, is written once, in _strict_dual.  The solve's set
+``tried`` holds every S whose dual was tested, so no S is tested twice in
+a solve, and a check whose supp(z) repeats the last check's is skipped.
+Otherwise the iteration runs on unchanged until the residual tolerances or
+the iteration cap stop it.
 
 A recovery trial may also stop a solve once it is proved a failure.  The
 trial passes its planted signal x, with k nonzero entries (or blocks), and
@@ -80,8 +84,8 @@ _CONSISTENCY_TOL = 1e-8
 # computed R is exact for a perturbation of B of order p * eps * ||B||, and
 # near the cutoff R^-1 is computed to about p / size <= 1/N relative
 _RANK_MARGIN = 2.0
-# basis pursuit, and block basis pursuit on a fusion operator, try to certify
-# the iterate every this many iterations
+# a solve that has a certificate (see _admm) tries to certify the iterate
+# every this many iterations
 _CERTIFY_PERIOD = 10
 # a dual certificate must keep |A_j^H w| (||A_b^H w|| for a block) below
 # 1 - margin off the support
@@ -376,24 +380,32 @@ def _shrinkage(norms, tau):
     return np.subtract(1.0, norms, out=norms)
 
 
-def _entry_shrink(v, out):
-    """The complex soft threshold of the 1-d v into ``out``, unchecked, as a
-    function of tau alone (the ADMM z-update): the magnitude buffer is bound once."""
-    magnitudes = np.empty(len(v))
+def _block_norms(v, count, out=None):
+    """The norm of each of the ``count`` equal blocks of the complex 1-d v,
+    written to ``out`` if given: |v_j| at size 1, else from _row_squares."""
+    if v.size == count:
+        return np.abs(v, out=out)
+    return np.sqrt(_row_squares(v.view(float).reshape(count, -1), out), out=out)
 
-    def shrink(tau):
-        np.multiply(v, _shrinkage(np.abs(v, out=magnitudes), tau), out=out)
 
-    return shrink
+def _objective(v, blocks):
+    """sum_b ||v_b||: ||v||_1 for blocks of size 1."""
+    return np.sum(_block_norms(v, blocks.block_count))
 
 
 def _block_shrink(v, out, count):
     """The block soft threshold of v, split into ``count`` equal blocks, into
-    ``out``, unchecked, as a function of tau alone (the ADMM z-update): its
-    real views, norm buffer and (count, 1, 1) matmul target are bound once."""
+    ``out``, unchecked, as a function of tau alone (the ADMM z-update): at
+    size 1 the complex multiply, with the signed zeros of z * factor, else
+    on real views; the branch, views and norm buffer are bound once."""
+    norms = np.empty(count)
+    if v.size == count:
+        def shrink(tau):
+            np.multiply(v, _shrinkage(np.abs(v, out=norms), tau), out=out)
+
+        return shrink
     parts = v.view(float).reshape(count, -1)  # per block: real and imaginary parts
     target = out.view(float).reshape(count, -1)
-    norms = np.empty(count)
     squares, scale = norms.reshape(count, 1, 1), norms[:, None]
     rows, columns = parts[:, None, :], parts[:, :, None]
 
@@ -410,11 +422,9 @@ def complex_soft_threshold(z, tau):
     if not (math.isfinite(tau) and tau >= 0):
         raise InvalidInputError(f"threshold tau={tau} must be nonnegative and finite")
     arr = np.asarray(z, dtype=complex)
-    out = np.empty(arr.size, dtype=complex)
-    _entry_shrink(arr.reshape(-1), out)(tau)
-    if arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(arr.shape)
+    out = np.empty(arr.shape, dtype=complex)
+    _block_shrink(arr.reshape(-1), out.reshape(-1), arr.size)(tau)
+    return complex(out) if arr.ndim == 0 else out
 
 
 def block_soft_threshold(z, tau, blocks):
@@ -532,10 +542,7 @@ def _strict_dual(project, support, tried, dual, fit):
     def strict(h):
         # |h_b| or ||h_b|| off S: S is zeroed in the new array of norms, not
         # in h, which the search starts from
-        if h.shape[1] == 1:
-            off = np.abs(h[:, 0])
-        else:
-            off = np.sqrt(_row_squares(h.view(float).reshape(len(h), -1)))
+        off = _block_norms(h.reshape(-1), len(h))
         off[support] = 0.0
         return off.max() < 1.0 - _CERTIFY_MARGIN
 
@@ -759,12 +766,12 @@ class _Refutation:
     is computed only when f(x_k) is already below the bound without it.
     """
 
-    def __init__(self, x, tau, blocks, objective, project, ynorm):
+    def __init__(self, x, tau, blocks, project, ynorm):
         # only what the checks before _TIGHTEN_AT read: most solves stop sooner
         x = np.asarray(x, dtype=complex).reshape(-1) / ynorm
-        self._x, self._objective, self._project = x, objective, project
+        self._x, self._blocks, self._project = x, blocks, project
         self._parts = x.reshape(blocks.block_count, blocks.block_size)
-        self._value = objective(x)
+        self._value = _objective(x, blocks)
         self._radius = math.sqrt(tau) * float(np.linalg.norm(x))
         self._margin = math.sqrt(np.count_nonzero(self._parts.any(axis=1)))
         self._tightened = False
@@ -789,7 +796,7 @@ class _Refutation:
 
     def _tighten(self):
         self._tightened = True
-        norms = np.linalg.norm(self._parts, axis=1)
+        norms = _block_norms(self._x, len(self._parts))
         on = norms > 0
         g = np.zeros_like(self._parts)
         np.divide(self._parts, norms[:, None], out=g, where=on[:, None])
@@ -804,7 +811,7 @@ class _Refutation:
         """Whether the projection output v at iteration ``it`` is proved a failure."""
         if it >= _TIGHTEN_AT and not self._tightened:
             self._tighten()
-        value = self._objective(v)
+        value = _objective(v, self._blocks)
         bound = self._value - self._margin * self._radius
         if not value < bound:
             return False
@@ -827,18 +834,22 @@ def scaled_norm(v):
     return value
 
 
-def _admm(A, y, cfg, blocks, make_shrink, objective, certificate=None, refute=None):
-    """ADMM for min objective(x) s.t. Ax = y, with ``make_shrink(v, out)``
-    giving its proximal map of v into ``out`` as a function of tau alone, and
-    ``blocks`` the blocks objective sums the norms of (size 1 for l1).
+def _admm(A, y, cfg, blocks, refute=None):
+    """ADMM for min sum_b ||x_b|| s.t. Ax = y over the BlockStructure
+    ``blocks``, of size 1 for l1.  The z-update (_block_shrink), the
+    objective (_objective) and the certificate follow from A and the blocks:
+
+        A                           blocks      certificate
+        FusionMeasurementOperator   any size    _group_certificate
+        dense matrix or GaborFrame  size 1      _l1_certificate
+        dense matrix                size > 1    none
 
     A full-column-rank A has one feasible point, returned with 0 iterations.
-    Otherwise, every _CERTIFY_PERIOD iterations it calls ``certificate``
-    (project, z, blocks, tried), if given (_l1_certificate or
-    _group_certificate), on a supp(z) unlike the last check's; ``tried`` is
-    the solve's set of supports whose duals _strict_dual has tested, each
-    tested once, and a proved minimiser returned stops the solve.  Then,
-    when ``refute`` = (x, tau) names a
+    Otherwise, every _CERTIFY_PERIOD iterations it calls the certificate
+    (project, z, blocks, tried), if there is one, on a supp(z) unlike the
+    last check's; ``tried`` is the solve's set of supports whose duals
+    _strict_dual has tested, each tested once, and a proved minimiser
+    returned stops the solve.  Then, when ``refute`` = (x, tau) names a
     recovery trial's planted signal and NSE threshold, it stops with
     STATUS_REFUTED as soon as the projection output is proved to lie, with
     every minimiser, farther than NSE tau from x (_Refutation).
@@ -853,11 +864,12 @@ def _admm(A, y, cfg, blocks, make_shrink, objective, certificate=None, refute=No
         return SolveResult(np.zeros(d, dtype=complex), 0, 0.0, 0.0, STATUS_CONVERGED)
     project = AffineProjection(A, y / ynorm)
     if project.rank == d:
-        solution, value = _rescale(project(np.zeros(d, dtype=complex)), ynorm, objective)
+        solution, value = _rescale(project(np.zeros(d, dtype=complex)), ynorm, blocks)
         return SolveResult(solution, 0, 0.0, 0.0, STATUS_CONVERGED, objective=value)
     # f is positively homogeneous, so the bound is compared in the scale of y / ||y||
-    refutation = None if refute is None else _Refutation(*refute, blocks, objective,
-                                                         project, ynorm)
+    refutation = None if refute is None else _Refutation(*refute, blocks, project, ynorm)
+    certificate = (_group_certificate if isinstance(A, FusionMeasurementOperator)
+                   else _l1_certificate if blocks.block_size == 1 else None)
     # rows x - z, z - z_old, x, z, u: their squared norms are one reduction
     # over the real view; the first two are kept as the residual history
     rows = np.zeros((5, d), dtype=complex)
@@ -867,7 +879,7 @@ def _admm(A, y, cfg, blocks, make_shrink, objective, certificate=None, refute=No
     # grows per iteration: max_iters bounds the loop, not memory
     history = []
     w = np.empty(d, dtype=complex)
-    shrink = make_shrink(w, z)
+    shrink = _block_shrink(w, z, blocks.block_count)
     rho = cfg.rho
     tau = 1.0 / rho
     tol_primal = cfg.tol_primal * math.sqrt(d)
@@ -911,7 +923,7 @@ def _admm(A, y, cfg, blocks, make_shrink, objective, certificate=None, refute=No
                 break
     history = np.sqrt(history)
     history[:, 1] *= rho
-    solution, value = _rescale(x, ynorm, objective)
+    solution, value = _rescale(x, ynorm, blocks)
     return SolveResult(
         solution=solution,
         iterations=it,
@@ -924,24 +936,24 @@ def _admm(A, y, cfg, blocks, make_shrink, objective, certificate=None, refute=No
     )
 
 
-def _rescale(x, ynorm, objective):
+def _rescale(x, ynorm, blocks):
     """The solution x * ynorm of the problem in y's own scale, and its
-    objective; InvalidInputError when either is beyond double precision.
-    The objective is at least each |entry|, so a finite one proves every
-    entry of the solution finite."""
+    objective over ``blocks``; InvalidInputError when either is beyond
+    double precision.  The objective is at least each |entry|, so a finite
+    one proves every entry of the solution finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         solution = x * ynorm
-        value = float(objective(solution))
+        value = float(_objective(solution, blocks))
         # f is positively homogeneous, so it is recomputed at a scale where
         # its block norms neither overflow nor underflow: x's, or that of
         # the solution's largest real or imaginary part
         if not math.isfinite(value):
-            value = ynorm * float(objective(x))
+            value = ynorm * float(_objective(x, blocks))
         elif value == 0.0 and solution.any():
             # divided as reals: a complex quotient squares the scale
             parts = solution.view(float)
             scale = float(np.abs(parts).max())
-            value = scale * float(objective((parts / scale).view(complex)))
+            value = scale * float(_objective((parts / scale).view(complex), blocks))
     if not math.isfinite(value):
         raise InvalidInputError(
             f"the solution or its objective ({value}) is beyond double precision")
@@ -949,36 +961,32 @@ def _rescale(x, ynorm, objective):
 
 
 def basis_pursuit(matrix, y, cfg=None, *, _refute=None):
-    """min ||x||_1 subject to Ax = y, complex-native ADMM.
+    """min ||x||_1 subject to Ax = y, complex-native ADMM: block_basis_pursuit
+    with blocks of size 1, the same solve.
 
-    On a dense matrix, every _CERTIFY_PERIOD iterations the support of the
-    shrunk iterate is fitted by least squares and checked with a strict dual
-    certificate (see _l1_certificate); once it passes, that fit is returned,
-    ``certified`` is True and it is the exact, unique minimiser.  Otherwise
-    the solution is the last projection output, so it satisfies the
-    measurements to machine precision whenever y is consistent; on
-    convergence it also matches the shrunk iterate to the stated tolerances.
+    Every _CERTIFY_PERIOD iterations the support of the shrunk iterate is
+    fitted by least squares and checked with a strict dual certificate (see
+    _admm); once it passes, that fit is returned, ``certified`` is True and
+    it is the exact, unique minimiser.  Otherwise the solution is the last
+    projection output, so it satisfies the measurements to machine
+    precision whenever y is consistent; on convergence it also matches the
+    shrunk iterate to the stated tolerances.
 
     ``_refute`` = (x, tau) is for recovery trials only: see _admm and the
     module docstring for the STATUS_REFUTED stop it enables.
     """
     cfg = cfg or SolverConfig()
     A = _as_operator(matrix)
-    certificate = None if isinstance(A, FusionMeasurementOperator) else _l1_certificate
-    return _admm(A, y, cfg, BlockStructure(A.shape[1], 1), _entry_shrink,
-                 lambda v: np.sum(np.abs(v)), certificate=certificate, refute=_refute)
+    return _admm(A, y, cfg, BlockStructure(A.shape[1], 1), refute=_refute)
 
 
 def block_basis_pursuit(matrix, y, blocks, cfg=None, *, _refute=None):
     """min sum_b ||x_b||_2 subject to Ax = y (mixed l2/l1, block sparsity).
 
-    On a FusionMeasurementOperator, every _CERTIFY_PERIOD iterations the
-    blocks of the shrunk iterate's support are fitted by least squares and
-    checked with a strict group dual certificate (see _group_certificate);
-    once it passes, that fit is returned, ``certified`` is True and it is
-    the exact, unique minimiser.  A dense matrix has no certificate.
-    Otherwise the solution is the last projection output, as in
-    basis_pursuit.  ``_refute`` is for recovery trials only, as there.
+    The solve of basis_pursuit, certified as there wherever _admm has a
+    certificate: on a FusionMeasurementOperator block by block
+    (_group_certificate), and not on a dense matrix with blocks larger than
+    1.  ``_refute`` is for recovery trials only, as there.
     """
     cfg = cfg or SolverConfig()
     A = _as_operator(matrix)
@@ -986,16 +994,7 @@ def block_basis_pursuit(matrix, y, blocks, cfg=None, *, _refute=None):
         raise InvalidInputError(
             f"block structure covers {blocks.dimension} coefficients, matrix has {A.shape[1]}"
         )
-
-    def make_shrink(v, out):
-        return _block_shrink(v, out, blocks.block_count)
-
-    def objective(v):
-        return np.sum(np.linalg.norm(v.reshape(blocks.block_count, blocks.block_size), axis=1))
-
-    certificate = _group_certificate if isinstance(A, FusionMeasurementOperator) else None
-    return _admm(A, y, cfg, blocks, make_shrink, objective, certificate=certificate,
-                 refute=_refute)
+    return _admm(A, y, cfg, blocks, refute=_refute)
 
 
 def gaussian_measurement_coefficients(n, N, seed, complex_valued=False):

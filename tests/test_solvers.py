@@ -91,6 +91,29 @@ def test_shrink_kernels_match_the_formula(tau):
                                rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 3.0])
+def test_soft_thresholds_keep_the_signed_zeros_of_z_times_factor(tau):
+    # entries (blocks of size 1) are shrunk by the complex multiply
+    # z * factor, whose zero parts can have other signs than a multiply of
+    # the real and imaginary parts gives
+    zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    z = np.array(zeros + [-0.0 - 1.5j, 0.0 - 1.5j, -1.5 + 0.0j, -1.5 - 0.0j, -0.0 + 4.0j,
+                          -2.0 - 0.0j, 1e-320 - 0.0j])
+    factor = np.maximum(1.0 - tau / np.maximum(np.abs(z), np.finfo(float).tiny), 0.0)
+    expected = z * factor
+    for out in (solvers.complex_soft_threshold(z, tau),
+                solvers.block_soft_threshold(z, tau, solvers.BlockStructure(z.size, 1))):
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out.real), np.signbit(expected.real))
+        assert np.array_equal(np.signbit(out.imag), np.signbit(expected.imag))
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_complex_soft_threshold_of_an_empty_array(shape):
+    out = solvers.complex_soft_threshold(np.zeros(shape, dtype=complex), 0.5)
+    assert out.shape == shape and out.dtype == complex
+
+
 def test_block_structure():
     blocks = solvers.BlockStructure(4, 3)
     assert blocks.dimension == 12
@@ -882,11 +905,11 @@ def test_certified_solve_is_feasible_and_no_worse_than_planted(seed, n, extra, k
         assert np.abs(res.solution).sum() <= np.abs(x0).sum() * (1 + 1e-10)
 
 
-def _initial_refutation_bound(A, x, y, tau, blocks, objective):
+def _initial_refutation_bound(A, x, y, tau, blocks):
     """The bound a solve compares its first checks with, in the scale of y."""
     ynorm = np.linalg.norm(y)
     project = solvers.AffineProjection(A, y / ynorm)
-    refutation = solvers._Refutation(x, tau, blocks, objective, project, ynorm)
+    refutation = solvers._Refutation(x, tau, blocks, project, ynorm)
     return (refutation._value - refutation._margin * refutation._radius) * ynorm
 
 
@@ -902,11 +925,10 @@ def test_refutation_spares_a_minimiser_inside_the_nse_ball():
     minimiser = np.array([y[0], 0.0])
     assert np.abs(minimiser).sum() < np.abs(x).sum()
     assert experiments.normalized_squared_error(minimiser, x) < tau
-    blocks = solvers.BlockStructure(2, 1)  # l1 without the certified stop
-    bound = _initial_refutation_bound(
-        A, x, y, tau, blocks, lambda v: np.linalg.norm(v.reshape(2, 1), axis=1).sum())
-    assert bound == pytest.approx(_initial_refutation_bound(
-        A, x, y, tau, blocks, lambda v: np.abs(v).sum()))
+    blocks = solvers.BlockStructure(2, 1)  # l1 as block basis pursuit
+    # before _TIGHTEN_AT the bound is ||x||_1 - sqrt(k tau) ||x||, k = 2
+    bound = _initial_refutation_bound(A, x, y, tau, blocks)
+    assert bound == pytest.approx(np.abs(x).sum() - np.sqrt(2 * tau) * np.linalg.norm(x))
     res = solvers.block_basis_pursuit(A, y, blocks, _refute=(x, tau))
     assert res.status == solvers.STATUS_CONVERGED
     assert experiments.normalized_squared_error(res.solution, x) < tau
@@ -936,7 +958,7 @@ def _null_space_margin_instance(gap_over_margin):
     return A, np.array([1.0, delta, 0.0], dtype=complex), factor
 
 
-def test_refutation_spares_a_minimiser_inside_the_null_space_margin():
+def test_refutation_spares_a_minimiser_inside_the_null_space_margin(monkeypatch):
     # past the switch the margin is the null-space one, min ||P g|| sqrt(tau)
     # ||x||, here a third of sqrt(k tau) ||x||.  The minimiser's objective gap
     # is 98% of it: the solve must not refute, and must refute once tau
@@ -950,7 +972,9 @@ def test_refutation_spares_a_minimiser_inside_the_null_space_margin():
     gap = np.abs(x).sum() - np.abs(minimiser).sum()
     assert gap == pytest.approx(0.98 * factor * np.sqrt(tau) * np.linalg.norm(x), rel=1e-6)
     assert experiments.normalized_squared_error(minimiser, x) < tau
-    blocks = solvers.BlockStructure(3, 1)  # l1 without the certified stop
+    # l1 without the certified stop, which would end these solves first
+    monkeypatch.setattr(solvers, "_l1_certificate", lambda *args: None)
+    blocks = solvers.BlockStructure(3, 1)
     cfg = solvers.SolverConfig(rho=300.0, max_iters=2000)
     res = solvers.block_basis_pursuit(A, y, blocks, cfg, _refute=(x, tau))
     assert res.status == solvers.STATUS_CONVERGED and res.iterations > solvers._TIGHTEN_AT
@@ -1026,10 +1050,7 @@ def test_refuted_solve_is_feasible_and_outside_the_nse_ball(seed, block_size, bl
         d = blocks.dimension
         A, x, y = _planted_instance(rng, min(n, d), d, blocks, min(k, block_count),
                                     complex_valued)
-        if block_size == 1:
-            res = solvers.basis_pursuit(A, y, cfg, _refute=(x, tau))
-        else:
-            res = solvers.block_basis_pursuit(A, y, blocks, cfg, _refute=(x, tau))
+        res = solvers.block_basis_pursuit(A, y, blocks, cfg, _refute=(x, tau))
     if res.status != solvers.STATUS_REFUTED:
         return
     assert res.iterations % solvers._CERTIFY_PERIOD == 0 and not res.certified
@@ -1528,6 +1549,46 @@ def _fusion_trial(master, n, k):
     x = experiments.random_fusion_sparse_signal(
         ff, k, experiments.derive_seed(master, "fusion", n, k, 0, "signal"))
     return op, x, op @ x
+
+
+def _l1_instance(kind, case):
+    """A, x and y = A x with x sparse in entries: on a random complex 8 x 20
+    matrix and the (13, 4) frame x has k = case nonzero entries; on a
+    (40, 13) fusion operator with n = 9 (case 0) or n = 5 (case 1) it has 6."""
+    if kind == "dense":
+        rng = np.random.default_rng(3)
+        A = _complex_normal(rng, (8, 20))
+    elif kind == "gabor":
+        A = _frame(13, 4)
+    else:
+        A = _fusion_instance(40, 13, (9, 5)[case], (0, 4)[case])
+    d = A.shape[1]
+    x = experiments.random_k_sparse_signal(d, (case if kind != "fusion" else 6), case)
+    return A, x, (A.columns if kind == "gabor" else A) @ x
+
+
+@pytest.mark.parametrize("refute", [False, True], ids=["plain", "trial"])
+@pytest.mark.parametrize("kind, case", [("dense", 2), ("dense", 5), ("gabor", 2), ("gabor", 5),
+                                        ("fusion", 0), ("fusion", 1)])
+def test_l1_is_block_basis_pursuit_with_blocks_of_size_1(kind, case, refute):
+    # one solve: the same z-update, objective, certificate and refutation,
+    # so the same bytes, whether certified, converged or refuted
+    A, x, y = _l1_instance(kind, case)
+    trial = (x, experiments.DEFAULT_THRESHOLD) if refute else None
+    l1 = solvers.basis_pursuit(A, y, _refute=trial)
+    block = solvers.block_basis_pursuit(A, y, solvers.BlockStructure(A.shape[1], 1),
+                                        _refute=trial)
+    assert l1.solution.tobytes() == block.solution.tobytes()
+    assert l1.residual_history.tobytes() == block.residual_history.tobytes()
+    assert ((l1.iterations, l1.status, l1.certified, l1.objective)
+            == (block.iterations, block.status, block.certified, block.objective))
+    if kind == "fusion" and case == 0:
+        # the group certificate proves the l1 minimiser on the fusion
+        # operator, and the dense l1 solve proves the same one
+        dense = solvers.basis_pursuit(A.effective, y)
+        assert l1.certified and dense.certified
+        np.testing.assert_allclose(l1.solution, dense.solution, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(x))
 
 
 @pytest.mark.parametrize("trial", [("classic",) + t for t in _SEARCH_TRIALS]
