@@ -22,15 +22,16 @@ norms from one reduction.
 A solve also stops as soon as its answer is proved: every few iterations
 the support of the shrunk iterate is repaired into a support S, and the
 least-squares fit on S is returned when a strict dual certificate proves it
-the unique minimiser, in the manner of OSQP's solution polishing.  A and
-the blocks choose the certificate:
+the unique minimiser, in the manner of OSQP's solution polishing.  A
+chooses the certificate, for blocks of any size:
 
-    A                           blocks      certificate
-    FusionMeasurementOperator   any size    _group_certificate
-    dense matrix or GaborFrame  size 1      _l1_certificate
-    dense matrix                size > 1    none (the tests' oracle)
+    A                           certificate
+    FusionMeasurementOperator   _group_certificate
+    dense matrix or GaborFrame  _dense_certificate
 
-Each supplies its fit and its dual map; the proof, a minimum-norm dual and
+A block whose columns are dependent, such as a translate block of a
+difference-set Gabor frame, is fitted on its row space.  Each certificate
+supplies its fit and its dual map; the proof, a minimum-norm dual and
 then a dual search, is written once, in _strict_dual.  The solve's set
 ``tried`` holds every S whose dual was tested, so no S is tested twice in
 a solve, and a check whose supp(z) repeats the last check's is skipped.
@@ -67,6 +68,7 @@ commands never pass a trial.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -216,8 +218,7 @@ class AffineProjection:
             return
         _require_finite(A)
         U, s, Vh = np.linalg.svd(A, full_matrices=False)
-        cutoff = s.max(initial=0.0) * (max(n, d) * np.finfo(float).eps)
-        r = int(np.sum(s > cutoff))
+        r = _svd_rank(s, A.shape)
         if r == 0:
             raise FactorizationError("measurement matrix has rank zero")
         self.rank = r
@@ -284,6 +285,12 @@ class AffineProjection:
             return self._row_step(w, self._rows @ w, out)
         out[:] = self._null_image(w)[self._placement]
         return out
+
+
+def _svd_rank(s, shape):
+    """The number of the singular values ``s`` of a matrix of ``shape`` that
+    are kept: those above s_max * max(shape) * eps."""
+    return int(np.sum(s > s.max(initial=0.0) * (max(shape) * np.finfo(float).eps)))
 
 
 def _require_consistent(residual, y):
@@ -508,12 +515,13 @@ def _append_column(Q, R, a):
     return np.column_stack((Q, v / norm if norm else v)), grown
 
 
-def _strict_dual(project, support, tried, dual, fit):
+def _strict_dual(project, support, tried, dual, fit, width):
     """``fit`` if a strict dual certificate proves it the unique minimiser,
-    else None: the proof that _l1_certificate and _group_certificate share.
+    else None: the proof that _dense_certificate and _group_certificate share.
 
-    ``fit`` is the least-squares fit x_S on S, the columns or blocks listed
-    in increasing order in ``support``.  ``dual(r)`` returns the dual
+    ``fit`` is the least-squares fit x_S on S, the blocks listed in
+    increasing order in ``support``, and ``width`` the number of columns
+    of A_S it was fitted on, its rank.  ``dual(r)`` returns the dual
     h = A^H W (sgn(x_S) - r_S) + r, r = 0 when None, as a (rows, block size)
     array in stacked order with its rows of S set to sgn(x_S); W is the
     minimum-norm dual map on S.  A_S^H W = I gives h_S = sgn(x_S), and any r
@@ -524,11 +532,11 @@ def _strict_dual(project, support, tried, dual, fit):
     a unique minimiser always has one (Zhang, Yin & Cheng 2015).
 
     The minimum-norm dual, r = 0, is tested first.  Failing that, and only
-    while A_S has fewer columns than A has rows (a square A_S leaves that
-    dual as the only one), _dual_search runs at _DUAL_RADIUS from it, with
-    the rows of S fixed, and each iterate g is tested with its row-space
-    part r = g - P g, P g the image the search yields; the first to pass
-    proves the fit.
+    while A_S has fewer columns, ``width``, than A has rows (a square A_S
+    leaves that dual as the only one), _dual_search runs at _DUAL_RADIUS
+    from it, with the rows of S fixed, and each iterate g is tested with
+    its row-space part r = g - P g, P g the image the search yields; the
+    first to pass proves the fit.
 
     ``tried`` holds every S whose dual was tested before in the solve.  A
     success ends the solve, so each of them failed, and fails again: a
@@ -549,7 +557,7 @@ def _strict_dual(project, support, tried, dual, fit):
     h = dual(None)
     if strict(h):
         return fit
-    if support.size * h.shape[1] >= project.matrix.shape[0]:
+    if width >= project.matrix.shape[0]:
         return None
     fixed = np.zeros(len(h), dtype=bool)
     fixed[support] = True
@@ -559,75 +567,141 @@ def _strict_dual(project, support, tried, dual, fit):
     return None
 
 
-def _l1_certificate(project, z, blocks, tried):
-    """The unique minimiser of ||x||_1 s.t. Ax = y on a support S repaired
-    from supp(z), or None; A and y are those of the solve's AffineProjection
-    ``project``, and ``blocks`` (of size 1) is not read.
+def _row_space_fit(block):
+    """The columns that a block A_b of a certificate's support is fitted on,
+    and the basis that maps their coefficients back to x_b: (A_b, None)
+    unless A_b's columns are dependent, and then (A_b V_b, V_b) with V_b an
+    orthonormal basis of A_b's row space, from its SVD at AffineProjection's
+    cutoff.  A zero block is kept as is, for the rank test to reject."""
+    U, s, Vh = np.linalg.svd(block, full_matrices=False)
+    r = _svd_rank(s, block.shape)
+    if r in (0, block.shape[1]):
+        return block, None
+    return U[:, :r] * s[:r], Vh[:r].conj().T
 
-    S starts as supp(z), and x_S is the least-squares fit of y on the
-    columns A_S.  S is repaired until that fit meets y with every column in
-    use: once it meets y, the columns whose coefficient is at most
-    _PRUNE_TOL times the largest are dropped, for good, and S is refitted;
-    while it misses y, S gains the column, never a dropped one, with the
-    largest |A_j^H r| for the residual r, up to |S| = n.  An added column
-    extends the QR factors of A_S (_append_column); a drop refactors them.
+
+def _dense_certificate(project, z, blocks, tried):
+    """The unique minimiser of sum_b ||x_b|| s.t. Ax = y on a support S of
+    blocks repaired from supp(z), or None; A, a dense matrix or a Gabor
+    frame's columns, and y are those of the solve's AffineProjection
+    ``project``, and ``blocks`` the objective's BlockStructure.
+
+    S starts as the blocks of supp(z), and x_S is the least-squares fit of
+    y on the columns of A_S.  S is repaired until that fit meets y with
+    every block in use: once it meets y, the blocks whose fitted norm is at
+    most _PRUNE_TOL times the largest are dropped, for good, and S is
+    refitted; while it misses y, S gains the block, never a dropped one,
+    with the largest ||A_b^H r|| for the residual r, up to n columns.  An
+    added block's columns extend the QR factors of A_S one at a time
+    (_append_column); a drop refactors them.
+
+    A block whose columns are dependent is fitted on A_b V_b instead
+    (_row_space_fit), with x_b = V_b c_b.  That loses no minimiser: a part
+    of x_b in null(A_b) only adds to ||x_b||, so every minimiser has x_b in
+    range(A_b^H) = range(V_b).  And ||A_b^H w|| = ||(A_b V_b)^H w|| for
+    every w, so a dual certificate of the reduced problem is one of A, and
+    its blocks off S are tested as they are.  At size 1, and for blocks of
+    independent columns, no basis is formed.
+
     The fit, scattered into a length-d vector, goes to _strict_dual's proof
-    only when 0 < |S| <= n, A_S has full column rank and A_S x_S = y to a
-    relative _CERTIFY_FIT_TOL; its dual map uses W = Q R^-H.  Reads z,
-    writes nothing but ``tried``.
+    only when A_S (reduced) has m columns, 0 < m <= n, full column rank and
+    A_S x_S = y to a relative _CERTIFY_FIT_TOL; there sgn(x_S) =
+    x_b/||x_b|| on S (Eldar & Mishali 2009), and the dual map uses
+    W = Q R^-H, times V_S^H when a basis was formed.  Reads z, writes
+    nothing but ``tried``.
     """
     A, y = project.matrix, project.y
-    n, d = A.shape
-    S = np.flatnonzero(z)
-    dropped = np.zeros(d, dtype=bool)
+    n = A.shape[0]
+    count, size = blocks.block_count, blocks.block_size
+    S = np.flatnonzero(z.reshape(count, size).any(axis=1))
+    dropped = np.zeros(count, dtype=bool)
     fit_tol = _CERTIFY_FIT_TOL * np.linalg.norm(y)
+    fitted_on = {}  # block -> its _row_space_fit, made once a call
+
+    def fit_of(b):
+        if b not in fitted_on:
+            block = A[:, b * size:(b + 1) * size]
+            fitted_on[b] = (block, None) if size == 1 else _row_space_fit(block)
+        return fitted_on[b]
+
+    parts = [fit_of(b) for b in S]
+    m = sum(part.shape[1] for part, _ in parts)
     Q = None  # with R, the QR factors of A_S; None when S must be refactored
     while True:
-        if not 0 < S.size <= n:
+        if not 0 < m <= n:
             return None
+        columns = (S[:, None] * size + np.arange(size)).reshape(-1)
+        reduced = size > 1 and any(basis is not None for _, basis in parts)
         if Q is None:
-            Q, R = np.linalg.qr(A[:, S])
+            Q, R = np.linalg.qr(np.concatenate([part for part, _ in parts], axis=1)
+                                if reduced else A[:, columns])
         else:
-            Q, R = _append_column(Q, R, A[:, S[-1]])
+            for a in parts[-1][0].T:
+                Q, R = _append_column(Q, R, a)
         diag = np.abs(np.diagonal(R))
-        if diag.min() <= diag.max() * max(n, S.size) * np.finfo(float).eps:
+        if diag.min() <= diag.max() * max(n, m) * np.finfo(float).eps:
             return None
         coeffs = Q.conj().T @ y
         # what the least-squares fit on S leaves over, y - Q Q^H y
         residual = y - Q @ coeffs
         if np.linalg.norm(residual) <= fit_tol:
             x_S = np.linalg.solve(R, coeffs)
-            mag = np.abs(x_S)
-            negligible = mag <= _PRUNE_TOL * mag.max()
+            # V_S, when a basis was formed: x_S = V_S c for the fit c
+            V = _block_diagonal([basis for _, basis in parts], size, m) if reduced else None
+            if V is not None:
+                x_S = V @ x_S
+            norms = _block_norms(x_S, S.size)
+            negligible = norms <= _PRUNE_TOL * norms.max()
             if not negligible.any():
                 break
-            # S holds columns the fit does not use: drop them for good
+            # S holds blocks the fit does not use: drop them for good
             dropped[S[negligible]] = True
             S, Q = S[~negligible], None
-        elif S.size == n:
+            parts = [part for part, drop in zip(parts, negligible) if not drop]
+            m = sum(part.shape[1] for part, _ in parts)
+        elif m == n:
             return None
         else:
-            # S misses columns: add the one that best explains what the fit
+            # S misses blocks: add the one that best explains what the fit
             # leaves over (r is orthogonal to A_S, so it lies outside S)
-            correlation = np.abs(residual.conj() @ A)
+            correlation = _block_norms(residual.conj() @ A, count)
             correlation[dropped] = -1.0
-            S = np.append(S, np.argmax(correlation))
-    if np.linalg.norm(y - A[:, S] @ x_S) > fit_tol:
+            b = np.argmax(correlation)
+            S = np.append(S, b)
+            parts.append(fit_of(b))
+            m += parts[-1][0].shape[1]
+    if np.linalg.norm(y - A[:, columns] @ x_S) > fit_tol:
         return None
-    sign = x_S / mag
+    sign = (x_S.reshape(S.size, size) / norms[:, None]).reshape(-1)
     W = Q @ np.linalg.inv(R).conj().T  # Q R^-H
+    if V is not None:
+        W = W @ V.conj().T
 
     def dual(r):
         # A^H w + r for w = W (sgn(x_S) - r_S), with A^H w read as (w^H A)^H
-        h = ((W @ (sign if r is None else sign - r[S, 0])).conj() @ A).conj()
+        h = ((W @ (sign if r is None else sign - r[S].reshape(-1))).conj() @ A).conj()
         if r is not None:
-            h += r[:, 0]
-        h[S] = sign
-        return h[:, None]
+            h += r.reshape(-1)
+        h = h.reshape(count, size)
+        h[S] = sign.reshape(S.size, size)
+        return h
 
-    x = np.zeros(d, dtype=complex)
-    x[S] = x_S
-    return _strict_dual(project, np.sort(S), tried, dual, x)
+    x = np.zeros(A.shape[1], dtype=complex)
+    x[columns] = x_S
+    return _strict_dual(project, np.sort(S), tried, dual, x, m)
+
+
+def _block_diagonal(bases, size, m):
+    """V_S: the (len(bases) * size) x m block-diagonal matrix of the bases,
+    an identity block where a basis is None."""
+    V = np.zeros((len(bases) * size, m), dtype=complex)
+    column = 0
+    for i, basis in enumerate(bases):
+        width = size if basis is None else basis.shape[1]
+        V[i * size:(i + 1) * size, column:column + width] = (
+            np.eye(size) if basis is None else basis)
+        column += width
+    return V
 
 
 def _group_certificate(project, z, blocks, tried):
@@ -650,7 +724,7 @@ def _group_certificate(project, z, blocks, tried):
     outside range(C_m) below them.  Blocks whose fitted norm is at most
     _PRUNE_TOL times the largest are dropped for good, and S is refitted.
     The fit, a length-d vector, goes to _strict_dual's proof only when S is
-    nonempty, A_S has full column rank by _l1_certificate's test on R's
+    nonempty, A_S has full column rank by _dense_certificate's test on R's
     diagonal and A_S x_S = y to a relative _CERTIFY_FIT_TOL; there
     sgn(x_S) = x_b/||x_b|| on S, and ||h_b|| is tested for each block b
     outside S (Eldar & Mishali 2009).  The dual map is read by coordinate:
@@ -739,7 +813,7 @@ def _group_certificate(project, z, blocks, tried):
 
     x = np.zeros(d + 1, dtype=complex)
     x[slots] = fit.view(complex)[..., 0]
-    return _strict_dual(project, np.flatnonzero(S), tried, dual, x[:d])
+    return _strict_dual(project, np.flatnonzero(S), tried, dual, x[:d], int(counts.sum()))
 
 
 class _Refutation:
@@ -836,23 +910,22 @@ def scaled_norm(v):
 
 def _admm(A, y, cfg, blocks, refute=None):
     """ADMM for min sum_b ||x_b|| s.t. Ax = y over the BlockStructure
-    ``blocks``, of size 1 for l1.  The z-update (_block_shrink), the
-    objective (_objective) and the certificate follow from A and the blocks:
+    ``blocks``, of size 1 for l1.  The z-update (_block_shrink) and the
+    objective (_objective) follow from the blocks, and the certificate from A:
 
-        A                           blocks      certificate
-        FusionMeasurementOperator   any size    _group_certificate
-        dense matrix or GaborFrame  size 1      _l1_certificate
-        dense matrix                size > 1    none
+        A                           certificate
+        FusionMeasurementOperator   _group_certificate
+        dense matrix or GaborFrame  _dense_certificate
 
     A full-column-rank A has one feasible point, returned with 0 iterations.
     Otherwise, every _CERTIFY_PERIOD iterations it calls the certificate
-    (project, z, blocks, tried), if there is one, on a supp(z) unlike the
-    last check's; ``tried`` is the solve's set of supports whose duals
-    _strict_dual has tested, each tested once, and a proved minimiser
-    returned stops the solve.  Then, when ``refute`` = (x, tau) names a
-    recovery trial's planted signal and NSE threshold, it stops with
-    STATUS_REFUTED as soon as the projection output is proved to lie, with
-    every minimiser, farther than NSE tau from x (_Refutation).
+    (project, z, blocks, tried) on a supp(z) unlike the last check's;
+    ``tried`` is the solve's set of supports whose duals _strict_dual has
+    tested, each tested once, and a proved minimiser returned stops the
+    solve.  Then, when ``refute`` = (x, tau) names a recovery trial's
+    planted signal and NSE threshold, it stops with STATUS_REFUTED as soon
+    as the projection output is proved to lie, with every minimiser,
+    farther than NSE tau from x (_Refutation).
     """
     y = np.asarray(y, dtype=complex).reshape(-1)
     if not np.isfinite(y).all():
@@ -869,7 +942,7 @@ def _admm(A, y, cfg, blocks, refute=None):
     # f is positively homogeneous, so the bound is compared in the scale of y / ||y||
     refutation = None if refute is None else _Refutation(*refute, blocks, project, ynorm)
     certificate = (_group_certificate if isinstance(A, FusionMeasurementOperator)
-                   else _l1_certificate if blocks.block_size == 1 else None)
+                   else _dense_certificate)
     # rows x - z, z - z_old, x, z, u: their squared norms are one reduction
     # over the real view; the first two are kept as the residual history
     rows = np.zeros((5, d), dtype=complex)
@@ -908,16 +981,15 @@ def _admm(A, y, cfg, blocks, refute=None):
                 break
             if it % _CERTIFY_PERIOD:
                 continue
-            if certificate is not None:
-                # a repeated supp(z) repeats the last check's verdict:
-                # nothing new to test
-                support = (z != 0).tobytes()
-                if support != last_support:
-                    last_support = support
-                    exact = certificate(project, z, blocks, tried_supports)
-                    if exact is not None:
-                        x, status, certified = exact, STATUS_CONVERGED, True
-                        break
+            # a repeated supp(z) repeats the last check's verdict: nothing
+            # new to test
+            support = (z != 0).tobytes()
+            if support != last_support:
+                last_support = support
+                exact = certificate(project, z, blocks, tried_supports)
+                if exact is not None:
+                    x, status, certified = exact, STATUS_CONVERGED, True
+                    break
             if refutation is not None and refutation.refutes(x, it):
                 status = STATUS_REFUTED
                 break
@@ -983,10 +1055,11 @@ def basis_pursuit(matrix, y, cfg=None, *, _refute=None):
 def block_basis_pursuit(matrix, y, blocks, cfg=None, *, _refute=None):
     """min sum_b ||x_b||_2 subject to Ax = y (mixed l2/l1, block sparsity).
 
-    The solve of basis_pursuit, certified as there wherever _admm has a
-    certificate: on a FusionMeasurementOperator block by block
-    (_group_certificate), and not on a dense matrix with blocks larger than
-    1.  ``_refute`` is for recovery trials only, as there.
+    The solve of basis_pursuit, certified as there: on a
+    FusionMeasurementOperator coordinate by coordinate (_group_certificate),
+    else by _dense_certificate, which fits a block whose columns are
+    dependent on its row space.  ``_refute`` is for recovery trials only, as
+    there.
     """
     cfg = cfg or SolverConfig()
     A = _as_operator(matrix)
@@ -1088,35 +1161,53 @@ def coefficients_to_subspace_vectors(ff, coeffs):
 
 
 def write_complex_matrix_csv(path, matrix):
-    """CSV matrix format: header `rows,cols`, then rows*cols `re,im` lines, row-major."""
+    """CSV matrix format: header `rows,cols`, then rows*cols `re,im` lines,
+    row-major, each part in .17g, which round-trips every double; the body
+    is formatted as one str.join."""
     M = np.asarray(matrix, dtype=complex)
     if M.ndim == 1:
         M = M[:, None]
     if M.ndim != 2:
         raise InvalidInputError("only vectors and matrices are supported")
+    flat = M.reshape(-1)
+    body = "".join(map("{:.17g},{:.17g}\n".format, flat.real.tolist(), flat.imag.tolist()))
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(f"{M.shape[0]},{M.shape[1]}\n")
-        for value in M.reshape(-1):
-            fh.write(f"{value.real:.17g},{value.imag:.17g}\n")
+        fh.write(f"{M.shape[0]},{M.shape[1]}\n{body}")
     return path
 
 
 def read_complex_matrix_csv(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """The matrix of a file in write_complex_matrix_csv's format, read in
+    bulk: blank lines and the whitespace around a line are ignored, and an
+    LF, a CRLF or a CR ends a line.  The body must hold exactly one comma a
+    line, as many lines as the header says, and finite numbers that
+    float() reads; all of them are parsed by one NumPy conversion.
+    InvalidInputError, naming the path, for a file that is not ASCII or
+    breaks any of these."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: matrix CSV is not ASCII text "
+                                f"(byte 0x{exc.object[exc.start]:02x})") from exc
+    lines = list(filter(None, map(str.strip, text.split("\n"))))
     if not lines:
         raise InvalidInputError(f"{path}: empty matrix file")
+    body = lines[1:]
     try:
         rows, cols = (int(t) for t in lines[0].split(","))
-        entries = [complex(float(re), float(im)) for re, im in
-                   (ln.split(",") for ln in lines[1:])]
+        fields = ",".join(body).split(",") if body else []
+        # a comma on every line, and as many as lines: exactly one each
+        if len(fields) != 2 * len(body) or not all(map(str.__contains__, body, repeat(","))):
+            raise ValueError("a line without exactly one comma")
+        parts = np.array(fields, dtype=float)
     except ValueError as exc:
         raise InvalidInputError(f"{path}: malformed matrix CSV") from exc
-    if rows < 0 or cols < 0 or len(entries) != rows * cols:
+    if rows < 0 or cols < 0 or len(body) != rows * cols:
         raise InvalidInputError(
-            f"{path}: header says {rows}x{cols} but {len(entries)} entries present"
+            f"{path}: header says {rows}x{cols} but {len(body)} entries present"
         )
-    M = np.array(entries, dtype=complex).reshape(rows, cols)
+    M = parts.view(complex).reshape(rows, cols)
     if not np.all(np.isfinite(M)):
         raise InvalidInputError(f"{path}: matrix has non-finite entries (nan or inf)")
     return M

@@ -213,6 +213,22 @@ def test_solve_bp_rejects_non_finite_input(capsys, tmp_path):
     assert rc == 3 and captured.out == "" and str(A_path) in captured.err
 
 
+@pytest.mark.parametrize("command", [["bp"], ["block-bp", "--blocks", "2,1"]])
+@pytest.mark.parametrize("name", ["A.csv", "y.csv"])
+@pytest.mark.parametrize("prefix, suffix", [(b"\xef\xbb\xbf", b""), (b"", "\u00e9\n".encode())],
+                         ids=["utf-8 BOM", "e acute"])
+def test_solve_rejects_a_csv_that_is_not_ascii(capsys, tmp_path, command, name, prefix, suffix):
+    # a byte outside ASCII is bad input: exit 3 with the path named, not a
+    # UnicodeDecodeError traceback
+    args = _write_scalar_instance(tmp_path, 1, 1)
+    path = tmp_path / name  # the matrix or the y file
+    path.write_bytes(prefix + path.read_bytes() + suffix)
+    rc = cli.main(["solve", *command, *args])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and "ASCII" in captured.err
+
+
 def _write_scalar_instance(tmp_path, a, y):
     A_path, y_path = tmp_path / "A.csv", tmp_path / "y.csv"
     A_path.write_text(f"1,2\n{a},0\n{a},0\n")

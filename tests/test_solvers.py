@@ -18,9 +18,9 @@ def _frame(N=7, K=3):
 
 
 def _certificate(A, y, z):
-    """_l1_certificate on the AffineProjection of A and y, with no support tested before."""
-    return solvers._l1_certificate(solvers.AffineProjection(A, y), z,
-                                   solvers.BlockStructure(np.size(z), 1), set())
+    """_dense_certificate on the AffineProjection of A and y, with no support tested before."""
+    return solvers._dense_certificate(solvers.AffineProjection(A, y), z,
+                                      solvers.BlockStructure(np.size(z), 1), set())
 
 
 def _min_norm_certificate(A, y, z, monkeypatch):
@@ -625,10 +625,10 @@ def _classic_trial(master, kind, k, t=0):
 
 
 def _record_certificate_calls(monkeypatch):
-    """(supp(z), the supports whose duals it tested) of every _l1_certificate
+    """(supp(z), the supports whose duals it tested) of every _dense_certificate
     call that _admm makes."""
     calls = []
-    certificate = solvers._l1_certificate
+    certificate = solvers._dense_certificate
 
     def recording(project, z, blocks, tried):
         before = set(tried)
@@ -636,7 +636,7 @@ def _record_certificate_calls(monkeypatch):
         calls.append((np.flatnonzero(z), sorted(tried - before)))
         return result
 
-    monkeypatch.setattr(solvers, "_l1_certificate", recording)
+    monkeypatch.setattr(solvers, "_dense_certificate", recording)
     return calls
 
 
@@ -646,7 +646,7 @@ def _record_dual_tests(monkeypatch):
     tests, min_norm = [], {}
     strict_dual = solvers._strict_dual
 
-    def recording(project, support, tried, dual, fit):
+    def recording(project, support, tried, dual, fit, width):
         S = tuple(support.tolist())
 
         def test(r):
@@ -656,7 +656,7 @@ def _record_dual_tests(monkeypatch):
                 min_norm[S] = h.copy()
             return h
 
-        return strict_dual(project, support, tried, test, fit)
+        return strict_dual(project, support, tried, test, fit, width)
 
     monkeypatch.setattr(solvers, "_strict_dual", recording)
     return tests, min_norm
@@ -715,7 +715,7 @@ def test_a_repaired_support_is_searched_once_per_solve(monkeypatch):
     A, x, y = _classic_trial(0, "difference_set", 8, t=1)
     planted = tuple(np.flatnonzero(x))
     searched, _ = _record_searches(monkeypatch)
-    certificate = solvers._l1_certificate
+    certificate = solvers._dense_certificate
     calls = _record_certificate_calls(monkeypatch)
     res = solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
     assert not res.certified and res.status == solvers.STATUS_CONVERGED
@@ -723,7 +723,7 @@ def test_a_repaired_support_is_searched_once_per_solve(monkeypatch):
     assert searched == [planted]
     # without the set of searched supports, the same solve searches it again
     searched.clear()
-    monkeypatch.setattr(solvers, "_l1_certificate",
+    monkeypatch.setattr(solvers, "_dense_certificate",
                         lambda project, z, blocks, tried: certificate(project, z, blocks, set()))
     solvers.basis_pursuit(A, y, _refute=(x, experiments.DEFAULT_THRESHOLD))
     assert len(searched) > 1 and set(searched) == {planted}
@@ -784,7 +784,7 @@ def test_no_support_has_its_dual_tested_twice_in_a_solve(kind, monkeypatch):
     # once; a later check that reaches it tests nothing
     tau = experiments.DEFAULT_THRESHOLD
     if kind == "classic":
-        name = "_l1_certificate"
+        name = "_dense_certificate"
         A, x, y = _classic_trial(2, "random_torus", 12, t=1)
 
         def solve():
@@ -973,7 +973,7 @@ def test_refutation_spares_a_minimiser_inside_the_null_space_margin(monkeypatch)
     assert gap == pytest.approx(0.98 * factor * np.sqrt(tau) * np.linalg.norm(x), rel=1e-6)
     assert experiments.normalized_squared_error(minimiser, x) < tau
     # l1 without the certified stop, which would end these solves first
-    monkeypatch.setattr(solvers, "_l1_certificate", lambda *args: None)
+    monkeypatch.setattr(solvers, "_dense_certificate", lambda *args: None)
     blocks = solvers.BlockStructure(3, 1)
     cfg = solvers.SolverConfig(rho=300.0, max_iters=2000)
     res = solvers.block_basis_pursuit(A, y, blocks, cfg, _refute=(x, tau))
@@ -1235,6 +1235,99 @@ def test_csv_read_validation(tmp_path):
             solvers.read_complex_matrix_csv(path)
 
 
+def _read_csv_line_by_line(path):
+    """The oracle of read_complex_matrix_csv: the reader it replaced, which
+    parses one line at a time."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise InvalidInputError(f"{path}: empty matrix file")
+    try:
+        rows, cols = (int(t) for t in lines[0].split(","))
+        entries = [complex(float(re), float(im)) for re, im in
+                   (ln.split(",") for ln in lines[1:])]
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: malformed matrix CSV") from exc
+    if rows < 0 or cols < 0 or len(entries) != rows * cols:
+        raise InvalidInputError(
+            f"{path}: header says {rows}x{cols} but {len(entries)} entries present"
+        )
+    M = np.array(entries, dtype=complex).reshape(rows, cols)
+    if not np.all(np.isfinite(M)):
+        raise InvalidInputError(f"{path}: matrix has non-finite entries (nan or inf)")
+    return M
+
+
+def _csv_verdict(read, path):
+    """What ``read`` makes of the file: the matrix's shape and bytes, or the
+    error's type and message."""
+    try:
+        M = read(path)
+    except InvalidInputError as exc:
+        return type(exc), str(exc)
+    return M.shape, M.tobytes()
+
+
+_CSV_CASES = {
+    "well formed": "2,1\n1.5,-0\n-2e-300,3\n",
+    "CRLF": "2,1\r\n1.5,-0\r\n-2,3\r\n",
+    "CR": "2,1\r1.5,-0\r-2,3\r",
+    "no final newline": "2,1\n1.5,-0\n-2,3",
+    "blank and whitespace lines": "\n  \n2,1\n\t\n 1.5 , -0 \n\x0c\n-2,3\n \x0b \n",
+    "inner whitespace": "2 , 1\n1.5,\x0c-0\n-2,3\n",
+    "unit separator stripped": "\x1f2,1\x1c\n1.5,-0\n-2,3\n",
+    "two commas": "2,1\n1.5,0,0\n-2,3\n",
+    "no comma": "2,1\n1.5\n-2,3\n",
+    "no comma and two commas": "2,1\n1.5\n-2,3,4\n",
+    "empty field": "2,1\n1.5,\n-2,3\n",
+    "3-field header": "2,1,1\n1,0\n2,0\n",
+    "1-field header": "2\n1,0\n2,0\n",
+    "float header": "2.0,1\n1,0\n2,0\n",
+    "negative header": "-1,-2\n1,0\n1,0\n",
+    "0 x 3": "0,3\n",
+    "3 x 0": "3,0\n",
+    "0 x 0 with blank lines": "0,0\n\n \n",
+    "too few entries": "2,2\n1,0\n",
+    "too many entries": "1,1\n1,0\n2,0\n",
+    "nan": "2,1\n1,0\nnan,0\n",
+    "inf": "2,1\n1,-inf\n2,0\n",
+    "overflow to inf": "1,1\n1e400,0\n",
+    "underscores": "1_0,1\n1_0,0\n" + "1,0\n" * 9,
+    "not a number": "1,1\n1,x\n",
+    "empty": "",
+    "whitespace only": " \n\t\r\n",
+    "header only": "1,1\n",
+}
+
+
+@pytest.mark.parametrize("text", _CSV_CASES.values(), ids=_CSV_CASES.keys())
+def test_csv_reader_matches_the_line_by_line_oracle(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("ascii"))
+    assert (_csv_verdict(solvers.read_complex_matrix_csv, path)
+            == _csv_verdict(_read_csv_line_by_line, path))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.text(alphabet="0123456789,.-+e_ \t\n\rnaif", max_size=40))
+def test_csv_reader_matches_the_oracle_on_any_ascii_text(tmp_path, text):
+    # every example overwrites the same file
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("ascii"))
+    assert (_csv_verdict(solvers.read_complex_matrix_csv, path)
+            == _csv_verdict(_read_csv_line_by_line, path))
+
+
+@pytest.mark.parametrize("text", [b"\xef\xbb\xbf1,1\n1,0\n", "1,1\n1,0\né\n".encode()],
+                         ids=["utf-8 BOM", "e acute"])
+def test_csv_reader_rejects_a_file_that_is_not_ascii(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text)
+    with pytest.raises(InvalidInputError, match=r"m\.csv: .*not ASCII"):
+        solvers.read_complex_matrix_csv(path)
+
+
 # ------------------------------------------- structured fusion operator vs dense oracle
 
 def _fusion_instance(N, K, n, seed, complex_valued=False, scale=1.0):
@@ -1436,6 +1529,169 @@ def test_fusion_iterates_match_the_reference_kernels_bit_for_bit(complex_valued)
     np.testing.assert_allclose(res.residual_history, history, rtol=1e-13, atol=0)
 
 
+# ------------------------------------------------------- dense certificate on blocks
+
+def _block_sparse_instance(kind, seed):
+    """A, its blocks, x on one random block and y = A x: the 13 translate
+    blocks of the (13, 4) frame, each of rank K = 4 in C^13, or a complex
+    Gaussian 24 x 64 matrix in 16 blocks of 4."""
+    rng = np.random.default_rng(seed)
+    if kind == "translates":
+        A, blocks = _frame(13, 4), solvers.BlockStructure(13, 13)
+        columns = A.columns
+    else:
+        A = columns = _complex_normal(rng, (24, 64))
+        blocks = solvers.BlockStructure(16, 4)
+    size = blocks.block_size
+    x = np.zeros(blocks.dimension, dtype=complex)
+    j = rng.integers(blocks.block_count)
+    x[j * size:(j + 1) * size] = _complex_normal(rng, size)
+    return A, columns, blocks, x, columns @ x
+
+
+def _without_certificate(A, y, blocks, cfg, monkeypatch):
+    """The block solve with the dense certificate turned off: the oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_dense_certificate", lambda *args: None)
+        return solvers.block_basis_pursuit(A, y, blocks, cfg)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["translates", "gaussian"])
+def test_dense_certificate_proves_block_sparse_solves(kind, seed, monkeypatch):
+    # the certificate proves the first check whose supp(z) spans at most
+    # n columns once each block is reduced to its rank; the translates of
+    # the planted one share a coordinate with it, so supp(z) can hold 4 of
+    # them, 16 > 13 columns, at the first checks
+    A, columns, blocks, x, y = _block_sparse_instance(kind, seed)
+    size = blocks.block_size
+    ranks = [np.linalg.matrix_rank(columns[:, b * size:(b + 1) * size])
+             for b in range(blocks.block_count)]
+    spans = []
+    certificate = solvers._dense_certificate
+
+    def recording(project, z, blocks, tried):
+        spans.append(sum(ranks[b] for b in np.flatnonzero(z.reshape(-1, size).any(axis=1))))
+        return certificate(project, z, blocks, tried)
+
+    monkeypatch.setattr(solvers, "_dense_certificate", recording)
+    res = solvers.block_basis_pursuit(A, y, blocks)
+    assert res.certified and res.status == solvers.STATUS_CONVERGED
+    assert spans[-1] <= columns.shape[0] < min(spans[:-1], default=np.inf)
+    if kind == "gaussian":
+        assert res.iterations == solvers._CERTIFY_PERIOD
+    assert np.linalg.norm(columns @ res.solution - y) <= 1e-12 * np.linalg.norm(y)
+    oracle = _without_certificate(A, y, blocks, solvers.SolverConfig(
+        max_iters=20000, tol_primal=1e-12, tol_dual=1e-12), monkeypatch)
+    assert oracle.status == solvers.STATUS_CONVERGED and not oracle.certified
+    assert np.linalg.norm(res.solution - oracle.solution) <= 1e-8 * np.linalg.norm(x)
+    assert res.objective <= oracle.objective * (1 + 1e-12)
+
+
+# monkeypatch is used only through its context(), which each example undoes
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), count=st.integers(2, 5),
+       size=st.integers(2, 3), k=st.integers(1, 2), dependent=st.booleans(),
+       guess=st.sampled_from(["planted", "superset", "random"]))
+def test_dense_certificate_from_any_guess_is_the_optimum(seed, n, count, size, k, dependent,
+                                                         guess, monkeypatch):
+    # a small complex A, with a repeated column in every block when
+    # ``dependent``, a planted x0 on k blocks and z that guesses its blocks:
+    # exactly, with one more, or at random.  Whatever S the repair reaches,
+    # a returned x must be feasible and no costlier than a long ADMM solve
+    # with the certificate turned off
+    rng = np.random.default_rng(seed)
+    A = _complex_normal(rng, (n, count * size))
+    if dependent:
+        A[:, 1::size] = A[:, ::size]
+    blocks = solvers.BlockStructure(count, size)
+    chosen = np.zeros(count, dtype=bool)
+    chosen[rng.choice(count, size=min(k, count), replace=False)] = True
+    x0 = np.repeat(chosen, size) * _complex_normal(rng, count * size)
+    y = A @ x0
+    if guess == "superset":
+        chosen[rng.integers(count)] = True
+    elif guess == "random":
+        chosen = rng.random(count) < 0.5
+    z = np.repeat(chosen, size).astype(complex)
+    x = solvers._dense_certificate(solvers.AffineProjection(A, y), z, blocks, set())
+    if x is None:
+        return
+    assert np.linalg.norm(A @ x - y) <= 1e-10 * np.linalg.norm(y)
+    long = _without_certificate(A, y, blocks, solvers.SolverConfig(
+        max_iters=20000, tol_primal=1e-12, tol_dual=1e-12), monkeypatch)
+    assert _block_objective(x, blocks) <= long.objective * (1 + 1e-9)
+
+
+def test_dense_certificate_forms_a_basis_only_for_dependent_blocks(monkeypatch):
+    # a basis of a block's row space only where its columns are dependent:
+    # never at size 1, and never for the Gaussian blocks of full rank
+    fits, bases = [], []
+    row_space_fit, block_diagonal = solvers._row_space_fit, solvers._block_diagonal
+    monkeypatch.setattr(solvers, "_row_space_fit",
+                        lambda block: fits.append(1) or row_space_fit(block))
+    monkeypatch.setattr(solvers, "_block_diagonal",
+                        lambda *args: bases.append(1) or block_diagonal(*args))
+    for kind, expected in (("gaussian", (True, False)), ("translates", (True, True))):
+        A, _, blocks, _, y = _block_sparse_instance(kind, 1)
+        fits.clear(), bases.clear()
+        assert solvers.block_basis_pursuit(A, y, blocks).certified
+        assert (bool(fits), bool(bases)) == expected
+        fits.clear(), bases.clear()
+        solvers.basis_pursuit(A, y, solvers.SolverConfig(max_iters=20))  # two checks
+        assert (fits, bases) == ([], [])
+
+
+@pytest.mark.parametrize("case", ["copy", "cheaper block"])
+def test_dense_certificate_rejects_a_block_support_with_no_strict_dual(case, monkeypatch):
+    # n = 3 rows, blocks of size 2, x on block 0.  "copy": block 1 repeats
+    # block 0, so every dual has ||A_1^H w|| = ||A_0^H w|| = 1.  "cheaper
+    # block": blocks 0 = [e1, e1] and 1 = [e1, 2 e1] both have rank 1, and
+    # block 1 meets y with norm |s|/sqrt(5) < |s|/sqrt(2), so x is no
+    # minimiser; block 1's fit, x_1 = V_1 c on its row space, is certified.
+    # A_S has 2 or 1 < n columns, so the search runs, and fails
+    e1, e2, e3 = np.eye(3)
+    if case == "copy":
+        A = np.column_stack([e1, e2, e1, e2, e3, e1 + e3])
+    else:
+        A = np.column_stack([e1, e1, e1, 2 * e1, e2, e3])
+    blocks = solvers.BlockStructure(3, 2)
+    x = np.array([1.0, 1.0j, 0, 0, 0, 0])
+    y = A @ x
+    searched, _ = _record_searches(monkeypatch)
+    project = solvers.AffineProjection(A, y)
+    assert solvers._dense_certificate(project, x, blocks, set()) is None
+    assert searched == [(0,)]
+    if case == "cheaper block":
+        fit = solvers._dense_certificate(project, np.roll(x, 2), blocks, set())
+        assert fit is not None and not fit[[0, 1, 4, 5]].any()
+        np.testing.assert_allclose(fit[2:4], (1 + 1j) / 5 * np.array([1, 2]), rtol=0,
+                                   atol=1e-15)
+
+
+@pytest.mark.parametrize("case", ["square", "rank 1 block"])
+def test_a_block_support_is_searched_while_its_fit_has_fewer_columns_than_rows(case,
+                                                                           monkeypatch):
+    # n = 3 rows, blocks of size 3, x on block 0, and block 1 is cheaper, so
+    # the minimum-norm dual fails.  "square": block 0 = I, fitted on its 3
+    # columns, so that dual is the only one and no search runs.  "rank 1
+    # block": block 0 = e1 [1 1 1] is fitted on 1 < n column of its row
+    # space, so the search runs though the block has n columns
+    if case == "square":
+        A = np.hstack([np.eye(3), 2 * np.eye(3)])
+    else:
+        A = np.outer(np.eye(3)[0], [1, 1, 1, 1, 2, 2])
+    blocks = solvers.BlockStructure(2, 3)
+    x = np.array([1.0, 1.0j, 0, 0, 0, 0])
+    tests, _ = _record_dual_tests(monkeypatch)
+    searched, _ = _record_searches(monkeypatch)
+    assert solvers._dense_certificate(solvers.AffineProjection(A, A @ x), x, blocks,
+                                      set()) is None
+    assert tests[0] == ((0,), True)
+    assert searched == ([] if case == "square" else [(0,)])
+
+
 # ------------------------------------------------------- group certificate (fusion)
 
 def _group_certificate(op, y, z):
@@ -1489,8 +1745,8 @@ def _dense_min_norm_verdict(op, y, z):
 def test_group_certificate_proves_the_minimiser(seed, params, n, k, complex_valued, guess,
                                                monkeypatch):
     # whenever the certificate returns x, x is feasible and no worse than a
-    # long ADMM solve on the dense matrix, which has no certificate; and its
-    # minimum-norm dual gives the dense oracle's verdict
+    # long ADMM solve on the dense matrix with its certificate turned off;
+    # and its minimum-norm dual gives the dense oracle's verdict
     rng = np.random.default_rng(seed)
     op, x, y = _planted_fusion_instance(rng, params, n, k, complex_valued)
     blocks = op.block_structure
@@ -1503,8 +1759,8 @@ def test_group_certificate_proves_the_minimiser(seed, params, n, k, complex_valu
     certified = _group_certificate(op, y, z)
     if certified is not None:
         assert np.linalg.norm(op @ certified - y) <= 1e-10 * np.linalg.norm(y)
-        long = solvers.block_basis_pursuit(op.effective, y, blocks,
-                                           solvers.SolverConfig(max_iters=20000))
+        long = _without_certificate(op.effective, y, blocks,
+                                    solvers.SolverConfig(max_iters=20000), monkeypatch)
         assert (_block_objective(certified, blocks)
                 <= _block_objective(long.solution, blocks) * (1 + 1e-10))
     oracle = _dense_min_norm_verdict(op, y, z)
@@ -1700,7 +1956,7 @@ def test_real_coefficients_match_their_complex_form(params, n, k):
 @pytest.mark.parametrize("params, n, k", [((7, 3), 2, 1), ((7, 3), 4, 2),
                                           ((40, 13), 5, 1), ((40, 13), 13, 4),
                                           ((40, 13), 16, 8)])
-def test_block_basis_pursuit_structured_matches_dense(params, n, k):
+def test_block_basis_pursuit_structured_matches_dense(params, n, k, monkeypatch):
     N, K = params
     op = _fusion_instance(N, K, n, seed=31)
     rng = np.random.default_rng(32)
@@ -1711,9 +1967,10 @@ def test_block_basis_pursuit_structured_matches_dense(params, n, k):
     structured = solvers.block_basis_pursuit(op, y, op.block_structure,
                                              solvers.SolverConfig(max_iters=300))
     # the structured solve may stop at a certified, exact minimiser, so the
-    # dense oracle, which has no certificate, runs to tighter tolerances
+    # dense oracle, with its certificate turned off, runs to tighter tolerances
     oracle = solvers.SolverConfig(max_iters=5000, tol_primal=1e-12, tol_dual=1e-12)
-    dense = solvers.block_basis_pursuit(op.effective, y, op.block_structure, oracle)
+    dense = _without_certificate(op.effective, y, op.block_structure, oracle, monkeypatch)
+    assert not dense.certified
     assert structured.status == dense.status
     assert np.linalg.norm(structured.solution - dense.solution) <= 1e-8 * np.linalg.norm(c)
 
