@@ -213,7 +213,7 @@ def _fusion_frame(pair):
 
 def _cmd_fusion_report(args):
     ff = _fusion_frame(args.set)
-    rep = fusion.fusion_report(ff, tol=args.tol)
+    rep = fusion.fusion_report(ff)
     _emit(args, {
         "N": ff.N,
         "K": ff.K,
@@ -418,7 +418,6 @@ def build_parser():
 
     p = fs_sub.add_parser("report", help="tightness / equidistance / packing report")
     p.add_argument("--set", type=_parse_pair, required=True, metavar="N,K")
-    p.add_argument("--tol", type=float, default=fusion.CLOSED_FORM_TOL)
     p.set_defaults(handler=_cmd_fusion_report)
 
     p = fs_sub.add_parser("distances", help="pairwise squared chordal distances as CSV")

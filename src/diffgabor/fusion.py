@@ -1,11 +1,11 @@
 """Gabor fusion frames: the N coordinate subspaces W_i = {x : supp(x) = S + i}.
 
 All projections are diagonal 0/1 matrices, so traces and products reduce to
-exact set intersections; floats only enter when comparing against the real-
-valued closed forms (simplex bound, chordal distance).
+exact set intersections, and the equidistance and optimal-packing verdicts
+are integer identities in the overlap counts; the reported distances and the
+simplex bound are floats computed from them.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -14,8 +14,6 @@ import numpy as np
 
 from .diffsets import difference_counts
 from .errors import InvalidInputError
-
-CLOSED_FORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -130,19 +128,19 @@ def simplex_bound(m, M, N):
     return float(m * (N - m) * M / (N * (M - 1)))
 
 
-def equidistance_check(ff, tol=CLOSED_FORM_TOL):
-    """All pairwise d_c^2 equal, and equal to both K - lambda and K(N-K)/(N-1).
+def equidistance_check(ff):
+    """All pairwise d_c^2 equal, and equal to both K - lambda and K(N-K)/(N-1),
+    decided in integers: d_c^2 (N-1) = K(N-K).
 
     Returns (True/False, common d_c^2 or None).
     """
     N, K, lam = ff.N, ff.K, ff.diffset.params.lam
-    # exact integer d_c^2 over every pair a != b
-    values = np.unique(K - overlap_circulant(ff)[~np.eye(N, dtype=bool)])
+    # the overlap circulant's first row past d = 0 holds every pair a != b
+    values = np.unique(K - overlap_circulant(ff)[0, 1:])
     if values.size != 1:
         return False, None
-    dc2 = float(values[0])
-    ok = abs(dc2 - (K - lam)) == 0 and abs(dc2 - K * (N - K) / (N - 1)) <= tol
-    return ok, dc2
+    dc2 = int(values[0])
+    return dc2 == K - lam and dc2 * (N - 1) == K * (N - K), float(dc2)
 
 
 def sparsity_count(ff):
@@ -166,25 +164,24 @@ def projection_product_norm(ff, a, b):
     return support_product_norm(ff.supports[a], ff.supports[b])
 
 
-def fusion_report(ff, tol=CLOSED_FORM_TOL):
+def fusion_report(ff):
     """Aggregate tightness / equidistance / packing / sparsity diagnostics.
 
-    ``tol`` must be positive and finite; tight_bound is None for a frame
-    that is not tight.
+    tight_bound is None for a frame that is not tight.  The frame is an
+    optimal packing when it is tight and equidistant at the simplex bound
+    m(N-m)M / (N(M-1)) with m = K and M = N, tested in integers.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidInputError(f"tolerance tol={tol} must be positive and finite")
+    N, K = ff.N, ff.K
     A, B = fusion_frame_bounds(ff)
-    equidistant, dc2 = equidistance_check(ff, tol)
-    sb = simplex_bound(ff.K, ff.N, ff.N)
+    equidistant, dc2 = equidistance_check(ff)
     sparsity, _ = sparsity_count(ff)
     tight = A == B
-    optimal = bool(tight and equidistant and dc2 is not None and abs(dc2 - sb) <= tol)
+    optimal = tight and equidistant and int(dc2) * N * (N - 1) == K * (N - K) * N
     return FusionReport(
         tight_bound=A if tight else None,
         chordal_distances=chordal_distance_matrix(ff),
         dc_squared=dc2,
-        simplex_bound=sb,
+        simplex_bound=simplex_bound(K, N, N),
         equidistant=equidistant,
         sparsity=sparsity,
         optimal_packing=optimal,

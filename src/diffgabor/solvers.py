@@ -387,12 +387,12 @@ def _shrinkage(norms, tau):
     return np.subtract(1.0, norms, out=norms)
 
 
-def _block_norms(v, count, out=None):
-    """The norm of each of the ``count`` equal blocks of the complex 1-d v,
-    written to ``out`` if given: |v_j| at size 1, else from _row_squares."""
+def _block_norms(v, count):
+    """The norm of each of the ``count`` equal blocks of the complex 1-d v:
+    |v_j| at size 1, else from _row_squares."""
     if v.size == count:
-        return np.abs(v, out=out)
-    return np.sqrt(_row_squares(v.view(float).reshape(count, -1), out), out=out)
+        return np.abs(v)
+    return np.sqrt(_row_squares(v.view(float).reshape(count, -1)))
 
 
 def _objective(v, blocks):
@@ -616,13 +616,10 @@ def _dense_certificate(project, z, blocks, tried):
     S = np.flatnonzero(z.reshape(count, size).any(axis=1))
     dropped = np.zeros(count, dtype=bool)
     fit_tol = _CERTIFY_FIT_TOL * np.linalg.norm(y)
-    fitted_on = {}  # block -> its _row_space_fit, made once a call
 
     def fit_of(b):
-        if b not in fitted_on:
-            block = A[:, b * size:(b + 1) * size]
-            fitted_on[b] = (block, None) if size == 1 else _row_space_fit(block)
-        return fitted_on[b]
+        block = A[:, b * size:(b + 1) * size]
+        return (block, None) if size == 1 else _row_space_fit(block)
 
     parts = [fit_of(b) for b in S]
     m = sum(part.shape[1] for part, _ in parts)
@@ -659,8 +656,6 @@ def _dense_certificate(project, z, blocks, tried):
             S, Q = S[~negligible], None
             parts = [part for part, drop in zip(parts, negligible) if not drop]
             m = sum(part.shape[1] for part, _ in parts)
-        elif m == n:
-            return None
         else:
             # S misses blocks: add the one that best explains what the fit
             # leaves over (r is orthogonal to A_S, so it lies outside S)
@@ -932,8 +927,10 @@ def _admm(A, y, cfg, blocks, refute=None):
         raise InvalidInputError("y has non-finite entries (nan or inf)")
     d = A.shape[1]
     ynorm = scaled_norm(y)
-    if ynorm == 0.0:
-        _require_finite(A)  # else AffineProjection checks it
+    if ynorm == 0.0:  # else AffineProjection checks y's length and A
+        if y.size != A.shape[0]:
+            raise InvalidInputError(f"y has length {y.size}, expected {A.shape[0]}")
+        _require_finite(A)
         return SolveResult(np.zeros(d, dtype=complex), 0, 0.0, 0.0, STATUS_CONVERGED)
     project = AffineProjection(A, y / ynorm)
     if project.rank == d:

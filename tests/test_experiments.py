@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,34 @@ def test_diagnostics_median_iterations():
     successes, diag = experiments._run_trials(trial, 4)
     assert successes == 4 and diag[solvers.STATUS_CONVERGED] == 4
     assert diag["median_iterations"] == 8.5 and diag["max_iterations"] == 100
+
+
+def _curve(label, successes, trials=100):
+    return experiments.RecoveryCurve("classic", label, [(k + 1, s, trials)
+                                                        for k, s in enumerate(successes)])
+
+
+@pytest.mark.parametrize("successes, fires", [((50, 80), True), ((50, 65), False)])
+def test_rate_rising_with_k_warns_only_beyond_the_slack(successes, fires):
+    # 100 trials: the slack is 2 / sqrt(100) = 0.2, and the rate rises by 0.3 or 0.15
+    curve = _curve("alltop", successes)
+    if fires:
+        with pytest.warns(UserWarning, match="alltop: success rate rose from 0.50 to 0.80"):
+            experiments._check_decreasing_in_k(curve, 100)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            experiments._check_decreasing_in_k(curve, 100)
+
+
+@pytest.mark.parametrize("successes, fires", [((80, 50), True), ((80, 65), False)])
+def test_rate_falling_with_n_warns_only_beyond_the_slack(successes, fires):
+    # the rate at k = 1 falls by 0.3 or 0.15 from n=2 to n=4, against a slack of 0.2
+    curves = [_curve(f"n={n}", [s]) for n, s in zip((2, 4), successes)]
+    if fires:
+        with pytest.warns(UserWarning, match=r"rate at k=1 dropped from 0.80 \(n=2\) to 0.50"):
+            experiments._check_increasing_in_n(curves, 100)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            experiments._check_increasing_in_n(curves, 100)

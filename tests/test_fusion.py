@@ -92,8 +92,11 @@ def test_overlap_circulant_matches_set_intersections(ds):
 
 
 def test_equidistance_check_detects_unequal_overlaps():
-    equi, dc2 = fusion.equidistance_check(fusion.build_fusion_frame(_non_difference_set()))
-    assert not equi and dc2 is None
+    ff = fusion.build_fusion_frame(_non_difference_set())
+    assert fusion.equidistance_check(ff) == (False, None)
+    rep = fusion.fusion_report(ff)
+    assert rep.tight_bound == 3.0 and rep.dc_squared is None
+    assert rep.equidistant is False and rep.optimal_packing is False
 
 
 def test_chordal_distance_matrix():
@@ -120,6 +123,23 @@ def test_equidistance_meets_simplex_bound(N, K):
     assert dc2 == K - lam  # integer identity
     assert dc2 == pytest.approx(K * (N - K) / (N - 1), abs=1e-12)
     assert dc2 == pytest.approx(fusion.simplex_bound(K, N, N), abs=1e-12)
+
+
+@pytest.mark.parametrize("ds", diffsets.catalog_entries(),
+                         ids=lambda ds: f"{ds.N},{ds.params.K}")
+def test_fusion_report_is_exact_for_every_catalog_set(ds):
+    # the verdicts are integer identities and the reported numbers the same
+    # floats as the closed forms: d_c^2 = K - lambda = K(N-K)/(N-1), the
+    # simplex bound with m = K and M = N
+    N, K, lam = ds.N, ds.params.K, ds.params.lam
+    rep = fusion.fusion_report(fusion.build_fusion_frame(ds))
+    assert (rep.tight_bound, rep.dc_squared, rep.simplex_bound, rep.sparsity) == (
+        float(K), float(K - lam), K * (N - K) * N / (N * (N - 1)), K * N)
+    assert type(rep.dc_squared) is float and type(rep.simplex_bound) is float
+    assert rep.equidistant is True and rep.optimal_packing is True
+    off = ~np.eye(N, dtype=bool)
+    assert np.all(rep.chordal_distances[off] == np.sqrt(K - lam))
+    assert np.all(np.diag(rep.chordal_distances) == 0.0)
 
 
 def test_sparsity_count():

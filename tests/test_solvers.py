@@ -210,6 +210,18 @@ def test_basis_pursuit_zero_rhs():
     assert np.all(res.solution == 0)
 
 
+@pytest.mark.parametrize("kind", ["dense", "gabor"])
+def test_a_zero_y_of_the_wrong_length_is_rejected(kind):
+    # y = 0 skips the projection, so its length is checked before that shortcut
+    A = np.ones((2, 3)) if kind == "dense" else _frame()
+    n, d = A.shape
+    message = f"y has length {n + 3}, expected {n}"
+    with pytest.raises(InvalidInputError, match=message):
+        solvers.basis_pursuit(A, np.zeros(n + 3))
+    with pytest.raises(InvalidInputError, match=message):
+        solvers.block_basis_pursuit(A, np.zeros(n + 3), solvers.BlockStructure(d, 1))
+
+
 def test_scaled_norm():
     for v in (np.arange(5.0), np.array([3 + 4j, -1e-300]), np.zeros(3), np.array([1e150])):
         assert solvers.scaled_norm(v) == np.linalg.norm(v)
@@ -1789,6 +1801,28 @@ def test_group_certificate_keeps_its_margin():
         assert (certified is not None) == proved
         if proved:
             assert np.linalg.norm(certified - x) <= 1e-12
+
+
+def test_group_certificate_rejects_a_rank_deficient_support():
+    # on the (7, 3) operator with a[:, 4] = a[:, 1], blocks 1 and 4 share
+    # coordinate 5, where their two columns are equal: A_S on both blocks is
+    # rank deficient, so the certificate returns None before it tests a
+    # dual.  With a[:, 4] as drawn, the same support is certified
+    ff = fusion.build_fusion_frame(diffsets.catalog_lookup(7, 3))
+    x = np.zeros(21, dtype=complex)
+    x[3:6], x[12:15] = _complex_normal(np.random.default_rng(45), (2, 3))
+    for duplicated in (False, True):
+        a = solvers.gaussian_measurement_coefficients(2, 7, seed=44)
+        if duplicated:
+            a[:, 4] = a[:, 1]
+        op = solvers.assemble_fusion_operator(a, ff)
+        tried = set()  # the supports whose dual was tested
+        verdict = solvers._group_certificate(solvers.AffineProjection(op, op @ x), x,
+                                             op.block_structure, tried)
+        if duplicated:
+            assert verdict is None and not tried
+        else:
+            assert np.linalg.norm(verdict - x) <= 1e-12 * np.linalg.norm(x)
 
 
 # master seed, n, k: fusion-40-13 reference trials (trial 0) whose planted
