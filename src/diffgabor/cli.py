@@ -8,6 +8,7 @@ iteration cap (partial result still emitted).
 import argparse
 import functools
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 
@@ -307,10 +308,14 @@ def _curves_json(curves):
 
 def _run_experiment(args, config, run, **fields):
     """Run ``config`` (the fields only it takes, then the flags every
-    experiment takes) through ``run``; write its CSV and print its curves."""
+    experiment takes) through ``run``; write its CSV and print its curves.
+    An --out whose directory does not exist is rejected before any trial
+    runs, and nothing is written."""
     cfg = config(**fields, trials=args.trials, master_seed=args.seed,
                  success_threshold=args.threshold, solver=_solver_config(args),
                  workers=args.workers)
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise InvalidInputError(f"--out {args.out}: its directory does not exist")
     curves = run(cfg)
     experiments.emit_curves(curves, args.out)
     _emit(args, {"out": args.out, "curves": _curves_json(curves)})

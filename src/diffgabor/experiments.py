@@ -69,12 +69,29 @@ def derive_seed(master_seed, *parts):
     return int.from_bytes(digest[:8], "big")
 
 
+def _integer(value, name):
+    """``value`` read by operator.index, so 2.7 is refused rather than cut
+    to 2; InvalidInputError naming the field ``name`` otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name}={value!r} must be an integer") from None
+
+
+def _integers(values, name):
+    """The tuple of ``values``, each read as _integer reads one."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:  # not iterable, or an entry that is not an integer
+        raise InvalidInputError(f"{name}={values!r} must be integers") from None
+
+
 def _check_config(cfg, kmax=None):
     """The checks both experiment configs share: workers, the success
-    threshold, the trial count, a nonempty sparsity grid (made a tuple of
-    ints) of distinct k, each 1 <= k <= kmax, and set_params, which must be
-    two integers (made an (N, K) tuple) when given.  Without ``kmax`` it is
-    the N of set_params, which is then required."""
+    threshold, the trial count (an integer), a nonempty sparsity grid (made
+    a tuple of integers) of distinct k, each 1 <= k <= kmax, and set_params,
+    which must be two integers (made an (N, K) tuple) when given.  Without
+    ``kmax`` it is the N of set_params, which is then required."""
     if kmax is None or cfg.set_params is not None:
         try:
             N, K = (operator.index(v) for v in cfg.set_params)
@@ -88,9 +105,10 @@ def _check_config(cfg, kmax=None):
     if not (math.isfinite(cfg.success_threshold) and cfg.success_threshold > 0):
         raise InvalidInputError(
             f"success_threshold={cfg.success_threshold} must be positive and finite")
+    cfg.trials = _integer(cfg.trials, "trials")
     if cfg.trials < 1:
         raise InvalidInputError("need at least one trial")
-    cfg.sparsity_grid = tuple(int(k) for k in cfg.sparsity_grid)
+    cfg.sparsity_grid = _integers(cfg.sparsity_grid, "sparsity_grid")
     grid = cfg.sparsity_grid
     # a repeated entry would run its trials again and write its CSV rows twice
     if not grid or not all(1 <= k <= kmax for k in grid) or len(set(grid)) < len(grid):
@@ -111,6 +129,7 @@ class ClassicExperimentConfig:
     workers: int = 1  # accepted for compatibility; trials always run serially
 
     def __post_init__(self):
+        self.N = _integer(self.N, "N")
         if self.N < 2:
             raise InvalidInputError("dimension N must be >= 2")
         _check_config(self, self.N ** 2)
@@ -137,7 +156,7 @@ class FusionExperimentConfig:
 
     def __post_init__(self):
         _check_config(self)
-        self.measurement_grid = tuple(int(n) for n in self.measurement_grid)
+        self.measurement_grid = _integers(self.measurement_grid, "measurement_grid")
         grid = self.measurement_grid
         if not grid or min(grid) < 1 or len(set(grid)) < len(grid):
             raise InvalidInputError(

@@ -32,11 +32,13 @@ chooses the certificate, for blocks of any size:
 A block whose columns are dependent, such as a translate block of a
 difference-set Gabor frame, is fitted on its row space.  Each certificate
 supplies its fit and its dual map; the proof, a minimum-norm dual and
-then a dual search, is written once, in _strict_dual.  The solve's set
-``tried`` holds every S whose dual was tested, so no S is tested twice in
-a solve, and a check whose supp(z) repeats the last check's is skipped.
-Otherwise the iteration runs on unchanged until the residual tolerances or
-the iteration cap stop it.
+then a dual search, is written once, in _strict_dual.  A certificate
+reads only the block support of z, so its verdict is a function of that
+support.  The solve's set ``tried`` holds every support known to give no
+certificate: each S whose dual was tested, and each supp(z) whose check
+gave None.  No S is tested twice in a solve, and a check whose supp(z) is
+in ``tried`` is skipped.  Otherwise the iteration runs on unchanged until
+the residual tolerances or the iteration cap stop it.
 
 A recovery trial may also stop a solve once it is proved a failure.  The
 trial passes its planted signal x, with k nonzero entries (or blocks), and
@@ -495,26 +497,6 @@ def _dual_search(project, g, fixed, radius):
         yield x, image
 
 
-def _append_column(Q, R, a):
-    """The QR factors of [A_S, a] from those of A_S = QR: classical
-    Gram-Schmidt with one reorthogonalisation, which keeps Q orthonormal to
-    working precision ("twice is enough": Giraud et al. 2005).  The new
-    diagonal entry of R is the distance of a from range(A_S), as in the
-    Householder factors, so the rank test reads it the same way."""
-    m = R.shape[0]
-    h = Q.conj().T @ a
-    v = a - Q @ h
-    again = Q.conj().T @ v
-    v -= Q @ again
-    h += again
-    norm = np.linalg.norm(v)
-    grown = np.zeros((m + 1, m + 1), dtype=np.result_type(R, h))
-    grown[:m, :m] = R
-    grown[:m, m] = h
-    grown[m, m] = norm
-    return np.column_stack((Q, v / norm if norm else v)), grown
-
-
 def _strict_dual(project, support, tried, dual, fit, width):
     """``fit`` if a strict dual certificate proves it the unique minimiser,
     else None: the proof that _dense_certificate and _group_certificate share.
@@ -538,9 +520,11 @@ def _strict_dual(project, support, tried, dual, fit, width):
     its row-space part r = g - P g, P g the image the search yields; the
     first to pass proves the fit.
 
-    ``tried`` holds every S whose dual was tested before in the solve.  A
-    success ends the solve, so each of them failed, and fails again: a
-    support in it gives None before any test, and S is added to it.
+    ``tried`` holds every support known to give no certificate in the
+    solve: each S whose dual was tested before, and each supp(z) whose
+    check gave None (_admm).  A success ends the solve, so none of them can
+    give one: a support in it gives None before any test, and S is added
+    to it.
     """
     key = support.tobytes()
     if key in tried:
@@ -591,9 +575,9 @@ def _dense_certificate(project, z, blocks, tried):
     every block in use: once it meets y, the blocks whose fitted norm is at
     most _PRUNE_TOL times the largest are dropped, for good, and S is
     refitted; while it misses y, S gains the block, never a dropped one,
-    with the largest ||A_b^H r|| for the residual r, up to n columns.  An
-    added block's columns extend the QR factors of A_S one at a time
-    (_append_column); a drop refactors them.
+    with the largest ||A_b^H r|| for the residual r, up to n columns.  Each
+    step factors S's fitted columns with one QR, so the fit depends on S
+    alone.
 
     A block whose columns are dependent is fitted on A_b V_b instead
     (_row_space_fit), with x_b = V_b c_b.  That loses no minimiser: a part
@@ -623,18 +607,10 @@ def _dense_certificate(project, z, blocks, tried):
 
     parts = [fit_of(b) for b in S]
     m = sum(part.shape[1] for part, _ in parts)
-    Q = None  # with R, the QR factors of A_S; None when S must be refactored
     while True:
         if not 0 < m <= n:
             return None
-        columns = (S[:, None] * size + np.arange(size)).reshape(-1)
-        reduced = size > 1 and any(basis is not None for _, basis in parts)
-        if Q is None:
-            Q, R = np.linalg.qr(np.concatenate([part for part, _ in parts], axis=1)
-                                if reduced else A[:, columns])
-        else:
-            for a in parts[-1][0].T:
-                Q, R = _append_column(Q, R, a)
+        Q, R = np.linalg.qr(np.concatenate([part for part, _ in parts], axis=1))
         diag = np.abs(np.diagonal(R))
         if diag.min() <= diag.max() * max(n, m) * np.finfo(float).eps:
             return None
@@ -644,8 +620,9 @@ def _dense_certificate(project, z, blocks, tried):
         if np.linalg.norm(residual) <= fit_tol:
             x_S = np.linalg.solve(R, coeffs)
             # V_S, when a basis was formed: x_S = V_S c for the fit c
-            V = _block_diagonal([basis for _, basis in parts], size, m) if reduced else None
-            if V is not None:
+            V = None
+            if size > 1 and any(basis is not None for _, basis in parts):
+                V = _block_diagonal([basis for _, basis in parts], size, m)
                 x_S = V @ x_S
             norms = _block_norms(x_S, S.size)
             negligible = norms <= _PRUNE_TOL * norms.max()
@@ -653,7 +630,7 @@ def _dense_certificate(project, z, blocks, tried):
                 break
             # S holds blocks the fit does not use: drop them for good
             dropped[S[negligible]] = True
-            S, Q = S[~negligible], None
+            S = S[~negligible]
             parts = [part for part, drop in zip(parts, negligible) if not drop]
             m = sum(part.shape[1] for part, _ in parts)
         else:
@@ -665,6 +642,7 @@ def _dense_certificate(project, z, blocks, tried):
             S = np.append(S, b)
             parts.append(fit_of(b))
             m += parts[-1][0].shape[1]
+    columns = (S[:, None] * size + np.arange(size)).reshape(-1)
     if np.linalg.norm(y - A[:, columns] @ x_S) > fit_tol:
         return None
     sign = (x_S.reshape(S.size, size) / norms[:, None]).reshape(-1)
@@ -708,8 +686,7 @@ def _group_certificate(project, z, blocks, tried):
     S is the set of blocks of supp(z).  A decouples by coordinate: the active
     columns C_m of coordinate m are those of its local block whose
     coefficient lies in a block of S, |S_m| of them, so A_S can have full
-    column rank only if every |S_m| <= n, which is tested first (and, more
-    cheaply still, that supp(z) has no more entries than A has rows).  The
+    column rank only if every |S_m| <= n, which is tested first.  The
     least-squares fit x_S then comes from one batched QR, over the N
     coordinates, of [C_m, 0, y_m]: C_m padded with zero columns to the
     largest |S_m|, then y_m as columns (its real and imaginary parts for
@@ -730,8 +707,6 @@ def _group_certificate(project, z, blocks, tried):
     z, writes nothing but ``tried``.
     """
     op = project.matrix
-    if np.count_nonzero(z) > op.shape[0]:
-        return None  # A_S has more columns than rows: some |S_m| > n
     N, n, K = op.blocks.shape
     d = op.shape[1]
     count, size = blocks.block_count, blocks.block_size
@@ -914,13 +889,15 @@ def _admm(A, y, cfg, blocks, refute=None):
 
     A full-column-rank A has one feasible point, returned with 0 iterations.
     Otherwise, every _CERTIFY_PERIOD iterations it calls the certificate
-    (project, z, blocks, tried) on a supp(z) unlike the last check's;
-    ``tried`` is the solve's set of supports whose duals _strict_dual has
-    tested, each tested once, and a proved minimiser returned stops the
-    solve.  Then, when ``refute`` = (x, tau) names a recovery trial's
-    planted signal and NSE threshold, it stops with STATUS_REFUTED as soon
-    as the projection output is proved to lie, with every minimiser,
-    farther than NSE tau from x (_Refutation).
+    (project, z, blocks, tried) unless the block support of z is in
+    ``tried``, the solve's one memo of supports known to give no
+    certificate: those whose duals _strict_dual has tested, each tested
+    once, and each supp(z) whose check gave None.  A certificate reads only
+    that support, so a start that gave None gives None again.  A proved
+    minimiser returned stops the solve.  Then, when ``refute`` = (x, tau)
+    names a recovery trial's planted signal and NSE threshold, it stops with
+    STATUS_REFUTED as soon as the projection output is proved to lie, with
+    every minimiser, farther than NSE tau from x (_Refutation).
     """
     y = np.asarray(y, dtype=complex).reshape(-1)
     if not np.isfinite(y).all():
@@ -956,7 +933,6 @@ def _admm(A, y, cfg, blocks, refute=None):
     tol_dual = cfg.tol_dual * math.sqrt(d)
     status = STATUS_MAX_ITERS
     certified = False
-    last_support = None
     tried_supports = set()
     it = 0
     # an iterate of finite entries can have squares beyond double precision;
@@ -978,15 +954,14 @@ def _admm(A, y, cfg, blocks, refute=None):
                 break
             if it % _CERTIFY_PERIOD:
                 continue
-            # a repeated supp(z) repeats the last check's verdict: nothing
-            # new to test
-            support = (z != 0).tobytes()
-            if support != last_support:
-                last_support = support
+            # a support that gave no certificate gives none again
+            support = np.flatnonzero(z.reshape(blocks.block_count, -1).any(axis=1)).tobytes()
+            if support not in tried_supports:
                 exact = certificate(project, z, blocks, tried_supports)
                 if exact is not None:
                     x, status, certified = exact, STATUS_CONVERGED, True
                     break
+                tried_supports.add(support)
             if refutation is not None and refutation.refutes(x, it):
                 status = STATUS_REFUTED
                 break

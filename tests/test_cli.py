@@ -385,6 +385,24 @@ def test_experiment_workers_below_one_exit_code(capsys, tmp_path, experiment):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("experiment", [
+    ["classic", "--n", "7", "--generators", "alltop", "--ks", "1"],
+    ["fusion", "--set", "7,3", "--measurements", "4", "--ks", "1"],
+])
+def test_experiment_out_in_a_missing_directory_exit_code(capsys, tmp_path, monkeypatch,
+                                                         experiment):
+    # refused before the first trial, not after all of them
+    def unreachable(cfg):
+        raise AssertionError("a trial ran before --out was checked")
+
+    monkeypatch.setattr(experiments, f"run_{experiment[0]}_experiment", unreachable)
+    out = tmp_path / "missing" / "out.csv"
+    rc = cli.main(["experiment", *experiment, "--trials", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and str(out) in captured.err
+    assert not out.parent.exists()
+
+
 def test_experiment_reports_diagnostics(capsys, tmp_path):
     rc, doc = _run_json(capsys, "experiment", "fusion", "--set", "7,3",
                         "--measurements", "2", "--ks", "1,3", "--trials", "3",

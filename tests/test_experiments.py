@@ -156,6 +156,21 @@ def test_set_params_must_be_two_integers(set_params):
                                                 set_params=set_params)
 
 
+@pytest.mark.parametrize("make, field, value", [
+    ("classic", "N", 7.0), ("classic", "trials", 2.5), ("classic", "sparsity_grid", [1.5]),
+    ("fusion", "trials", 2.5), ("fusion", "sparsity_grid", [1.5]),
+    ("fusion", "measurement_grid", [2.7])], ids=lambda value: str(value).replace(" ", ""))
+def test_counts_must_be_integers(make, field, value):
+    # read by operator.index: refused, not cut to an integer or left for
+    # range() or NumPy to fail on later
+    kwargs = (dict(N=7, sparsity_grid=[1]) if make == "classic"
+              else dict(set_params=(7, 3), measurement_grid=[2], sparsity_grid=[1]))
+    config = (experiments.ClassicExperimentConfig if make == "classic"
+              else experiments.FusionExperimentConfig)
+    with pytest.raises(InvalidInputError, match=f"^{field}="):
+        config(**{**kwargs, field: value})
+
+
 @pytest.mark.parametrize("field, grid", [("generators", ("alltop", "alltop")),
                                          ("sparsity_grid", (1, 2, 1)),
                                          ("measurement_grid", (2, 2))])
